@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke calibrate calibrate-check ci
+.PHONY: build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,14 @@ bench:
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
 
 # Short smoke runs of the native fuzzers: the capture readers must never
-# panic on corrupt pcap/ZEP input, and the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture.
+# panic on corrupt pcap/ZEP input, the streaming receiver must decode
+# byte-identically for any fuzzed chunking of a capture, and the packed
+# sync scan must make the byte-wise FindPattern reference's decision.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dsp/stream -run '^$$' -fuzz FuzzCorrelatorMatchesFindPattern -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 
 # The concurrent per-channel streaming test under the race detector:
@@ -88,10 +90,17 @@ smoke-health:
 smoke-sim:
 	./scripts/smoke-sim.sh
 
+# The benchmark's own tests. perfbench/ is a separate Go module, so
+# `go test ./...` at the root never reaches TestBenchmarkJSONMatchesCatalogue
+# or the traced-vs-untraced tally checks; -short skips the run of every
+# workload (~2 s).
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
+
 # End-to-end campaign smoke: two attack scenarios (plus the benign
 # baseline) at 20 trials per cell through wazabeecampaign, asserting the
 # ROC matrix digest matches the pinned value at two worker counts.
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 
-ci: vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke
+ci: vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test

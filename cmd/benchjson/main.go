@@ -57,8 +57,7 @@ type report struct {
 // header key/value lines (goos:, pkg:, ...) fill the report preamble.
 func parse(r io.Reader) (*report, error) {
 	rep := &report{}
-	sums := map[string]*Result{}
-	var order []string
+	var lines [][]string
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -80,22 +79,26 @@ func parse(r io.Reader) (*report, error) {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-
 		fields := strings.Fields(line)
 		if len(fields) < 3 {
 			continue
 		}
-		// Strip the -<GOMAXPROCS> suffix so counts aggregate by name.
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		iters, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
+		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
 			continue
 		}
+		lines = append(lines, fields)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+
+	// Strip the -<GOMAXPROCS> suffix so counts aggregate by name.
+	suffix := procsSuffix(lines)
+	sums := map[string]*Result{}
+	var order []string
+	for _, fields := range lines {
+		name := strings.TrimSuffix(fields[0], suffix)
+		iters, _ := strconv.ParseFloat(fields[1], 64)
 		res := sums[name]
 		if res == nil {
 			res = &Result{Name: name, Metrics: map[string]float64{}}
@@ -122,9 +125,6 @@ func parse(r io.Reader) (*report, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 
 	sort.Strings(order)
 	for _, name := range order {
@@ -143,6 +143,30 @@ func parse(r io.Reader) (*report, error) {
 		rep.Benchmarks = append(rep.Benchmarks, *res)
 	}
 	return rep, nil
+}
+
+// procsSuffix returns the "-N" that go test appends to every benchmark
+// name when GOMAXPROCS is N > 1, or "" unless every line carries the
+// same one. At GOMAXPROCS=1 nothing is appended, so the digits of a
+// sub-benchmark such as BenchmarkRunnerSweep/workers-4 are part of its
+// name and must stay.
+func procsSuffix(lines [][]string) string {
+	suffix := ""
+	for i, fields := range lines {
+		name := fields[0]
+		j := strings.LastIndex(name, "-")
+		if j <= 0 {
+			return ""
+		}
+		if _, err := strconv.Atoi(name[j+1:]); err != nil {
+			return ""
+		}
+		if i > 0 && name[j:] != suffix {
+			return ""
+		}
+		suffix = name[j:]
+	}
+	return suffix
 }
 
 // historyRecord is one appended line of the benchmark history: the full

@@ -58,6 +58,84 @@ func TestParseAggregates(t *testing.T) {
 	}
 }
 
+// TestParseGOMAXPROCSSuffix: only the -N that go test appends to every
+// benchmark line is a GOMAXPROCS suffix. At GOMAXPROCS=1 there is none,
+// so sub-benchmarks whose names end in digits stay distinct.
+func TestParseGOMAXPROCSSuffix(t *testing.T) {
+	cases := []struct {
+		name string
+		in   string
+		want map[string]int // benchmark name → runs
+	}{
+		{
+			name: "GOMAXPROCS=1",
+			in: `BenchmarkRunnerSweep/workers-4 	       5	 200000000 ns/op
+BenchmarkRunnerSweep/workers-4 	       5	 210000000 ns/op
+BenchmarkRunnerSweep/workers-8 	       5	 190000000 ns/op
+BenchmarkSimEventLoop          	       2	 600000000 ns/op
+`,
+			want: map[string]int{
+				"BenchmarkRunnerSweep/workers-4": 2,
+				"BenchmarkRunnerSweep/workers-8": 1,
+				"BenchmarkSimEventLoop":          1,
+			},
+		},
+		{
+			name: "GOMAXPROCS=2",
+			in: `BenchmarkRunnerSweep/workers-4-2 	       5	 200000000 ns/op
+BenchmarkRunnerSweep/workers-4-2 	       5	 210000000 ns/op
+BenchmarkRunnerSweep/workers-8-2 	       5	 190000000 ns/op
+BenchmarkSimEventLoop-2          	       2	 600000000 ns/op
+`,
+			want: map[string]int{
+				"BenchmarkRunnerSweep/workers-4": 2,
+				"BenchmarkRunnerSweep/workers-8": 1,
+				"BenchmarkSimEventLoop":          1,
+			},
+		},
+		{
+			name: "GOMAXPROCS=1 single sub-benchmark",
+			in: `BenchmarkRunnerSweep/workers-4 	       5	 200000000 ns/op
+BenchmarkSimEventLoop          	       2	 600000000 ns/op
+`,
+			want: map[string]int{
+				"BenchmarkRunnerSweep/workers-4": 1,
+				"BenchmarkSimEventLoop":          1,
+			},
+		},
+		{
+			name: "-cpu 1,2",
+			in: `BenchmarkSimEventLoop   	       2	 600000000 ns/op
+BenchmarkSimEventLoop-2 	       2	 400000000 ns/op
+`,
+			want: map[string]int{
+				"BenchmarkSimEventLoop":   1,
+				"BenchmarkSimEventLoop-2": 1,
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := parse(strings.NewReader(c.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int{}
+			for _, b := range rep.Benchmarks {
+				got[b.Name] = b.Runs
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("benchmarks %v, want %v", got, c.want)
+			}
+			for name, runs := range c.want {
+				if got[name] != runs {
+					t.Errorf("%s: runs %d, want %d (all: %v)", name, got[name], runs, got)
+				}
+			}
+		})
+	}
+}
+
 // TestHistoryAppends checks the perf-trajectory log: each run with new
 // numbers appends one timestamped JSON line, never truncating earlier
 // entries, while a rerun with identical numbers is deduplicated (see

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
@@ -131,7 +132,7 @@ func (p *PHY) ModulateBits(bits bitstream.Bits) (dsp.IQ, error) {
 // appends the waveform to dst (which may be a pooled slab) and returns
 // the extended slice. The frequency-trace scratch is borrowed from the
 // shared buffer pool, so a warmed-up transmit path performs no heap
-// allocation beyond growing dst.
+// allocation beyond growing dst, which it does at most once.
 func (p *PHY) AppendModulateBits(dst dsp.IQ, bits bitstream.Bits) (dsp.IQ, error) {
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("ble: empty bit stream")
@@ -139,6 +140,7 @@ func (p *PHY) AppendModulateBits(dst dsp.IQ, bits bitstream.Bits) (dsp.IQ, error
 	sps := p.SamplesPerSymbol
 	// Frequency trace: superpose one shaped pulse per symbol.
 	n := len(bits)*sps + len(p.pulse) - sps
+	dst = slices.Grow(dst, n+1)
 	pool := stream.Shared()
 	freq := pool.F64(n)[:n]
 	for i := range freq {
@@ -157,10 +159,13 @@ func (p *PHY) AppendModulateBits(dst dsp.IQ, bits bitstream.Bits) (dsp.IQ, error
 	}
 	// Integrate to phase and emit the constant-envelope waveform. One
 	// trailing sample carries the final accumulated phase so that the
-	// last symbol keeps all of its phase increments.
+	// last symbol keeps all of its phase increments. Sincos runs the
+	// same argument reduction and polynomials as Sin and Cos, so each
+	// sample equals complex(math.Cos(phase), math.Sin(phase)).
 	phase := 0.0
 	for _, f := range freq {
-		dst = append(dst, complex(math.Cos(phase), math.Sin(phase)))
+		sn, cs := math.Sincos(phase)
+		dst = append(dst, complex(cs, sn))
 		phase += f
 		if phase > math.Pi {
 			phase -= 2 * math.Pi
@@ -168,7 +173,8 @@ func (p *PHY) AppendModulateBits(dst dsp.IQ, bits bitstream.Bits) (dsp.IQ, error
 			phase += 2 * math.Pi
 		}
 	}
-	dst = append(dst, complex(math.Cos(phase), math.Sin(phase)))
+	sn, cs := math.Sincos(phase)
+	dst = append(dst, complex(cs, sn))
 	pool.PutF64(freq)
 	return dst, nil
 }
@@ -208,7 +214,6 @@ func (p *PHY) DemodulateFrame(sig dsp.IQ, pattern bitstream.Bits, maxErrors int)
 	if len(sig) < (len(pattern)+2)*sps {
 		return nil, ErrNoAccessAddress
 	}
-	incs := dsp.Discriminate(sig)
 
 	// Synchronisation: hard-correlate at every sampling phase (the
 	// address correlator's error budget), then rank the qualifying
@@ -216,28 +221,14 @@ func (p *PHY) DemodulateFrame(sig dsp.IQ, pattern bitstream.Bits, maxErrors int)
 	// false-lock on payload coincidences at a wrongly timed phase, and
 	// soft scores alone drift at wrong phases — the combination keeps
 	// only the phase with a fully open eye.
-	bestPhase, bestPos, bestErrs := -1, 0, 0
-	var bestScore float64
-	for phase := 0; phase < sps; phase++ {
-		sums := dsp.IntegrateSymbols(incs, phase, sps)
-		bits := dsp.SliceBits(sums)
-		pos, errs, ok := dsp.FindPattern(bits, pattern, maxErrors)
-		if !ok {
-			continue
-		}
-		score, ok := dsp.SoftScore(sums, pattern, pos)
-		if !ok {
-			continue
-		}
-		if bestPhase < 0 || score > bestScore {
-			bestPhase, bestPos, bestErrs, bestScore = phase, pos, errs, score
-		}
-	}
-	if bestPhase < 0 {
+	corr := stream.Correlate(stream.Shared(), sig, pattern, maxErrors, sps)
+	defer corr.Close()
+	best, ok := corr.Best()
+	if !ok {
 		return nil, ErrNoAccessAddress
 	}
-
-	sums := dsp.IntegrateSymbols(incs, bestPhase, sps)
+	bestPos := best.Pos
+	sums := corr.Sums(best.Phase)
 
 	// Estimate the CFO bias over the pattern window and re-slice.
 	nominal := math.Pi * p.ModulationIndex
@@ -259,10 +250,10 @@ func (p *PHY) DemodulateFrame(sig dsp.IQ, pattern bitstream.Bits, maxErrors int)
 	}
 	return &Capture{
 		Bits:          bits,
-		PatternErrors: bestErrs,
+		PatternErrors: best.Errors,
 		PatternStart:  bestPos,
-		SampleOffset:  bestPhase,
-		SyncScore:     bestScore / (float64(len(pattern)) * nominal),
+		SampleOffset:  best.Phase,
+		SyncScore:     best.Score / (float64(len(pattern)) * nominal),
 		CFOBias:       bias,
 	}, nil
 }

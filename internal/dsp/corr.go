@@ -26,6 +26,10 @@ func BitCorrelation(stream, pattern []byte, offset int) int {
 // Each window aborts as soon as it cannot beat the best qualifying match
 // so far; with random pre-frame noise this makes the scan roughly
 // constant-work per offset regardless of pattern length.
+//
+// The receivers synchronise through stream.Correlator, which packs the
+// scan into 64-bit words; this byte-wise form is the reference its tests
+// and fuzzer compare against.
 func FindPattern(stream, pattern []byte, maxErrors int) (offset, errors int, ok bool) {
 	if len(pattern) == 0 || len(pattern) > len(stream) {
 		return 0, 0, false

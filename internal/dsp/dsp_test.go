@@ -73,6 +73,44 @@ func TestMixFrequencyShiftsTone(t *testing.T) {
 	}
 }
 
+// TestMixAddMatchesComposition: the fused MixAdd must produce, bit for
+// bit, what the clone-mix-scale-add sequence it replaces produces,
+// including the dropped out-of-range samples and the skipped identity
+// mix and scale.
+func TestMixAddMatchesComposition(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	src := make(IQ, 300)
+	for i := range src {
+		src[i] = complex(rnd.NormFloat64(), rnd.NormFloat64())
+	}
+	for _, c := range []struct {
+		offset int
+		df, g  float64
+	}{
+		{40, 0.013, 0.1}, {40, -0.021, 1}, {0, 0, 0.1}, {7, 0, 1}, {-25, 0.3, 0.1}, {150, 0.49, 1},
+	} {
+		noise := make(IQ, 400)
+		for i := range noise {
+			noise[i] = complex(rnd.NormFloat64(), rnd.NormFloat64())
+		}
+		burst := src.Clone()
+		if c.df != 0 {
+			burst.MixFrequency(c.df)
+		}
+		if c.g != 1 {
+			burst.Scale(c.g)
+		}
+		want := noise.Clone().Add(burst, c.offset)
+		got := noise.Clone().MixAdd(src, c.offset, c.df, c.g)
+		for i := range got {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("%+v: sample %d = %v, want %v", c, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRotatePhasePreservesDiscriminator(t *testing.T) {
 	s := tone(128, 0.02)
 	before := Discriminate(s.Clone())

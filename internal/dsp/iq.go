@@ -93,16 +93,53 @@ func (s IQ) Add(other IQ, offset int) IQ {
 // frequency in Hz divided by the sample rate) in place. This models carrier
 // frequency offset between two crystal oscillators.
 func (s IQ) MixFrequency(df float64) IQ {
-	phase := 0.0
-	step := 2 * math.Pi * df
+	osc := oscillator{step: 2 * math.Pi * df}
 	for i := range s {
-		s[i] *= cmplx.Exp(complex(0, phase))
-		phase += step
-		if phase > math.Pi {
-			phase -= 2 * math.Pi
+		s[i] *= osc.next()
+	}
+	return s
+}
+
+// MixAdd adds src into the buffer starting at sample offset, after
+// shifting it by df cycles per sample and scaling it by g. It is the
+// copy-free form of
+//
+//	s.Add(src.Clone().MixFrequency(df).Scale(g), offset)
+//
+// and produces the same samples bit for bit, except that df == 0 skips
+// the mix and g == 1 skips the scale rather than multiplying by an exact
+// 1 (which can flip the sign of a zero component). Samples of src that
+// fall outside the buffer are dropped, as in Add.
+func (s IQ) MixAdd(src IQ, offset int, df, g float64) IQ {
+	osc := oscillator{step: 2 * math.Pi * df}
+	for i, v := range src {
+		if df != 0 {
+			v *= osc.next()
+		}
+		if g != 1 {
+			v *= complex(g, 0)
+		}
+		if j := offset + i; j >= 0 && j < len(s) {
+			s[j] += v
 		}
 	}
 	return s
+}
+
+// oscillator is the unit phasor recursion of MixFrequency: the phase
+// advances by step per sample and wraps at π.
+type oscillator struct{ phase, step float64 }
+
+// next returns e^{jφ} for the current phase and advances it.
+// cmplx.Exp(complex(0, φ)) computes complex(1·cos φ, 1·sin φ) with the
+// same Sincos, so this is the same phasor without the math.Exp(0).
+func (o *oscillator) next() complex128 {
+	sn, cs := math.Sincos(o.phase)
+	o.phase += o.step
+	if o.phase > math.Pi {
+		o.phase -= 2 * math.Pi
+	}
+	return complex(cs, sn)
 }
 
 // RotatePhase applies a constant phase rotation (radians) in place. A

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math/bits"
+
 	"wazabee/internal/dsp"
 )
 
@@ -18,16 +20,29 @@ import (
 // scan positions, per-phase best candidates — lives inside the stage,
 // so feeding a capture in chunks of any size produces bit-identical
 // decisions to processing it whole.
+//
+// It is the one synchronisation search of every production receiver
+// (core.RxStream, ieee802154.PHY.DemodulateStats, ble.PHY.
+// DemodulateFrame). A pattern of at most 64 bits is scanned as a packed
+// 64-bit window, one XOR and popcount per offset; a longer one falls
+// back to the byte-wise comparison. Both count the same mismatches, so
+// the decisions match dsp.FindPattern, which stays byte-wise as the
+// reference the tests compare against.
 type Correlator struct {
-	// Pattern is the hard bit pattern to correlate (the 32-bit WazaBee
+	// pattern is the hard bit pattern to correlate (the 32-bit WazaBee
 	// Access Address, or an 802.15.4 preamble window).
-	Pattern []byte
-	// MaxErrors is the tolerated mismatch count for a candidate to
+	pattern []byte
+	// maxErrors is the tolerated mismatch count for a candidate to
 	// qualify.
-	MaxErrors int
-	// SPS is the number of samples per symbol; the correlator tracks
+	maxErrors int
+	// sps is the number of samples per symbol; the correlator tracks
 	// one candidate search per sampling phase.
-	SPS int
+	sps int
+	// packed reports that the pattern is 1 to 64 bits of 0s and 1s,
+	// held in the low bits of word (first bit highest) with mask
+	// selecting them.
+	packed     bool
+	word, mask uint64
 
 	pool   *BufferPool
 	incs   []float64
@@ -48,19 +63,46 @@ type phaseState struct {
 // NewCorrelator builds a correlator over pool-backed buffers. pool nil
 // falls back to the shared pool.
 func NewCorrelator(pool *BufferPool, pattern []byte, maxErrors, sps int) *Correlator {
+	return newCorrelator(pool, pattern, maxErrors, sps, 4096)
+}
+
+// Correlate is the one-shot form of the correlator for a whole capture:
+// it discriminates sig straight into the correlator's increment buffer
+// and scans every sampling phase, exactly as Process(dsp.Discriminate(sig))
+// would. The caller reads Best and Sums, then calls Close.
+func Correlate(pool *BufferPool, sig dsp.IQ, pattern []byte, maxErrors, sps int) *Correlator {
+	c := newCorrelator(pool, pattern, maxErrors, sps, len(sig))
+	c.incs = dsp.DiscriminateInto(c.incs, sig)
+	c.extend()
+	return c
+}
+
+// newCorrelator sizes the pooled buffers for incs phase increments.
+func newCorrelator(pool *BufferPool, pattern []byte, maxErrors, sps, incs int) *Correlator {
 	pool = Or(pool)
 	c := &Correlator{
-		Pattern:   pattern,
-		MaxErrors: maxErrors,
-		SPS:       sps,
+		pattern:   pattern,
+		maxErrors: maxErrors,
+		sps:       sps,
+		packed:    len(pattern) > 0 && len(pattern) <= 64,
 		pool:      pool,
-		incs:      pool.F64(4096),
+		incs:      pool.F64(incs),
 		phases:    make([]phaseState, sps),
 	}
+	if c.packed {
+		for _, b := range pattern {
+			if b > 1 {
+				c.packed = false
+			}
+			c.word = c.word<<1 | uint64(b)
+		}
+		c.mask = ^uint64(0) >> (64 - len(pattern))
+	}
+	symbols := incs/max(sps, 1) + 1
 	for p := range c.phases {
 		c.phases[p] = phaseState{
-			sums:     pool.F64(512),
-			bits:     pool.Bits(512),
+			sums:     pool.F64(symbols),
+			bits:     pool.Bits(symbols),
 			bestErrs: maxErrors + 1,
 		}
 	}
@@ -79,7 +121,7 @@ func (c *Correlator) Reset() {
 		ps.sums = ps.sums[:0]
 		ps.bits = ps.bits[:0]
 		ps.scan = 0
-		ps.bestPos, ps.bestErrs, ps.has = 0, c.MaxErrors+1, false
+		ps.bestPos, ps.bestErrs, ps.has = 0, c.maxErrors+1, false
 	}
 }
 
@@ -105,27 +147,30 @@ func (c *Correlator) Process(incs []float64) {
 // extend grows every phase's symbol sums/bits to cover the retained
 // increments and advances its candidate scan.
 func (c *Correlator) extend() {
-	sps := c.SPS
+	sps := c.sps
 	for p := range c.phases {
 		ps := &c.phases[p]
 		// Complete symbol windows available at this phase. The inner
 		// summation order matches dsp.IntegrateSymbols exactly so the
-		// floating-point results are bit-identical.
+		// floating-point results are bit-identical. The bit is set
+		// without a branch: a branch on a noisy sum mispredicts about
+		// every other symbol and serialises the independent sums.
 		if p < len(c.incs) {
 			n := (len(c.incs) - p) / sps
-			for k := len(ps.sums); k < n; k++ {
+			sums, bits := ps.sums, ps.bits
+			for k := len(sums); k < n; k++ {
 				var sum float64
-				base := p + k*sps
-				for i := 0; i < sps; i++ {
-					sum += c.incs[base+i]
+				for _, v := range c.incs[p+k*sps : p+(k+1)*sps] {
+					sum += v
 				}
-				ps.sums = append(ps.sums, sum)
+				var bit byte
 				if sum > 0 {
-					ps.bits = append(ps.bits, 1)
-				} else {
-					ps.bits = append(ps.bits, 0)
+					bit = 1
 				}
+				sums = append(sums, sum)
+				bits = append(bits, bit)
 			}
+			ps.sums, ps.bits = sums, bits
 		}
 		c.scanPhase(ps)
 	}
@@ -133,17 +178,42 @@ func (c *Correlator) extend() {
 
 // scanPhase advances the candidate search over newly available windows,
 // replicating dsp.FindPattern: ascending offsets, a candidate must
-// strictly beat the best so far (initially MaxErrors), and the scan
+// strictly beat the best so far (initially maxErrors), and the scan
 // freezes after a perfect match.
 func (c *Correlator) scanPhase(ps *phaseState) {
 	if ps.has && ps.bestErrs == 0 {
 		return
 	}
-	pat := c.Pattern
-	for off := ps.scan; off+len(pat) <= len(ps.bits); off++ {
+	n := len(c.pattern)
+	if ps.scan+n > len(ps.bits) {
+		return
+	}
+	if !c.packed {
+		c.scanBytes(ps)
+		return
+	}
+	// w slides over the bit stream: after the shift in iteration off it
+	// holds bits[off : off+n], first bit highest, like c.word.
+	var w uint64
+	for _, b := range ps.bits[ps.scan : ps.scan+n-1] {
+		w = w<<1 | uint64(b)
+	}
+	for off := ps.scan; off+n <= len(ps.bits); off++ {
+		w = (w<<1 | uint64(ps.bits[off+n-1])) & c.mask
+		ps.scan = off + 1
+		if ps.take(off, bits.OnesCount64(w^c.word)) {
+			return
+		}
+	}
+}
+
+// scanBytes is scanPhase for patterns the packed window cannot hold:
+// it compares byte by byte, abandoning a window once it cannot win.
+func (c *Correlator) scanBytes(ps *phaseState) {
+	for off := ps.scan; off+len(c.pattern) <= len(ps.bits); off++ {
 		limit := ps.bestErrs - 1
 		errs := 0
-		for i, pb := range pat {
+		for i, pb := range c.pattern {
 			if ps.bits[off+i] != pb {
 				errs++
 				if errs > limit {
@@ -151,17 +221,26 @@ func (c *Correlator) scanPhase(ps *phaseState) {
 				}
 			}
 		}
-		if errs <= limit {
-			ps.bestErrs = errs
-			ps.bestPos = off
-			ps.has = true
-			if errs == 0 {
-				ps.scan = off + 1
-				return
-			}
-		}
 		ps.scan = off + 1
+		if ps.take(off, errs) {
+			return
+		}
 	}
+}
+
+// take records the window at off as the phase's best candidate when its
+// mismatch count strictly beats the best so far, and reports whether it
+// is a perfect match, which freezes the scan.
+func (ps *phaseState) take(off, errs int) (frozen bool) {
+	// bestErrs-1 rather than errs < bestErrs: FindPattern's limit
+	// arithmetic, which wraps the same way for maxErrors = MaxInt.
+	if errs > ps.bestErrs-1 {
+		return false
+	}
+	ps.bestErrs = errs
+	ps.bestPos = off
+	ps.has = true
+	return errs == 0
 }
 
 // Candidate is the correlator's current synchronisation decision.
@@ -186,7 +265,7 @@ func (c *Correlator) Best() (Candidate, bool) {
 		if !ps.has {
 			continue
 		}
-		score, ok := dsp.SoftScore(ps.sums, c.Pattern, ps.bestPos)
+		score, ok := dsp.SoftScore(ps.sums, c.pattern, ps.bestPos)
 		if !ok {
 			continue
 		}
@@ -224,7 +303,7 @@ func (c *Correlator) Compact(n int) {
 		ps.sums = ps.sums[:0]
 		ps.bits = ps.bits[:0]
 		ps.scan = 0
-		ps.bestPos, ps.bestErrs, ps.has = 0, c.MaxErrors+1, false
+		ps.bestPos, ps.bestErrs, ps.has = 0, c.maxErrors+1, false
 	}
 	c.extend()
 }

@@ -7,6 +7,7 @@ import (
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
+	"wazabee/internal/dsp/stream"
 	"wazabee/internal/obs"
 	"wazabee/internal/obs/link"
 )
@@ -158,6 +159,10 @@ func syncPattern() bitstream.Bits {
 	return ChipTransitions(double)
 }
 
+// preamblePattern is syncPattern computed once and shared read-only by
+// every receiver.
+var preamblePattern = syncPattern()
+
 // Demodulate runs the noncoherent MSK-approximation receiver over a
 // capture: frequency discrimination, symbol-timing search, preamble
 // correlation, CFO compensation and minimum-distance despreading.
@@ -191,43 +196,30 @@ func (p *PHY) DemodulateStats(sig dsp.IQ) (*Demodulated, *link.Stats, error) {
 		return nil, st, ErrNoSync
 	}
 	endDemod := obs.Stage(reg, p.Trace, "demod")
-	incs := dsp.Discriminate(sig)
-	pattern := syncPattern()
+	pattern := preamblePattern
 
 	// Symbol-timing search: hard-correlate at every sampling phase
 	// within the correlator's error budget, then rank qualifying
 	// candidates by soft correlation so that only the phase with a
 	// fully open eye wins (see ble.PHY.DemodulateFrame for the failure
 	// modes either criterion alone has).
-	bestPhase, bestPos, bestErrs := -1, 0, 0
-	var bestScore float64
-	for phase := 0; phase < sps; phase++ {
-		sums := dsp.IntegrateSymbols(incs, phase, sps)
-		bits := dsp.SliceBits(sums)
-		pos, errs, ok := dsp.FindPattern(bits, pattern, p.MaxSyncErrors)
-		if !ok {
-			continue
-		}
-		score, ok := dsp.SoftScore(sums, pattern, pos)
-		if !ok {
-			continue
-		}
-		if bestPhase < 0 || score > bestScore {
-			bestPhase, bestPos, bestErrs, bestScore = phase, pos, errs, score
-		}
-	}
-	if bestPhase < 0 {
+	pool := stream.Shared()
+	corr := stream.Correlate(pool, sig, pattern, p.MaxSyncErrors, sps)
+	defer corr.Close()
+	best, ok := corr.Best()
+	if !ok {
 		endDemod()
 		reg.Counter("wazabee_sync_failures_total", "decoder", "oqpsk").Inc()
 		return nil, st, ErrNoSync
 	}
+	bestPhase, bestPos, bestErrs := best.Phase, best.Pos, best.Errors
 	reg.Histogram("wazabee_aa_pattern_errors", obs.LinearBuckets(0, 1, 9), "decoder", "oqpsk").
 		Observe(float64(bestErrs))
 	st.Synced = true
 	st.SyncErrors = bestErrs
-	st.SyncCorr = bestScore / (float64(len(pattern)) * math.Pi / 2)
+	st.SyncCorr = best.Score / (float64(len(pattern)) * math.Pi / 2)
 
-	sums := dsp.IntegrateSymbols(incs, bestPhase, sps)
+	sums := corr.Sums(bestPhase)
 
 	// CFO estimation over the sync window: the expected accumulation per
 	// chip period is ±π/2; the mean residual is the CFO-induced bias.
@@ -242,12 +234,15 @@ func (p *PHY) DemodulateStats(sig dsp.IQ) (*Demodulated, *link.Stats, error) {
 	bias /= float64(len(pattern))
 	st.CFOHz = link.CFOFromBias(bias, ChipRate)
 
-	bits := make(bitstream.Bits, len(sums))
-	for i, s := range sums {
+	bits := bitstream.Bits(pool.Bits(len(sums)))
+	for _, s := range sums {
+		var b byte
 		if s-bias > 0 {
-			bits[i] = 1
+			b = 1
 		}
+		bits = append(bits, b)
 	}
+	defer pool.PutBits(bits)
 
 	endDemod()
 	endDespread := obs.Stage(reg, p.Trace, "despread")

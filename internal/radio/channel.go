@@ -8,6 +8,7 @@ import (
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
+	"wazabee/internal/dsp/stream"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
@@ -157,6 +158,10 @@ type Channel interface {
 // one Channel interface cover every modem combination in the tree
 // (Zigbee PHY both ways, WazaBee BLE-diverted reception/transmission)
 // without the radio package importing the chip or core layers.
+//
+// The capture handed to Demodulate lives in a pooled slab that the
+// channel reuses as soon as Demodulate returns: Demodulate must not
+// retain it, or any slice of it, past its return.
 type IQEndpoints struct {
 	Modulate   func(psdu []byte) (dsp.IQ, error)
 	Demodulate func(capture dsp.IQ) ([]byte, error)
@@ -287,13 +292,16 @@ func (c *iqChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 	if err != nil {
 		return FrameOutcome{}, fmt.Errorf("radio: modulate: %w", err)
 	}
-	capture, err := c.m.Deliver(sig, spec.TxFreqMHz, spec.RxFreqMHz, spec.Link)
+	pool := stream.Shared()
+	capture := pool.IQ(max(spec.Link.LeadSamples+len(sig)+spec.Link.LagSamples, 0))
+	capture, err = c.m.deliverInto(capture, sig, spec.TxFreqMHz, spec.RxFreqMHz, spec.Link)
 	if err != nil {
 		return FrameOutcome{}, err
 	}
 	inBand, _ := passband(spec.TxFreqMHz, spec.RxFreqMHz)
 	out := FrameOutcome{InBand: inBand}
 	psdu, derr := c.ep.Demodulate(capture)
+	pool.PutIQ(capture)
 	if derr != nil {
 		out.DecodeErr = derr
 		return out, nil

@@ -95,7 +95,17 @@ func (m *Medium) Rand() *rand.Rand {
 // random intra-window offset, frequency-shifted by the residual CFO,
 // degraded by AWGN at the link SNR and overlaid with any interference
 // bursts active on that frequency.
+//
+// The link SNR may be +Inf (a noise-free link); a NaN or -Inf SNR, or a
+// non-finite CFO, is an error.
 func (m *Medium) Deliver(sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link Link) (dsp.IQ, error) {
+	return m.deliverInto(nil, sig, txFreqMHz, rxFreqMHz, link)
+}
+
+// deliverInto is Deliver writing the capture into dst's capacity when it
+// is large enough (the IQ tier passes a pooled slab) and into a fresh
+// buffer otherwise.
+func (m *Medium) deliverInto(dst, sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link Link) (dsp.IQ, error) {
 	if len(sig) == 0 {
 		return nil, fmt.Errorf("radio: empty transmission")
 	}
@@ -103,6 +113,12 @@ func (m *Medium) Deliver(sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link Link) (d
 	lag := link.LagSamples
 	if lead < 0 || lag < 0 {
 		return nil, fmt.Errorf("radio: negative padding")
+	}
+	if math.IsNaN(link.SNRdB) || math.IsInf(link.SNRdB, -1) {
+		return nil, fmt.Errorf("radio: link SNR %g dB, want a number above -Inf", link.SNRdB)
+	}
+	if math.IsNaN(link.CFOHz) || math.IsInf(link.CFOHz, 0) {
+		return nil, fmt.Errorf("radio: link CFO %g Hz, want a finite offset", link.CFOHz)
 	}
 
 	reg := obs.Or(m.Obs)
@@ -121,28 +137,32 @@ func (m *Medium) Deliver(sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link Link) (d
 		sep = -sep
 	}
 
+	n := lead + len(sig) + lag
+	if cap(dst) < n {
+		dst = make(dsp.IQ, 0, n)
+	}
 	noisePower := sig.Power() / math.Pow(10, link.SNRdB/10)
-	out, err := dsp.NoiseFloor(lead+len(sig)+lag, noisePower, m.rnd)
+	out, err := dsp.NoiseFloorInto(dst[:0], n, noisePower, m.rnd)
 	if err != nil {
 		return nil, err
 	}
 
 	if sep < 2 {
-		// Co- or adjacent-channel: the burst reaches the receiver.
-		// Adjacent-channel energy is attenuated by the receive
-		// filter; in-channel passes at full power.
-		burst := sig.Clone()
-		if link.CFOHz != 0 {
-			burst.MixFrequency(link.CFOHz / m.SampleRateHz)
-		}
-		if sep >= 1 {
-			burst.Scale(0.1) // strong adjacent-channel rejection
-		}
+		// Co- or adjacent-channel: the burst reaches the receiver,
+		// shifted by the residual CFO. Adjacent-channel energy is
+		// attenuated by the receive filter (strong adjacent-channel
+		// rejection); in-channel passes at full power. The offset is
+		// drawn after the noise floor: the draw order is part of the
+		// medium's bit-exact contract (DESIGN.md §9).
 		offset := lead
 		if lead > 0 {
 			offset = m.rnd.Intn(lead + 1)
 		}
-		out.Add(burst, offset)
+		gain := 1.0
+		if sep >= 1 {
+			gain = 0.1
+		}
+		out.MixAdd(sig, offset, link.CFOHz/m.SampleRateHz, gain)
 		reg.Counter("wazabee_medium_bursts_total", "path", "in_band").Inc()
 	} else {
 		reg.Counter("wazabee_medium_bursts_total", "path", "out_of_band").Inc()

@@ -112,6 +112,41 @@ func TestDeliverErrors(t *testing.T) {
 	}
 }
 
+// TestDeliverRejectsNonFiniteLink: a NaN or -Inf SNR would make the
+// noise power NaN or +Inf and turn the whole capture into NaN, which
+// receivers report as a quiet "no sync"; a non-finite CFO does the same
+// through the mixer. +Inf SNR is a noise-free link and stays legal.
+func TestDeliverRejectsNonFiniteLink(t *testing.T) {
+	for _, link := range []Link{
+		{SNRdB: math.NaN()},
+		{SNRdB: math.Inf(-1)},
+		{SNRdB: 10, CFOHz: math.NaN()},
+		{SNRdB: 10, CFOHz: math.Inf(1)},
+		{SNRdB: 10, CFOHz: math.Inf(-1)},
+	} {
+		m, _ := NewMedium(16e6, 11)
+		if _, err := m.Deliver(carrier(8), 2420, 2420, link); err == nil {
+			t.Errorf("SNR %g dB, CFO %g Hz: expected an error", link.SNRdB, link.CFOHz)
+		}
+	}
+
+	m, _ := NewMedium(16e6, 11)
+	sig := carrier(64)
+	out, err := m.Deliver(sig, 2420, 2420, Link{SNRdB: math.Inf(1), LagSamples: 8})
+	if err != nil {
+		t.Fatalf("+Inf SNR: %v", err)
+	}
+	for i, v := range out {
+		want := complex(0, 0)
+		if i < len(sig) {
+			want = sig[i]
+		}
+		if v != want {
+			t.Fatalf("+Inf SNR: sample %d = %v, want %v (noise-free)", i, v, want)
+		}
+	}
+}
+
 func TestDeliverDeterministic(t *testing.T) {
 	run := func() dsp.IQ {
 		m, err := NewMedium(16e6, 42)
