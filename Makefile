@@ -1,10 +1,14 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
+.PHONY: fmt-check build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
 
 build:
 	$(GO) build ./...
+
+# Every Go file must be gofmt-clean; the offenders are listed on failure.
+fmt-check:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -56,10 +60,10 @@ racesim:
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume
 # boundaries; simulator capture sequences bit-identical across same-seed
-# runs and event-batch sizes.
+# runs and event-batch sizes, and equal to the pinned mesh goldens.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
-	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
+	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity' -count 1 ./internal/experiment
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
@@ -103,4 +107,4 @@ perfbench-test:
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 
-ci: vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test
+ci: fmt-check vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test

@@ -135,6 +135,9 @@ func run(args []string, out, errOut io.Writer) error {
 	if cfg.trials < 1 {
 		return fmt.Errorf("-trials %d < 1", cfg.trials)
 	}
+	if cfg.workers < 0 {
+		return fmt.Errorf("negative -workers %d (0 means GOMAXPROCS)", cfg.workers)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

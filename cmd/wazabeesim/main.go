@@ -95,6 +95,14 @@ func buildTopology(cfg config) (sim.Topology, error) {
 	case "star":
 		return sim.Star(cfg.nodes), nil
 	case "tree":
+		// sim.Tree clamps these to 1; a CLI run must simulate the tree
+		// it was asked for or fail.
+		if cfg.depth < 1 {
+			return sim.Topology{}, fmt.Errorf("-depth %d < 1", cfg.depth)
+		}
+		if cfg.fanout < 1 {
+			return sim.Topology{}, fmt.Errorf("-fanout %d < 1", cfg.fanout)
+		}
 		return sim.Tree(cfg.depth, cfg.fanout), nil
 	case "random":
 		return sim.Random(cfg.nodes, cfg.seed), nil

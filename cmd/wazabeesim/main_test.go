@@ -74,10 +74,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-topology", "star", "-nodes", "-3"},
 		{"-topology", "tree", "-nodes", "-1"},
 		{"-topology", "random", "-nodes", "-10"},
+		// A tree the generator would silently clamp.
+		{"-topology", "tree", "-depth", "0"},
+		{"-topology", "tree", "-depth", "-1"},
+		{"-topology", "tree", "-fanout", "0"},
+		// A NaN SNR once panicked in the calibration-table lookup.
+		{"-topology", "star", "-nodes", "2", "-snr", "NaN"},
+		{"-topology", "star", "-nodes", "2", "-snr", "-Inf"},
 	} {
 		var out, errOut bytes.Buffer
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("run(%v) accepted invalid input", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("run(%v) simulated before failing:\n%s", args, out.String())
 		}
 	}
 }

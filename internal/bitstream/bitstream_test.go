@@ -215,6 +215,40 @@ func TestFCS16KnownVector(t *testing.T) {
 	}
 }
 
+// fcs16BitSerial is the bit-at-a-time definition of the FCS, kept as
+// the reference the table-driven FCS16 must match.
+func fcs16BitSerial(data []byte) uint16 {
+	var crc uint16
+	for _, b := range data {
+		crc ^= uint16(b)
+		for j := 0; j < 8; j++ {
+			if crc&1 == 1 {
+				crc = (crc >> 1) ^ 0x8408
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestFCS16MatchesBitSerial(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		in := []byte{byte(b)}
+		if got, want := FCS16(in), fcs16BitSerial(in); got != want {
+			t.Fatalf("FCS16(%#02x) = %#04x, bit-serial %#04x", b, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 2000; i++ {
+		frame := make([]byte, rng.Intn(128))
+		rng.Read(frame)
+		if got, want := FCS16(frame), fcs16BitSerial(frame); got != want {
+			t.Fatalf("FCS16 of %d-byte frame %x = %#04x, bit-serial %#04x", len(frame), frame, got, want)
+		}
+	}
+}
+
 func TestFCSAppendCheckRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
 		fcs := FCS16Bytes(FCS16(payload))

@@ -43,12 +43,12 @@ func CRC24Bytes(crc uint32) [3]byte {
 	return [3]byte{byte(crc), byte(crc >> 8), byte(crc >> 16)}
 }
 
-// FCS16 computes the IEEE 802.15.4 frame check sequence over data: CRC-16
-// with reflected polynomial 0x8408, zero preset, no final XOR.
-func FCS16(data []byte) uint16 {
-	var crc uint16
-	for _, b := range data {
-		crc ^= uint16(b)
+// fcsTable holds the FCS register update for each byte value: entry i
+// is eight bit-serial steps of the reflected polynomial 0x8408 applied to
+// a register holding i. It turns FCS16 into one lookup per byte.
+var fcsTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i)
 		for j := 0; j < 8; j++ {
 			if crc&1 == 1 {
 				crc = (crc >> 1) ^ 0x8408
@@ -56,6 +56,17 @@ func FCS16(data []byte) uint16 {
 				crc >>= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// FCS16 computes the IEEE 802.15.4 frame check sequence over data: CRC-16
+// with reflected polynomial 0x8408, zero preset, no final XOR.
+func FCS16(data []byte) uint16 {
+	var crc uint16
+	for _, b := range data {
+		crc = crc>>8 ^ fcsTable[byte(crc)^b]
 	}
 	return crc
 }

@@ -369,4 +369,3 @@ func mixSeed(vals ...uint64) uint64 {
 	}
 	return h
 }
-

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -288,7 +289,18 @@ func TestOutcomeClassMapping(t *testing.T) {
 }
 
 func TestMatrixSpecValidation(t *testing.T) {
-	if _, err := RunMatrix(context.Background(), MatrixSpec{Thresholds: []float64{-0.1}}); err == nil {
-		t.Error("negative threshold accepted")
+	for _, spec := range []MatrixSpec{
+		{Thresholds: []float64{-0.1}},
+		// A NaN threshold once ran the whole sweep and failed only at
+		// the JSON write.
+		{Thresholds: []float64{0.2, math.NaN()}},
+		{Thresholds: []float64{math.Inf(1)}},
+		// A NaN SNR once crashed the calibrated tier mid-sweep.
+		{SNRdB: math.NaN()},
+		{SNRdB: math.Inf(-1)},
+	} {
+		if _, err := RunMatrix(context.Background(), spec); err == nil {
+			t.Errorf("spec with thresholds %v, SNR %g dB accepted", spec.Thresholds, spec.SNRdB)
+		}
 	}
 }

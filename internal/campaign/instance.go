@@ -88,10 +88,10 @@ type instance struct {
 	sc   *scenario
 	opts Options
 
-	nw   *sim.Network
-	base *sim.Network // attack-free twin (nil unless sc.energyTwin)
-	intr *sim.Intruder
-	mon  *ids.FrameMonitor
+	nw    *sim.Network
+	base  *sim.Network // attack-free twin (nil unless sc.energyTwin)
+	intr  *sim.Intruder
+	mon   *ids.FrameMonitor
 	model evmModel
 
 	duration    time.Duration

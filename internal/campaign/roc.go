@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -123,9 +124,12 @@ func (s *MatrixSpec) fill() error {
 		s.Thresholds = append([]float64(nil), DefaultThresholds...)
 	}
 	for _, th := range s.Thresholds {
-		if th <= 0 {
-			return fmt.Errorf("campaign: threshold %g <= 0", th)
+		if math.IsNaN(th) || math.IsInf(th, 1) || th <= 0 {
+			return fmt.Errorf("campaign: threshold %g, want a finite value > 0", th)
 		}
+	}
+	if err := (radio.Link{SNRdB: s.SNRdB}).Validate(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	if s.Trials <= 0 {
 		s.Trials = DefaultTrials

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
@@ -325,10 +326,12 @@ type symbolChannel struct {
 func (c *symbolChannel) Fidelity() Fidelity { return FidelitySymbol }
 
 func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
-	reg := obs.Or(c.m.Obs)
+	if err := spec.Link.Validate(); err != nil {
+		return FrameOutcome{}, err
+	}
 	inBand, adjacent := passband(spec.TxFreqMHz, spec.RxFreqMHz)
 	if !inBand {
-		reg.Counter("wazabee_medium_bursts_total", "path", "symbol_out_of_band").Inc()
+		c.m.count(ctrSymbolOutOfBand)
 		return FrameOutcome{}, nil
 	}
 	psduLen := spec.psduLen()
@@ -349,7 +352,7 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		// receiver hands back nothing. The calibration pass folds all
 		// three into SyncFail, so the gate is not re-applied here.
 		out.DecodeErr = ieee802154.ErrNoSync
-		reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+		c.m.count(ctrSymbolErased)
 		return out, nil
 	}
 
@@ -388,7 +391,7 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		}
 		if got != txSym {
 			out.DecodeErr = ieee802154.ErrNoSync
-			reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+			c.m.count(ctrSymbolErased)
 			return out, nil
 		}
 	}
@@ -419,9 +422,9 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 	} else {
 		out.Valid = clean
 	}
-	reg.Counter("wazabee_medium_bursts_total", "path", "symbol_in_band").Inc()
+	c.m.count(ctrSymbolInBand)
 	if !out.Valid {
-		reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+		c.m.count(ctrSymbolErased)
 	}
 	return out, nil
 }
@@ -472,10 +475,12 @@ func (c *frameChannel) successProb(eff, cfo, wifi float64, psduLen int) float64 
 }
 
 func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
-	reg := obs.Or(c.m.Obs)
+	if err := spec.Link.Validate(); err != nil {
+		return FrameOutcome{}, err
+	}
 	inBand, adjacent := passband(spec.TxFreqMHz, spec.RxFreqMHz)
 	if !inBand {
-		reg.Counter("wazabee_medium_bursts_total", "path", "virtual_out_of_band").Inc()
+		c.m.count(ctrVirtualOutOfBand)
 		return FrameOutcome{}, nil
 	}
 	eff := spec.Link.SNRdB
@@ -490,14 +495,67 @@ func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 	if rng.float64() < prob {
 		out.Valid = true
 		out.PSDU = spec.PSDU
-		reg.Counter("wazabee_medium_bursts_total", "path", "virtual_in_band").Inc()
+		c.m.count(ctrVirtualInBand)
 	} else {
 		// At frame granularity an erasure is indistinguishable from a
 		// sync failure: nothing reaches the MAC.
 		out.DecodeErr = ieee802154.ErrNoSync
-		reg.Counter("wazabee_medium_virtual_erased_total").Inc()
+		c.m.count(ctrVirtualErased)
 	}
 	return out, nil
+}
+
+// tierCounter is one medium counter the symbol or frame tier bumps per
+// frame.
+type tierCounter uint8
+
+const (
+	ctrSymbolOutOfBand tierCounter = iota
+	ctrSymbolInBand
+	ctrSymbolErased
+	ctrVirtualOutOfBand
+	ctrVirtualInBand
+	ctrVirtualErased
+	numTierCounters
+)
+
+// tierCounterSeries is each tierCounter's metric name and label pairs.
+var tierCounterSeries = [numTierCounters][]string{
+	ctrSymbolOutOfBand:  {"wazabee_medium_bursts_total", "path", "symbol_out_of_band"},
+	ctrSymbolInBand:     {"wazabee_medium_bursts_total", "path", "symbol_in_band"},
+	ctrSymbolErased:     {"wazabee_medium_symbol_erased_total"},
+	ctrVirtualOutOfBand: {"wazabee_medium_bursts_total", "path", "virtual_out_of_band"},
+	ctrVirtualInBand:    {"wazabee_medium_bursts_total", "path", "virtual_in_band"},
+	ctrVirtualErased:    {"wazabee_medium_virtual_erased_total"},
+}
+
+// tierCounters caches the tier counters of one registry, so a delivery
+// pays for a pointer load instead of a label-set lookup. Each series is
+// resolved on its first increment, leaving the registry with exactly the
+// series a lookup per frame would have created. Medium.count keys the
+// cache by the registry it was resolved on, so pointing Medium.Obs
+// elsewhere takes effect at the next delivery. Safe for concurrent use,
+// like the tiers.
+type tierCounters struct {
+	reg *obs.Registry
+	c   [numTierCounters]atomic.Pointer[obs.Counter]
+}
+
+// count increments one tier counter on the medium's registry.
+func (m *Medium) count(which tierCounter) {
+	reg := obs.Or(m.Obs)
+	set := m.tierCtrs.Load()
+	if set == nil || set.reg != reg {
+		set = &tierCounters{reg: reg}
+		m.tierCtrs.Store(set)
+	}
+	c := set.c[which].Load()
+	if c == nil {
+		series := tierCounterSeries[which]
+		c = reg.Counter(series[0], series[1:]...)
+		set.c[which].Store(c)
+	}
+	c.Inc()
 }
 
 // SymbolCorrectProb returns P[symbol decodes correctly | k chip errors],

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"wazabee/internal/bitstream"
@@ -294,6 +295,90 @@ func TestDefaultCalTableShipsAllProfiles(t *testing.T) {
 	} {
 		if _, err := table.Profile(name); err != nil {
 			t.Errorf("embedded table: %v", err)
+		}
+	}
+}
+
+// TestCalibratedTiersRejectInvalidLinks pins the Link.Validate rule on
+// the symbol and frame tiers: a NaN or -Inf SNR or a non-finite CFO is
+// an error (a NaN SNR once indexed past the calibration grid), while a
+// +Inf SNR is a noise-free link that delivers.
+func TestCalibratedTiersRejectInvalidLinks(t *testing.T) {
+	m, err := NewMedium(16e6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Obs = obs.NewRegistry()
+	psdu := testPSDU(t, 20)
+	for _, f := range []Fidelity{FidelitySymbol, FidelityFrame} {
+		ch, err := m.Channel(f, ChannelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, link := range []Link{
+			{SNRdB: math.NaN()},
+			{SNRdB: math.Inf(-1)},
+			{SNRdB: 20, CFOHz: math.NaN()},
+			{SNRdB: 20, CFOHz: math.Inf(1)},
+			{SNRdB: 20, CFOHz: math.Inf(-1)},
+		} {
+			// Out of band too: the link is checked before the passband.
+			for _, rx := range []float64{2420, 2470} {
+				if _, err := ch.Deliver(FrameSpec{PSDU: psdu, TxFreqMHz: 2420, RxFreqMHz: rx, Link: link, Seed: 3}); err == nil {
+					t.Errorf("%v tier accepted link %+v at rx %g MHz", f, link, rx)
+				}
+			}
+		}
+		out, err := ch.Deliver(FrameSpec{PSDU: psdu, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: Link{SNRdB: math.Inf(1)}, Seed: 3})
+		if err != nil {
+			t.Fatalf("%v tier rejected a noise-free link: %v", f, err)
+		}
+		if !out.Delivered() {
+			t.Errorf("%v tier lost a frame on a noise-free link: %+v", f, out)
+		}
+	}
+}
+
+// TestTierCountersFollowRegistry checks the cached per-frame counters:
+// a series appears only once it is first incremented (an erasure-free
+// run never registers the erasure counter), and pointing Medium.Obs at
+// another registry moves later counts there.
+func TestTierCountersFollowRegistry(t *testing.T) {
+	m, err := NewMedium(16e6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	m.Obs = first
+	ch, err := m.Channel(FidelityFrame, ChannelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := ch.Deliver(FrameSpec{PSDULen: 20, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: Link{SNRdB: 30}, Seed: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliver(5)
+	m.Obs = second
+	deliver(3)
+	inBand := func(reg *obs.Registry) uint64 {
+		return reg.Counter("wazabee_medium_bursts_total", "path", "virtual_in_band").Value()
+	}
+	if got := inBand(first); got != 5 {
+		t.Errorf("first registry counted %d in-band frames, want 5", got)
+	}
+	if got := inBand(second); got != 3 {
+		t.Errorf("second registry counted %d in-band frames, want 3", got)
+	}
+	for _, reg := range []*obs.Registry{first, second} {
+		text := reg.PrometheusText()
+		for _, absent := range []string{"virtual_erased", "virtual_out_of_band", "symbol_"} {
+			if strings.Contains(text, absent) {
+				t.Errorf("registry holds a %s series no delivery incremented:\n%s", absent, text)
+			}
 		}
 	}
 }

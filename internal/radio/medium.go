@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -33,6 +34,18 @@ type Link struct {
 	InterferenceRejectionDB float64
 }
 
+// Validate rejects the link values no fidelity tier can simulate: a NaN
+// or -Inf SNR and a non-finite CFO. An SNR of +Inf is a noise-free link.
+func (l Link) Validate() error {
+	if math.IsNaN(l.SNRdB) || math.IsInf(l.SNRdB, -1) {
+		return fmt.Errorf("radio: link SNR %g dB, want a number above -Inf", l.SNRdB)
+	}
+	if math.IsNaN(l.CFOHz) || math.IsInf(l.CFOHz, 0) {
+		return fmt.Errorf("radio: link CFO %g Hz, want a finite offset", l.CFOHz)
+	}
+	return nil
+}
+
 // Medium is a deterministic radio channel simulator.
 type Medium struct {
 	// SampleRateHz is the complex-baseband sample rate shared by all
@@ -49,6 +62,10 @@ type Medium struct {
 
 	rnd         *rand.Rand
 	interferers []WiFiInterferer
+
+	// tierCtrs caches the counters the symbol and frame tiers bump per
+	// frame (see Medium.count).
+	tierCtrs atomic.Pointer[tierCounters]
 
 	// virtualCh is the lazily-built frame-fidelity channel behind
 	// DeliverVirtual (see virtualChannel).
@@ -114,11 +131,8 @@ func (m *Medium) deliverInto(dst, sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link
 	if lead < 0 || lag < 0 {
 		return nil, fmt.Errorf("radio: negative padding")
 	}
-	if math.IsNaN(link.SNRdB) || math.IsInf(link.SNRdB, -1) {
-		return nil, fmt.Errorf("radio: link SNR %g dB, want a number above -Inf", link.SNRdB)
-	}
-	if math.IsNaN(link.CFOHz) || math.IsInf(link.CFOHz, 0) {
-		return nil, fmt.Errorf("radio: link CFO %g Hz, want a finite offset", link.CFOHz)
+	if err := link.Validate(); err != nil {
+		return nil, err
 	}
 
 	reg := obs.Or(m.Obs)

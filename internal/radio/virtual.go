@@ -43,8 +43,8 @@ func (m *Medium) DeliverVirtual(psduLen int, txFreqMHz, rxFreqMHz float64, link 
 		Seed:      seed,
 	})
 	if err != nil {
-		// The frame tier has no runtime failure modes beyond table
-		// bootstrap, which virtualChannel already vetted.
+		// Table bootstrap was vetted by virtualChannel; what is left
+		// is a link no tier can simulate (Link.Validate), a caller bug.
 		panic("radio: virtual delivery failed: " + err.Error())
 	}
 	return VirtualOutcome{InBand: out.InBand, Delivered: out.Delivered(), SuccessProb: out.SuccessProb}

@@ -16,6 +16,8 @@ const (
 	kindAssocResponse
 	kindData
 	kindAck
+
+	numFrameKinds = int(kindAck) + 1
 )
 
 // String implements fmt.Stringer, doubling as the metric label value.
@@ -118,15 +120,17 @@ func (a *air) add(owner int, tx *transmission) {
 	}
 }
 
-// remove deregisters a finished transmission.
-func (a *air) remove(tx *transmission) {
+// remove deregisters a finished transmission, reporting whether the
+// cell held it.
+func (a *air) remove(tx *transmission) bool {
 	for i, other := range a.active {
 		if other == tx {
 			last := len(a.active) - 1
 			a.active[i] = a.active[last]
 			a.active[last] = nil
 			a.active = a.active[:last]
-			return
+			return true
 		}
 	}
+	return false
 }

@@ -41,12 +41,8 @@ type Intruder struct {
 // NewIntruder attaches an attacker radio to the network on the given
 // 802.15.4 channel. Create before Run, like taps and observers.
 func (nw *Network) NewIntruder(channel int) (*Intruder, error) {
-	f, err := ieee802154.ChannelFrequencyMHz(channel)
-	if err != nil {
+	if _, err := ieee802154.ChannelFrequencyMHz(channel); err != nil {
 		return nil, err
-	}
-	if _, ok := nw.freq[channel]; !ok {
-		nw.freq[channel] = f
 	}
 	return &Intruder{nw: nw, channel: channel, rng: nodeRand(nw.cfg.Seed, IntruderSrc)}, nil
 }
@@ -100,17 +96,16 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	nw.noteFrame(tx)
 	nw.stats.Injected++
 	nw.cInjected.Inc()
-	nw.sched.At(tx.end, func() { in.txEnd(tx) })
+	nw.sched.post(tx.end, action{op: opIntruderTxEnd, tx: tx})
 	return nil
 }
 
-// txEnd is the intruder's counterpart of the node transmit-end path:
-// take the frame off the air, publish the capture, and deliver it when
-// it survived collision, deafness and the erasure draw. The attacker
-// has no radio-state ledger, so only receiver-side telemetry is
-// charged.
-func (in *Intruder) txEnd(tx *transmission) {
-	nw := in.nw
+// intruderTxEnd is the intruder's counterpart of the node transmit-end
+// path: take the frame off the air, publish the capture, and deliver it
+// when it survived collision, deafness and the erasure draw. The
+// attacker has no radio-state ledger, so only receiver-side telemetry
+// is charged.
+func (nw *Network) intruderTxEnd(tx *transmission) {
 	nw.cell(tx.destOwner).remove(tx)
 	now := nw.sched.Now()
 	if tx.collided {
@@ -135,7 +130,7 @@ func (in *Intruder) txEnd(tx *transmission) {
 		}
 		return
 	}
-	f := nw.freq[tx.channel]
+	f := channelMHz(tx.channel)
 	outcome, err := nw.ch.Deliver(radio.FrameSpec{
 		PSDULen:   len(tx.psdu),
 		TxFreqMHz: f,

@@ -36,7 +36,7 @@ func (nw *Network) beaconLoop(n *node) {
 		frame := ieee802154.NewBeacon(n.seq, n.pan, n.short)
 		nw.enqueueTx(n, &outgoing{kind: kindBeacon, frame: frame, mode: targetBeaconAudience})
 	}
-	nw.sched.After(nw.cfg.BeaconInterval, func() { nw.beaconLoop(n) })
+	nw.after(nw.cfg.BeaconInterval, action{op: opBeacon, node: n})
 }
 
 // dataLoop emits one sensor reading towards the node's parent and
@@ -48,7 +48,7 @@ func (nw *Network) dataLoop(n *node) {
 		frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, sensorPayload(n.reading, 0), true)
 		nw.enqueueTx(n, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: n.parentID, needAck: true})
 	}
-	nw.sched.After(nw.cfg.DataInterval, func() { nw.dataLoop(n) })
+	nw.after(nw.cfg.DataInterval, action{op: opData, node: n})
 }
 
 // sensorPayload encodes a reading the way the live sensor does: a tag
@@ -73,8 +73,7 @@ func (nw *Network) startScan(n *node) {
 	n.seq++
 	frame := ieee802154.NewBeaconRequest(n.seq)
 	nw.enqueueTx(n, &outgoing{kind: kindBeaconRequest, frame: frame, mode: targetParent})
-	gen := n.joinGen
-	nw.sched.After(nw.cfg.ScanDuration, func() { nw.scanEnd(n, gen) })
+	nw.after(nw.cfg.ScanDuration, action{op: opScanEnd, node: n, gen: n.joinGen})
 }
 
 // scanEnd closes the scan window: pick a parent from the collected
@@ -125,7 +124,7 @@ func (nw *Network) rescan(n *node) {
 	if n.scanRetries < 16 {
 		n.scanRetries++
 	}
-	nw.sched.After(backoff+nw.jitter(n, scanRetryBase), func() { nw.startScan(n) })
+	nw.after(backoff+nw.jitter(n, scanRetryBase), action{op: opScan, node: n})
 }
 
 // completeJoin finalises an association on the joiner's side.
@@ -141,11 +140,11 @@ func (nw *Network) completeJoin(n *node, assigned uint16) {
 		t.noteJoin(n, nw.sched.Now())
 	}
 	nw.noteJoinedGauge()
-	nw.sched.After(nw.jitter(n, nw.cfg.DataInterval), func() { nw.dataLoop(n) })
+	nw.after(nw.jitter(n, nw.cfg.DataInterval), action{op: opData, node: n})
 	if n.spec.Role == RoleRouter {
 		n.permitJoin = true
 		nw.allocNext[n.id] = 0 // unused; allocation is per root
-		nw.sched.After(nw.jitter(n, nw.cfg.BeaconInterval), func() { nw.beaconLoop(n) })
+		nw.after(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
 	}
 }
 
@@ -207,7 +206,7 @@ func (nw *Network) csmaBackoff(n *node, out *outgoing) {
 	if t := nw.tel; t != nil {
 		t.nodes[n.id].backoffs++
 	}
-	nw.sched.After(time.Duration(slots)*ieee802154.UnitBackoffPeriod, func() { nw.cca(n, out) })
+	nw.after(time.Duration(slots)*ieee802154.UnitBackoffPeriod, action{op: opCCA, node: n, out: out})
 }
 
 // cca performs the clear-channel assessment: busy carriers re-enter the
@@ -254,7 +253,7 @@ func (nw *Network) cca(n *node, out *outgoing) {
 	if t := nw.tel; t != nil {
 		t.radioTransition(n.id, now, RadioTurnaround)
 	}
-	nw.sched.After(ieee802154.TurnaroundTime, func() { nw.txStart(n, out, false) })
+	nw.after(ieee802154.TurnaroundTime, action{op: opTxStart, node: n, out: out})
 }
 
 // txStart puts the frame on the air. acks bypass CSMA entirely
@@ -263,7 +262,8 @@ func (nw *Network) cca(n *node, out *outgoing) {
 func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 	nw.frameSeq++
 	now := nw.sched.Now()
-	tx := &transmission{
+	tx := nw.newTransmission()
+	*tx = transmission{
 		src:       n.id,
 		channel:   n.spec.Channel,
 		kind:      out.kind,
@@ -289,7 +289,11 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 		t.radioTransition(n.id, now, RadioTX)
 	}
 	nw.noteFrame(tx)
-	nw.sched.At(tx.end, func() { nw.txEnd(n, out, tx, immediate) })
+	end := action{op: opTxEnd, node: n, out: out, tx: tx}
+	if immediate {
+		end.op = opAckEnd
+	}
+	nw.sched.post(tx.end, end)
 }
 
 // noteFrame accounts one transmission.
@@ -314,11 +318,13 @@ func (nw *Network) noteFrame(tx *transmission) {
 }
 
 // txEnd takes the frame off the air, reports it to the channel's
-// observers and delivers it to its recipients.
+// observers and delivers it to its recipients. The transmission record
+// is recycled once nothing refers to it any more.
 func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate bool) {
+	offAir := true
 	for _, cell := range nw.cellsOf(n) {
-		if cell != nil {
-			cell.remove(tx)
+		if cell != nil && !cell.remove(tx) {
+			offAir = false
 		}
 	}
 	now := nw.sched.Now()
@@ -345,7 +351,7 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 
 	if !tx.collided {
 		link := radio.Link{SNRdB: nw.cfg.SNRdB}
-		f := nw.freq[tx.channel]
+		f := channelMHz(tx.channel)
 		for _, rxID := range nw.recipients(tx) {
 			rx := nw.nodes[rxID]
 			if rx.radioBusyUntil > tx.start {
@@ -398,14 +404,19 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 		}
 	}
 
+	needAck := tx.needAck
+	if offAir {
+		// A sender re-parented mid-frame leaves the record behind in
+		// its old cell; only a record no cell holds is reused.
+		nw.freeTransmission(tx)
+	}
 	if immediate {
 		// Acks do not hold the radio's CSMA transaction slot.
 		return
 	}
-	if tx.needAck {
+	if needAck {
 		n.awaiting = out
-		gen := n.ackGen
-		nw.sched.After(ieee802154.AckWaitDuration+ieee802154.FrameDuration(5), func() { nw.onAckTimeout(n, gen) })
+		nw.after(ieee802154.AckWaitDuration+ieee802154.FrameDuration(5), action{op: opAckTimeout, node: n, gen: n.ackGen})
 		return
 	}
 	n.txBusy = false
@@ -416,40 +427,35 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 // order. Interest-filtered propagation: the simulator delivers a frame
 // only to nodes whose MAC would act on it (the addressed node, the
 // scan neighborhood, beacon audiences), while the per-cell airs keep
-// contention physical. Observers still see every frame.
+// contention physical. Observers still see every frame. The result
+// lives in a scratch buffer the next call overwrites; no receive path
+// resolves recipients, so a caller may deliver while ranging over it.
 func (nw *Network) recipients(tx *transmission) []int {
+	rcpt := nw.rcpt[:0]
 	switch tx.mode {
 	case targetNode:
-		if tx.to < 0 || tx.to >= len(nw.nodes) {
-			// Addressed outside the topology — an acknowledgement or
-			// response to an intruder. It spent airtime and energy; no
-			// node receives it.
-			return nil
+		// Addressed outside the topology — an acknowledgement or
+		// response to an intruder — spends airtime and energy, but no
+		// node receives it.
+		if tx.to >= 0 && tx.to < len(nw.nodes) {
+			rcpt = append(rcpt, tx.to)
 		}
-		return []int{tx.to}
 	case targetParent:
-		parent := nw.nodes[tx.src].spec.Parent
-		if parent < 0 {
-			return nil
-		}
-		p := nw.nodes[parent]
-		if p.state == stateJoined && p.permitJoin {
-			return []int{parent}
-		}
-		return nil
-	case targetBeaconAudience:
-		kids := nw.topoKids[tx.src]
-		coords := nw.coordsOn[tx.channel]
-		audience := make([]int, 0, len(kids)+len(coords))
-		audience = append(audience, kids...)
-		for _, c := range coords {
-			if c != tx.src {
-				audience = append(audience, c)
+		if parent := nw.nodes[tx.src].spec.Parent; parent >= 0 {
+			if p := nw.nodes[parent]; p.state == stateJoined && p.permitJoin {
+				rcpt = append(rcpt, parent)
 			}
 		}
-		return audience
+	case targetBeaconAudience:
+		rcpt = append(rcpt, nw.topoKids[tx.src]...)
+		for _, c := range nw.coordsOn[tx.channel] {
+			if c != tx.src {
+				rcpt = append(rcpt, c)
+			}
+		}
 	}
-	return nil
+	nw.rcpt = rcpt
+	return rcpt
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +503,7 @@ func (nw *Network) sendAck(r *node, tx *transmission) {
 	if t := nw.tel; t != nil {
 		t.radioTransition(r.id, nw.sched.Now(), RadioTurnaround)
 	}
-	nw.sched.After(ieee802154.TurnaroundTime, func() { nw.txStart(r, ack, true) })
+	nw.after(ieee802154.TurnaroundTime, action{op: opAckStart, node: r, out: ack})
 }
 
 // handleAck completes the sender's pending acknowledged transmission.
@@ -546,12 +552,15 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 // txAcked runs the post-acknowledgement hooks of a transmission.
 func (nw *Network) txAcked(n *node, out *outgoing) {
 	if out.kind == kindAssocRequest && n.state == stateWaitAssoc {
-		gen := n.joinGen
-		nw.sched.After(assocRespWait, func() {
-			if n.joinGen == gen && n.state != stateJoined {
-				nw.rescan(n)
-			}
-		})
+		nw.after(assocRespWait, action{op: opAssocWait, node: n, gen: n.joinGen})
+	}
+}
+
+// assocWaitEnd rescans when the association response a joiner waited
+// for never came.
+func (nw *Network) assocWaitEnd(n *node, gen uint64) {
+	if n.joinGen == gen && n.state != stateJoined {
+		nw.rescan(n)
 	}
 }
 
@@ -657,9 +666,8 @@ func (nw *Network) handleAssocRequest(r *node, tx *transmission) {
 	}
 	r.seq++
 	frame := ieee802154.NewAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
-	nw.sched.After(assocRespDelay, func() {
-		nw.enqueueTx(r, &outgoing{kind: kindAssocResponse, frame: frame, mode: targetNode, to: joiner, needAck: true})
-	})
+	nw.after(assocRespDelay, action{op: opAssocResp, node: r,
+		out: &outgoing{kind: kindAssocResponse, frame: frame, mode: targetNode, to: joiner, needAck: true}})
 }
 
 // handleAssocResponse completes the join on the device side.

@@ -215,8 +215,10 @@ type Network struct {
 	topoKids [][]int // topology children by node index
 	rootOf   []int   // root coordinator by node index
 	coordsOn map[int][]int
-	freq     map[int]float64
-	airs     map[int]*air
+	airs     []air // collision domain by owning node index
+
+	rcpt   []int           // recipients scratch buffer
+	txFree []*transmission // recycled transmission records
 
 	frameSeq  uint64
 	allocNext map[int]uint16 // per-root short-address allocator
@@ -231,7 +233,7 @@ type Network struct {
 	reg         *obs.Registry
 	trace       *obs.Trace
 	flight      *obs.Flight
-	cFrames     map[frameKind]*obs.Counter
+	cFrames     [numFrameKinds]*obs.Counter
 	cCollisions *obs.Counter
 	cBackoffs   *obs.Counter
 	cCCAFail    *obs.Counter
@@ -246,9 +248,9 @@ type Network struct {
 	cInjected          *obs.Counter
 	cInjectedDelivered *obs.Counter
 	cMigrations        *obs.Counter
-	gVirtual    *obs.Gauge
-	gHeapDepth  *obs.Gauge
-	gJoined     *obs.Gauge
+	gVirtual           *obs.Gauge
+	gHeapDepth         *obs.Gauge
+	gJoined            *obs.Gauge
 
 	lastEvents     uint64
 	depthThreshold int
@@ -278,6 +280,9 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	cfg.fill()
+	if err := (radio.Link{SNRdB: cfg.SNRdB}).Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	sampleRate := 8 * float64(ieee802154.ChipRate)
 	med, err := radio.NewMedium(sampleRate, cfg.Seed)
 	if err != nil {
@@ -299,8 +304,7 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		med:       med,
 		ch:        ch,
 		coordsOn:  make(map[int][]int),
-		freq:      make(map[int]float64),
-		airs:      make(map[int]*air),
+		airs:      make([]air, len(topo.Nodes)),
 		allocNext: make(map[int]uint16),
 		taps:      make(map[int][]func(FrameCapture)),
 		observers: make(map[int][]*Observer),
@@ -310,9 +314,9 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		flight:         obs.OrFlight(cfg.Flight),
 		depthThreshold: 64,
 	}
-	nw.cFrames = map[frameKind]*obs.Counter{}
-	for _, k := range []frameKind{kindBeacon, kindBeaconRequest, kindAssocRequest, kindAssocResponse, kindData, kindAck} {
-		nw.cFrames[k] = nw.reg.Counter("wazabee_sim_frames_total", "kind", k.String())
+	nw.sched.dispatch = nw.dispatch
+	for k := range nw.cFrames {
+		nw.cFrames[k] = nw.reg.Counter("wazabee_sim_frames_total", "kind", frameKind(k).String())
 	}
 	nw.cCollisions = nw.reg.Counter("wazabee_sim_collisions_total")
 	nw.cBackoffs = nw.reg.Counter("wazabee_sim_backoffs_total")
@@ -375,10 +379,6 @@ func (nw *Network) build() {
 			nw.rootOf[i] = nw.rootOf[spec.Parent]
 			nw.topoKids[spec.Parent] = append(nw.topoKids[spec.Parent], i)
 		}
-		if _, ok := nw.freq[spec.Channel]; !ok {
-			f, _ := ieee802154.ChannelFrequencyMHz(spec.Channel)
-			nw.freq[spec.Channel] = f
-		}
 	}
 	for role, count := range roleCount {
 		nw.reg.Gauge("wazabee_sim_nodes", "role", role.String()).Set(float64(count))
@@ -386,7 +386,6 @@ func (nw *Network) build() {
 	nw.stats.Nodes = len(specs)
 
 	for _, n := range nw.nodes {
-		n := n
 		if n.spec.Role == RoleCoordinator {
 			n.short = 0x0000
 			n.state = stateJoined
@@ -397,10 +396,10 @@ func (nw *Network) build() {
 				// Coordinators come up joined: zero join latency.
 				nw.tel.nodes[n.id].joinedAt = 0
 			}
-			nw.sched.At(nw.jitter(n, nw.cfg.BeaconInterval), func() { nw.beaconLoop(n) })
+			nw.sched.post(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
 			continue
 		}
-		nw.sched.At(nw.jitter(n, nw.cfg.JoinSpread), func() { nw.startScan(n) })
+		nw.sched.post(nw.jitter(n, nw.cfg.JoinSpread), action{op: opScan, node: n})
 	}
 	nw.noteJoinedGauge()
 }
@@ -413,14 +412,106 @@ func (nw *Network) jitter(n *node, d time.Duration) time.Duration {
 	return time.Duration(n.rng.Int63n(int64(d)))
 }
 
+// actionOp names the MAC step a typed action performs.
+type actionOp uint8
+
+const (
+	opFunc          actionOp = iota // an At/After callback: fn()
+	opBeacon                        // beaconLoop(node)
+	opData                          // dataLoop(node)
+	opScan                          // startScan(node)
+	opScanEnd                       // scanEnd(node, gen)
+	opCCA                           // cca(node, out)
+	opTxStart                       // txStart(node, out, false)
+	opAckStart                      // txStart(node, out, true)
+	opTxEnd                         // txEnd(node, out, tx, false)
+	opAckEnd                        // txEnd(node, out, tx, true)
+	opAckTimeout                    // onAckTimeout(node, gen)
+	opAssocWait                     // assocWaitEnd(node, gen)
+	opAssocResp                     // enqueueTx(node, out)
+	opIntruderTxEnd                 // intruderTxEnd(tx)
+)
+
+// action is one scheduled event. The network posts typed actions for
+// its own MAC steps, so the event loop builds no closure per event; At
+// and After wrap an outside caller's callback as an opFunc action. The
+// scheduler hands actions to dispatch by value.
+type action struct {
+	op   actionOp
+	node *node
+	out  *outgoing
+	tx   *transmission
+	gen  uint64 // joinGen or ackGen at posting time
+	fn   func()
+}
+
+// dispatch runs one typed action: the single switch behind every event
+// the network schedules for itself.
+func (nw *Network) dispatch(a action) {
+	switch a.op {
+	case opBeacon:
+		nw.beaconLoop(a.node)
+	case opData:
+		nw.dataLoop(a.node)
+	case opScan:
+		nw.startScan(a.node)
+	case opScanEnd:
+		nw.scanEnd(a.node, a.gen)
+	case opCCA:
+		nw.cca(a.node, a.out)
+	case opTxStart:
+		nw.txStart(a.node, a.out, false)
+	case opAckStart:
+		nw.txStart(a.node, a.out, true)
+	case opTxEnd:
+		nw.txEnd(a.node, a.out, a.tx, false)
+	case opAckEnd:
+		nw.txEnd(a.node, a.out, a.tx, true)
+	case opAckTimeout:
+		nw.onAckTimeout(a.node, a.gen)
+	case opAssocWait:
+		nw.assocWaitEnd(a.node, a.gen)
+	case opAssocResp:
+		nw.enqueueTx(a.node, a.out)
+	case opIntruderTxEnd:
+		nw.intruderTxEnd(a.tx)
+	default:
+		panic(fmt.Sprintf("sim: unknown action op %d", a.op))
+	}
+}
+
+// after posts a typed action d from now.
+func (nw *Network) after(d time.Duration, a action) {
+	nw.sched.post(nw.sched.now+d, a)
+}
+
+// newTransmission returns a transmission record, reusing one txEnd
+// released when there is one.
+func (nw *Network) newTransmission() *transmission {
+	if n := len(nw.txFree); n > 0 {
+		tx := nw.txFree[n-1]
+		nw.txFree = nw.txFree[:n-1]
+		return tx
+	}
+	return new(transmission)
+}
+
+// freeTransmission releases a record nothing refers to any more.
+func (nw *Network) freeTransmission(tx *transmission) {
+	*tx = transmission{}
+	nw.txFree = append(nw.txFree, tx)
+}
+
+// channelMHz is the centre frequency of a channel Topology.Validate or
+// NewIntruder has already checked.
+func channelMHz(channel int) float64 {
+	f, _ := ieee802154.ChannelFrequencyMHz(channel)
+	return f
+}
+
 // cell returns the collision domain owned by a join-capable node.
 func (nw *Network) cell(owner int) *air {
-	a := nw.airs[owner]
-	if a == nil {
-		a = &air{}
-		nw.airs[owner] = a
-	}
-	return a
+	return &nw.airs[owner]
 }
 
 // cellOwners lists the owners of the collision domains a node's

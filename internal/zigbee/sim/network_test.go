@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,25 @@ func TestLossyLinksEraseFrames(t *testing.T) {
 	}
 	if s.Readings == 0 {
 		t.Fatal("no readings survived retries at 2 dB SNR")
+	}
+}
+
+// TestNewRejectsInvalidSNR checks sim.New applies radio.Link.Validate to
+// the configured SNR before any event runs: NaN and -Inf are errors
+// (NaN once crashed the first delivery), +Inf is a noise-free mesh.
+func TestNewRejectsInvalidSNR(t *testing.T) {
+	for _, snr := range []float64{math.NaN(), math.Inf(-1)} {
+		if _, err := New(Star(2), Config{Seed: 1, SNRdB: snr}); err == nil {
+			t.Errorf("New accepted SNR %g dB", snr)
+		}
+	}
+	nw, err := New(Star(2), Config{Seed: 1, SNRdB: math.Inf(1)})
+	if err != nil {
+		t.Fatalf("New rejected a noise-free link: %v", err)
+	}
+	nw.Run(10 * time.Second)
+	if s := nw.Stats(); s.Joined != s.Nodes || s.Erasures != 0 {
+		t.Errorf("noise-free star: joined %d/%d, %d erasures", s.Joined, s.Nodes, s.Erasures)
 	}
 }
 

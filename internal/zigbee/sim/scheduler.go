@@ -2,11 +2,11 @@
 // campaign-scale Zigbee scenarios: a min-heap of timed events driven by
 // a virtual clock, node actors running 802.15.4 MAC state machines
 // (beaconing, association, CSMA-CA, acknowledgements, PAN-ID conflict
-// resolution), and a shared per-channel medium whose frame-level
-// deliveries come from radio.Medium.DeliverVirtual. A 2-second sensor
-// cadence costs nanoseconds of wall time per period instead of 2
-// seconds, so thousand-node meshes simulate minutes of traffic per
-// wall-clock second.
+// resolution) as typed actions, and a shared per-channel medium whose
+// frame deliveries come from a calibrated radio.Channel (the symbol or
+// frame fidelity tier). A 2-second sensor cadence costs nanoseconds of
+// wall time per period instead of 2 seconds, so thousand-node meshes
+// simulate minutes of traffic per wall-clock second.
 //
 // Determinism is the load-bearing property: every random draw flows from
 // splitmix64-derived per-node streams (the Monte-Carlo runner's seed
@@ -26,19 +26,21 @@ import (
 	"time"
 )
 
-// event is one scheduled callback. seq is the insertion sequence number:
-// events at the same virtual instant execute in scheduling order, which
-// makes the pop order total and the simulation deterministic regardless
-// of heap internals.
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+// entry is one heap slot: the ordering key plus the slab index of the
+// action to run. seq is the insertion sequence number: events at the
+// same virtual instant execute in scheduling order, which makes the pop
+// order total and the simulation deterministic regardless of heap
+// internals. The entry holds no pointer, so sifting it involves no
+// write barriers and the heap is invisible to the garbage collector.
+type entry struct {
+	at   time.Duration
+	seq  uint64
+	slot uint32
 }
 
 // before is the heap ordering: earlier time first, earlier insertion
 // breaking ties.
-func (e event) before(o event) bool {
+func (e entry) before(o entry) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -46,14 +48,24 @@ func (e event) before(o event) bool {
 }
 
 // Scheduler is the virtual-time event queue: a hand-rolled binary
-// min-heap of events plus the virtual clock, which only ever moves
-// forward to the timestamp of the event being executed. It is not safe
-// for concurrent use — the simulation is single-threaded by design and
-// concurrency lives at the observer boundary (see Network.Observe).
+// min-heap of entries plus the virtual clock, which only ever moves
+// forward to the timestamp of the event being executed. The actions the
+// entries point at live in a slab whose slots are reused through a free
+// list, so a steady-state event loop allocates nothing to schedule. It
+// is not safe for concurrent use — the simulation is single-threaded by
+// design and concurrency lives at the observer boundary (see
+// Network.Observe).
 type Scheduler struct {
-	heap []event
-	now  time.Duration
-	seq  uint64
+	heap []entry
+	slab []action // pending actions, indexed by entry.slot
+	free []uint32 // slab slots not holding a pending action
+
+	// dispatch runs the typed actions a Network posts; At and After
+	// callbacks need none.
+	dispatch func(action)
+
+	now time.Duration
+	seq uint64
 
 	executed uint64
 	maxDepth int
@@ -102,15 +114,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.heap = append(s.heap, event{at: t, seq: s.seq, fn: fn})
-	s.up(len(s.heap) - 1)
-	if len(s.heap) > s.maxDepth {
-		s.maxDepth = len(s.heap)
-	}
+	s.post(t, action{op: opFunc, fn: fn})
 }
 
 // After schedules fn d from now; negative d is clamped to now.
@@ -118,33 +122,57 @@ func (s *Scheduler) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// peek returns the next event without popping; ok is false when the
-// queue is empty.
-func (s *Scheduler) peek() (event, bool) {
-	if len(s.heap) == 0 {
-		return event{}, false
+// post schedules a at virtual time t, clamped to now like At. Callbacks
+// and typed actions share the one queue and sequence counter, so their
+// relative order is exactly their posting order.
+func (s *Scheduler) post(t time.Duration, a action) {
+	if t < s.now {
+		t = s.now
 	}
-	return s.heap[0], true
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = a
+	} else {
+		slot = uint32(len(s.slab))
+		s.slab = append(s.slab, a)
+	}
+	s.seq++
+	s.heap = append(s.heap, entry{at: t, seq: s.seq, slot: slot})
+	s.up(len(s.heap) - 1)
+	if len(s.heap) > s.maxDepth {
+		s.maxDepth = len(s.heap)
+	}
 }
 
 // NextAt returns the virtual deadline of the next pending event; ok is
 // false when the queue is empty.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
-	ev, ok := s.peek()
-	return ev.at, ok
+	if len(s.heap) == 0 {
+		return 0, false
+	}
+	return s.heap[0].at, true
 }
 
 // Step pops and executes the next event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	ev, ok := s.peek()
-	if !ok {
+	if len(s.heap) == 0 {
 		return false
 	}
+	e := s.heap[0]
 	s.pop()
-	s.now = ev.at
+	a := s.slab[e.slot]
+	s.slab[e.slot] = action{} // release the node, transmission or closure
+	s.free = append(s.free, e.slot)
+	s.now = e.at
 	s.executed++
-	ev.fn()
+	if a.op == opFunc {
+		a.fn()
+	} else {
+		s.dispatch(a)
+	}
 	return true
 }
 
@@ -159,11 +187,7 @@ func (s *Scheduler) RunUntil(t time.Duration) uint64 {
 		return 0
 	}
 	var n uint64
-	for {
-		ev, ok := s.peek()
-		if !ok || ev.at > t {
-			break
-		}
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 		n++
 	}
@@ -171,9 +195,13 @@ func (s *Scheduler) RunUntil(t time.Duration) uint64 {
 	return n
 }
 
-// Drain discards all pending events (shutdown path).
+// Drain discards all pending events (shutdown path), releasing every
+// reference their actions held.
 func (s *Scheduler) Drain() {
 	s.heap = s.heap[:0]
+	clear(s.slab)
+	s.slab = s.slab[:0]
+	s.free = s.free[:0]
 }
 
 // String summarises the scheduler state for diagnostics.
@@ -182,38 +210,44 @@ func (s *Scheduler) String() string {
 		s.now, len(s.heap), s.executed, s.maxDepth)
 }
 
-// up restores the heap property from index i towards the root.
+// up restores the heap property from index i towards the root, moving
+// a hole up instead of swapping.
 func (s *Scheduler) up(i int) {
+	e := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.heap[parent].before(s.heap[i]) {
-			return
+		if s.heap[parent].before(e) {
+			break
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
+		s.heap[i] = s.heap[parent]
 		i = parent
 	}
+	s.heap[i] = e
 }
 
-// pop removes the root, restoring the heap property downwards.
+// pop removes the root, sifting the last entry down from the root's
+// hole.
 func (s *Scheduler) pop() {
 	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap[last] = event{} // release the callback
+	e := s.heap[last]
 	s.heap = s.heap[:last]
+	if last == 0 {
+		return
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && s.heap[l].before(s.heap[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= last {
+			break
 		}
-		if r < last && s.heap[r].before(s.heap[smallest]) {
-			smallest = r
+		if r := c + 1; r < last && s.heap[r].before(s.heap[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !s.heap[c].before(e) {
+			break
 		}
-		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
-		i = smallest
+		s.heap[i] = s.heap[c]
+		i = c
 	}
+	s.heap[i] = e
 }

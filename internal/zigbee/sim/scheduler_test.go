@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
+
+	"wazabee/internal/obs"
 )
 
 func TestSchedulerOrdersByTime(t *testing.T) {
@@ -161,4 +165,105 @@ func TestSchedulerPanicsOnNilFunc(t *testing.T) {
 		}
 	}()
 	NewScheduler().At(0, nil)
+}
+
+// TestSchedulerTypedAndCallbackOrder is the ordering property of the
+// one queue: At callbacks and typed posts interleave, with same-instant
+// ties, posts in the past and posts made from inside running events,
+// and the execution order must equal a stable sort of every post by its
+// (clamped) time.
+func TestSchedulerTypedAndCallbackOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	s := NewScheduler()
+	type post struct {
+		at time.Duration
+		id int
+	}
+	var posts []post
+	var ran []int
+	var run func(id int)
+	schedule := func(at time.Duration) {
+		id := len(posts)
+		posts = append(posts, post{at: max(at, s.Now()), id: id})
+		if rng.Intn(2) == 0 {
+			s.At(at, func() { run(id) })
+		} else {
+			s.post(at, action{op: opData, gen: uint64(id)})
+		}
+	}
+	run = func(id int) {
+		ran = append(ran, id)
+		// Re-post from inside the running event: in the past (clamped
+		// to now), at now (a tie behind everything pending at now) or
+		// ahead.
+		for k := rng.Intn(3); k > 0 && len(posts) < 5000; k-- {
+			schedule(s.Now() + time.Duration(rng.Intn(4)-1)*time.Millisecond)
+		}
+	}
+	s.dispatch = func(a action) { run(int(a.gen)) }
+	for i := 0; i < 500; i++ {
+		schedule(time.Duration(rng.Intn(50)) * time.Millisecond)
+	}
+	s.RunUntil(time.Hour)
+
+	want := append([]post(nil), posts...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(ran) != len(want) {
+		t.Fatalf("executed %d events, posted %d", len(ran), len(want))
+	}
+	for i := range want {
+		if ran[i] != want[i].id {
+			t.Fatalf("event %d: ran post %d, want post %d (at %v)", i, ran[i], want[i].id, want[i].at)
+		}
+	}
+}
+
+// released reports that a slab slot holds the zero action: no node,
+// outgoing frame, transmission or closure.
+func released(a action) bool {
+	return a.op == 0 && a.node == nil && a.out == nil && a.tx == nil && a.gen == 0 && a.fn == nil
+}
+
+// TestSchedulerReleasesActions checks that the slab never keeps a node,
+// transmission or closure alive past its event: mid-run, every free slot
+// is zero; after Drain, the whole slab is.
+func TestSchedulerReleasesActions(t *testing.T) {
+	nw, err := New(Star(6), Config{Seed: 4, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := nw.Scheduler()
+	s.After(3*time.Second, func() {})
+	nw.Run(2500 * time.Millisecond)
+	if s.Len() == 0 {
+		t.Fatal("no pending events mid-run")
+	}
+	pending := map[uint32]bool{}
+	for _, e := range s.heap {
+		pending[e.slot] = true
+		if released(s.slab[e.slot]) {
+			t.Errorf("pending slot %d holds no action", e.slot)
+		}
+	}
+	for _, slot := range s.free {
+		if pending[slot] {
+			t.Errorf("slot %d is both pending and free", slot)
+		}
+		if !released(s.slab[slot]) {
+			t.Errorf("free slot %d still holds %+v", slot, s.slab[slot])
+		}
+	}
+	if len(pending)+len(s.free) != len(s.slab) {
+		t.Errorf("%d pending + %d free slots, slab holds %d", len(pending), len(s.free), len(s.slab))
+	}
+
+	s.Drain()
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after Drain", s.Len())
+	}
+	for i, a := range s.slab[:cap(s.slab)] {
+		if !released(a) {
+			t.Fatalf("slab slot %d holds %+v after Drain", i, a)
+		}
+	}
 }

@@ -22,21 +22,30 @@ $GO build -o "$BIN" ./cmd/wazabeesim
 
 # Invalid flags must exit non-zero with a diagnostic — not panic (a
 # goroutine dump exits 2 and prints no usable error).
+# expect_bad_flags DIAGNOSTIC ARGS...: wazabeesim ARGS must exit 1 and
+# print DIAGNOSTIC on stderr.
+expect_bad_flags() {
+    want="$1"
+    shift
+    set +e
+    "$BIN" "$@" >/dev/null 2>"$WORKDIR/badflags.err"
+    STATUS=$?
+    set -e
+    if [ "$STATUS" -ne 1 ]; then
+        echo "smoke-sim: FAIL — '$*' exited $STATUS, want 1" >&2
+        cat "$WORKDIR/badflags.err" >&2
+        exit 1
+    fi
+    if ! grep -q -- "$want" "$WORKDIR/badflags.err"; then
+        echo "smoke-sim: FAIL — no \"$want\" diagnostic for '$*':" >&2
+        cat "$WORKDIR/badflags.err" >&2
+        exit 1
+    fi
+}
 echo "smoke-sim: asserting bad flags fail cleanly"
-set +e
-"$BIN" -topology star -nodes -3 -duration 1s >/dev/null 2>"$WORKDIR/badflags.err"
-STATUS=$?
-set -e
-if [ "$STATUS" -ne 1 ]; then
-    echo "smoke-sim: FAIL — negative -nodes exited $STATUS, want 1" >&2
-    cat "$WORKDIR/badflags.err" >&2
-    exit 1
-fi
-if ! grep -q "negative -nodes" "$WORKDIR/badflags.err"; then
-    echo "smoke-sim: FAIL — no diagnostic for negative -nodes:" >&2
-    cat "$WORKDIR/badflags.err" >&2
-    exit 1
-fi
+expect_bad_flags "negative -nodes" -topology star -nodes -3 -duration 1s
+expect_bad_flags "link SNR NaN" -topology star -nodes 2 -duration 1s -snr NaN
+expect_bad_flags "-depth 0 < 1" -topology tree -depth 0 -duration 1s
 
 echo "smoke-sim: simulating a depth-2 fanout-4 tree with -trace and -energy"
 "$BIN" -topology tree -depth 2 -fanout 4 -duration 20s \
