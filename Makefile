@@ -29,16 +29,24 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
 
-# Short smoke runs of the native fuzzers: the capture readers must never
-# panic on corrupt pcap/ZEP input, the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture, and the packed
-# sync scan must make the byte-wise FindPattern reference's decision.
+# Short smoke runs of every native fuzzer: the capture readers and the
+# 802.15.4 and 6LoWPAN parsers must never panic on corrupt input, the
+# streaming receiver must decode byte-identically for any fuzzed chunking
+# of a capture, the packed sync scan must make the byte-wise FindPattern
+# reference's decision, and the campaign's lazy EVM source must match
+# math/rand's seeded source bit for bit.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsp/stream -run '^$$' -fuzz FuzzCorrelatorMatchesFindPattern -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParsePPDU -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOpenFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzEVMSourceMatchesMathRand -fuzztime $(FUZZTIME)
 
 # The concurrent per-channel streaming test under the race detector:
 # many RxStreams plus whole-capture calls sharing one Receiver/registry.

@@ -10,6 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -21,20 +22,24 @@ import (
 
 func main() {
 	obs.RegisterBuildInfo(nil)
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "persweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	frames := flag.Int("frames", 50, "frames per SNR point")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file prefix; each chip/side sweep persists completed shards to <prefix>.<chip>.<side>.json and resumes from it (Ctrl-C is a clean interruption)")
-	ciHalf := flag.Float64("ci", 0, "adaptive stop: end each SNR point once the 95% CI half-width of its PER reaches this target; 0 = fixed frame count")
-	fidelity := flag.String("fidelity", "iq", "frame-delivery tier: iq (full DSP ground truth), symbol (calibrated per-symbol draws) or frame (closed-form erasures)")
-	flag.Parse()
+func run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet("persweep", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	frames := fs.Int("frames", 50, "frames per SNR point")
+	seed := fs.Int64("seed", 1, "random seed")
+	workers := fs.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint file prefix; each chip/side sweep persists completed shards to <prefix>.<chip>.<side>.json and resumes from it (Ctrl-C is a clean interruption)")
+	ciHalf := fs.Float64("ci", 0, "adaptive stop: end each SNR point once the 95% CI half-width of its PER reaches this target; 0 = fixed frame count")
+	fidelity := fs.String("fidelity", "iq", "frame-delivery tier: iq (full DSP ground truth), symbol (calibrated per-symbol draws) or frame (closed-form erasures)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	fid, err := radio.ParseFidelity(*fidelity)
 	if err != nil {
@@ -51,7 +56,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Println("chip,side,snr_db,frames,per,per_lo,per_hi,corrupted,lost")
+	header := "chip,side,snr_db,frames,per,per_lo,per_hi,corrupted,lost\n"
 	for _, model := range []chip.Model{chip.NRF52832(), chip.CC1352R1()} {
 		for _, side := range []experiment.Side{experiment.Reception, experiment.Transmission} {
 			if *checkpoint != "" {
@@ -61,8 +66,12 @@ func run() error {
 			if err != nil {
 				return err
 			}
+			// The header follows the first completed sweep, so a
+			// rejected configuration leaves stdout empty.
+			fmt.Fprint(out, header)
+			header = ""
 			for _, p := range points {
-				fmt.Printf("%s,%v,%.1f,%d,%.4f,%.4f,%.4f,%.4f,%.4f\n",
+				fmt.Fprintf(out, "%s,%v,%.1f,%d,%.4f,%.4f,%.4f,%.4f,%.4f\n",
 					model.Name, side, p.SNRdB, p.Frames, p.PER, p.PERLo, p.PERHi, p.CorruptedRate, p.LossRate)
 			}
 		}

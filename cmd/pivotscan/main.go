@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -25,21 +26,25 @@ import (
 
 func main() {
 	obs.RegisterBuildInfo(nil)
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pivotscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	sps := flag.Int("sps", 8, "samples per symbol")
-	seed := flag.Int64("seed", 1, "random seed")
-	bursts := flag.Int("bursts", 32, "random bursts per catalogue entry; 1 = the original single-burst survey")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file; completed shards persist here and an identical invocation resumes from it")
-	ciHalf := flag.Float64("ci", 0, "adaptive stop: end each entry once the 95% CI half-width of its pivotable rate reaches this target; 0 = fixed burst count")
-	fidelity := flag.String("fidelity", "iq", "frame-delivery tier; the modulation-similarity survey has no calibrated shortcut, so only iq is accepted")
-	flag.Parse()
+func run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet("pivotscan", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	sps := fs.Int("sps", 8, "samples per symbol")
+	seed := fs.Int64("seed", 1, "random seed")
+	bursts := fs.Int("bursts", 32, "random bursts per catalogue entry; 1 = the original single-burst survey")
+	workers := fs.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint file; completed shards persist here and an identical invocation resumes from it")
+	ciHalf := fs.Float64("ci", 0, "adaptive stop: end each entry once the 95% CI half-width of its pivotable rate reaches this target; 0 = fixed burst count")
+	fidelity := fs.String("fidelity", "iq", "frame-delivery tier; the modulation-similarity survey has no calibrated shortcut, so only iq is accepted")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if fid, err := radio.ParseFidelity(*fidelity); err != nil {
 		return err
@@ -52,11 +57,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pivotability against %s (1.0 = full demodulation margin)\n\n", scores[0].Target)
+		fmt.Fprintf(out, "pivotability against %s (1.0 = full demodulation margin)\n\n", scores[0].Target)
 		for _, s := range scores {
-			fmt.Printf("%-36s %.3f %s\n", s.Emulator, s.Score, bar(s.Score))
+			fmt.Fprintf(out, "%-36s %.3f %s\n", s.Emulator, s.Score, bar(s.Score))
 		}
-		fmt.Println("\nscores ≥ ~0.6 indicate a WazaBee-style pivot is practical")
+		fmt.Fprintln(out, "\nscores ≥ ~0.6 indicate a WazaBee-style pivot is practical")
 		return nil
 	}
 
@@ -75,14 +80,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pivotability against %s (1.0 = full demodulation margin)\n", rows[0].Target)
-	fmt.Printf("%d random bursts per entry; pivotable = score ≥ %.1f\n\n", *bursts, experiment.PivotableThreshold)
+	fmt.Fprintf(out, "pivotability against %s (1.0 = full demodulation margin)\n", rows[0].Target)
+	fmt.Fprintf(out, "%d random bursts per entry; pivotable = score ≥ %.1f\n\n", *bursts, experiment.PivotableThreshold)
 	for _, r := range rows {
-		fmt.Printf("%-36s mean %.3f  pivotable %3.0f %% (95%% CI %3.0f–%3.0f %%, n=%d) %s\n",
+		fmt.Fprintf(out, "%-36s mean %.3f  pivotable %3.0f %% (95%% CI %3.0f–%3.0f %%, n=%d) %s\n",
 			r.Emulator, r.MeanScore, 100*r.PivotableRate, 100*r.PivotableLo, 100*r.PivotableHi,
 			r.Bursts, bar(r.MeanScore))
 	}
-	fmt.Println("\nscores ≥ ~0.6 indicate a WazaBee-style pivot is practical")
+	fmt.Fprintln(out, "\nscores ≥ ~0.6 indicate a WazaBee-style pivot is practical")
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -32,24 +33,28 @@ import (
 
 func main() {
 	obs.RegisterBuildInfo(nil)
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "table3:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	frames := flag.Int("frames", 100, "frames per channel")
-	seed := flag.Int64("seed", 1, "random seed")
-	side := flag.String("side", "both", "primitive to assess: rx, tx or both")
-	wifi := flag.Bool("wifi", true, "enable WiFi interference on channels 6 and 11")
-	workers := flag.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file prefix; each chip/side run persists completed shards to <prefix>.<chip>.<side>.json and resumes from it (Ctrl-C is a clean interruption)")
-	ciHalf := flag.Float64("ci", 0, "adaptive stop: end each channel once the 95% CI half-width of its valid rate reaches this target; 0 = fixed frame count")
-	fidelity := flag.String("fidelity", "iq", "frame-delivery tier: iq (full DSP ground truth), symbol (calibrated per-symbol draws) or frame (closed-form erasures)")
-	metrics := flag.Bool("metrics", false, "print the telemetry snapshot and a traced round trip after the run")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and net/http/pprof on this address (e.g. :9090); implies -metrics and keeps the process alive")
-	flag.Parse()
+func run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet("table3", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	frames := fs.Int("frames", 100, "frames per channel")
+	seed := fs.Int64("seed", 1, "random seed")
+	side := fs.String("side", "both", "primitive to assess: rx, tx or both")
+	wifi := fs.Bool("wifi", true, "enable WiFi interference on channels 6 and 11")
+	workers := fs.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint file prefix; each chip/side run persists completed shards to <prefix>.<chip>.<side>.json and resumes from it (Ctrl-C is a clean interruption)")
+	ciHalf := fs.Float64("ci", 0, "adaptive stop: end each channel once the 95% CI half-width of its valid rate reaches this target; 0 = fixed frame count")
+	fidelity := fs.String("fidelity", "iq", "frame-delivery tier: iq (full DSP ground truth), symbol (calibrated per-symbol draws) or frame (closed-form erasures)")
+	metrics := fs.Bool("metrics", false, "print the telemetry snapshot and a traced round trip after the run")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and net/http/pprof on this address (e.g. :9090); implies -metrics and keeps the process alive")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var sides []experiment.Side
 	switch *side {
@@ -76,10 +81,10 @@ func run() error {
 		http.Handle("/metrics", reg)
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "table3: metrics server:", err)
+				fmt.Fprintln(errOut, "table3: metrics server:", err)
 			}
 		}()
-		fmt.Printf("serving /metrics and /debug/pprof on %s\n\n", *metricsAddr)
+		fmt.Fprintf(out, "serving /metrics and /debug/pprof on %s\n\n", *metricsAddr)
 	}
 
 	fid, err := radio.ParseFidelity(*fidelity)
@@ -110,22 +115,22 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiment.FormatComparison(res))
+			fmt.Fprintln(out, experiment.FormatComparison(res))
 		}
 	}
 
 	if *metrics {
-		if err := printRoundTripTrace(reg, *seed); err != nil {
+		if err := printRoundTripTrace(out, reg, *seed); err != nil {
 			return err
 		}
-		fmt.Println("=== telemetry snapshot (Prometheus text format) ===")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
+		fmt.Fprintln(out, "=== telemetry snapshot (Prometheus text format) ===")
+		if err := reg.WritePrometheus(out); err != nil {
 			return err
 		}
-		printStageQuantiles(reg)
+		printStageQuantiles(out, reg)
 	}
 	if *metricsAddr != "" {
-		fmt.Printf("\nstill serving /metrics on %s — Ctrl-C to exit\n", *metricsAddr)
+		fmt.Fprintf(out, "\nstill serving /metrics on %s — Ctrl-C to exit\n", *metricsAddr)
 		select {}
 	}
 	return nil
@@ -134,7 +139,7 @@ func run() error {
 // printRoundTripTrace sends one frame through each primitive with a span
 // trace attached — the worked example of what the per-stage telemetry
 // measures — and prints both flame trees.
-func printRoundTripTrace(reg *obs.Registry, seed int64) error {
+func printRoundTripTrace(out io.Writer, reg *obs.Registry, seed int64) error {
 	const sps = 8
 	model := chip.NRF52832()
 	stick := chip.RZUSBStick()
@@ -215,26 +220,26 @@ func printRoundTripTrace(reg *obs.Registry, seed int64) error {
 	}
 	span.End()
 
-	fmt.Println("=== round-trip span trace ===")
-	fmt.Print(tr.Tree())
-	fmt.Println()
+	fmt.Fprintln(out, "=== round-trip span trace ===")
+	fmt.Fprint(out, tr.Tree())
+	fmt.Fprintln(out)
 	return nil
 }
 
 // printStageQuantiles summarises the per-stage timing histograms as a
 // small table — the human-readable companion of the raw bucket dump.
-func printStageQuantiles(reg *obs.Registry) {
+func printStageQuantiles(out io.Writer, reg *obs.Registry) {
 	rows := false
 	for _, s := range reg.Snapshot() {
 		if s.Name != obs.StageSecondsMetric || s.Count == 0 {
 			continue
 		}
 		if !rows {
-			fmt.Println("\n=== per-stage timings ===")
-			fmt.Printf("%-14s %10s %12s %12s %12s\n", "stage", "calls", "mean", "p50", "p99")
+			fmt.Fprintln(out, "\n=== per-stage timings ===")
+			fmt.Fprintf(out, "%-14s %10s %12s %12s %12s\n", "stage", "calls", "mean", "p50", "p99")
 			rows = true
 		}
-		fmt.Printf("%-14s %10d %12s %12s %12s\n",
+		fmt.Fprintf(out, "%-14s %10d %12s %12s %12s\n",
 			s.Labels["stage"], s.Count,
 			fmt.Sprintf("%.1fµs", s.Mean*1e6),
 			fmt.Sprintf("%.1fµs", s.Quantiles["p50"]*1e6),

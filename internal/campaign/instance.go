@@ -44,10 +44,16 @@ func splitmix64(x uint64) uint64 {
 
 // evmModel draws per-frame monitor features. Draws are keyed on the
 // global capture sequence number — deterministic and batch-order
-// independent — never on shared stream state.
+// independent — never on shared stream state: each frame re-keys rng to
+// the same stream rand.New(rand.NewSource(key)) would give.
 type evmModel struct {
 	seed  int64
 	snrDB float64
+	rng   *rand.Rand // over an *evmSource
+}
+
+func newEVMModel(seed int64, snrDB float64) evmModel {
+	return evmModel{seed: seed, snrDB: snrDB, rng: rand.New(new(evmSource))}
 }
 
 // draw produces one frame's features: the soft-EVM statistic from the
@@ -59,7 +65,7 @@ func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framing
 	if diverted {
 		h = splitmix64(h ^ 0x5eed)
 	}
-	rng := rand.New(rand.NewSource(int64(h)))
+	m.rng.Seed(int64(h))
 	mean, sigma := nativeEVMMean, nativeEVMSigma
 	if diverted {
 		mean, sigma = divertedEVMMean, divertedEVMSigma
@@ -71,12 +77,12 @@ func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framing
 			mean += widen
 		}
 	}
-	evm = mean + sigma*rng.NormFloat64()
+	evm = mean + sigma*m.rng.NormFloat64()
 	if evm < 0 {
 		evm = 0
 	}
 	if framed {
-		framingSeen = rng.Float64() < framingDetectProb
+		framingSeen = m.rng.Float64() < framingDetectProb
 	}
 	return evm, framingSeen
 }
@@ -118,7 +124,7 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 	it := &instance{
 		sc:           sc,
 		opts:         opts,
-		model:        evmModel{seed: opts.Seed, snrDB: opts.SNRdB},
+		model:        newEVMModel(opts.Seed, opts.SNRdB),
 		duration:     opts.Duration,
 		attackStart:  sc.attackStart,
 		firstAlertAt: -1,

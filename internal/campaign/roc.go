@@ -80,7 +80,8 @@ type MatrixSpec struct {
 	Trials int
 	// Seed roots every trial's derived seed.
 	Seed int64
-	// Workers bounds the runner's pool; <= 0 means GOMAXPROCS.
+	// Workers bounds the runner's pool; 0 means GOMAXPROCS and a
+	// negative count is an error.
 	Workers int
 	// Fidelity, SNRdB, Duration, Devices, Chip parameterise every
 	// scenario instance (zero values select the Options defaults).

@@ -66,15 +66,17 @@ type SweepConfig struct {
 	FramesPerPoint int
 	// SamplesPerChip is the oversampling factor.
 	SamplesPerChip int
-	// Workers bounds the Monte-Carlo worker pool; <= 0 means
-	// runtime.GOMAXPROCS. Results do not depend on the value.
+	// Workers bounds the Monte-Carlo worker pool; 0 means
+	// runtime.GOMAXPROCS and a negative count is an error. Results do
+	// not depend on the value.
 	Workers int
 	// Checkpoint, when non-empty, persists completed trial shards to
 	// this path for cancellation/resume.
 	Checkpoint string
-	// CIHalfWidth, when > 0, stops each operating point once the 95%
+	// CIHalfWidth, when non-zero, stops each operating point once the 95%
 	// Wilson half-width of its PER reaches this target, instead of
-	// always spending FramesPerPoint frames.
+	// always spending FramesPerPoint frames. A negative, NaN or infinite
+	// target is an error.
 	CIHalfWidth float64
 	// Seed drives all randomness: every frame's noise derives from
 	// (Seed, SNR point, frame index) alone, so a point's result does not
@@ -155,7 +157,7 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, sid
 		Checkpoint: cfg.Checkpoint,
 		Obs:        reg,
 	}
-	if cfg.CIHalfWidth > 0 {
+	if cfg.CIHalfWidth != 0 {
 		// Wilson intervals of p and 1-p mirror each other with equal
 		// width, so stopping on the valid rate's half-width is exactly
 		// stopping on the PER half-width.

@@ -24,14 +24,16 @@ type PivotScanConfig struct {
 	BurstsPerEntry int
 	// SamplesPerSymbol is the oversampling factor.
 	SamplesPerSymbol int
-	// Workers bounds the Monte-Carlo worker pool; <= 0 means
-	// runtime.GOMAXPROCS. Results do not depend on the value.
+	// Workers bounds the Monte-Carlo worker pool; 0 means
+	// runtime.GOMAXPROCS and a negative count is an error. Results do
+	// not depend on the value.
 	Workers int
 	// Checkpoint, when non-empty, persists completed trial shards to
 	// this path for cancellation/resume.
 	Checkpoint string
-	// CIHalfWidth, when > 0, stops each entry once the 95% Wilson
-	// half-width of its pivotable rate reaches this target.
+	// CIHalfWidth, when non-zero, stops each entry once the 95% Wilson
+	// half-width of its pivotable rate reaches this target. A negative,
+	// NaN or infinite target is an error.
 	CIHalfWidth float64
 	// Seed drives all randomness: each burst's score derives from
 	// (Seed, entry name, burst index) alone.
@@ -99,7 +101,7 @@ func RunPivotScan(ctx context.Context, cfg PivotScanConfig) ([]PivotScanRow, err
 		Checkpoint: cfg.Checkpoint,
 		Obs:        reg,
 	}
-	if cfg.CIHalfWidth > 0 {
+	if cfg.CIHalfWidth != 0 {
 		spec.Stop = &runner.Stop{Class: "pivotable", HalfWidth: cfg.CIHalfWidth}
 	}
 

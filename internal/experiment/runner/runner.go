@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -87,7 +88,8 @@ type Spec struct {
 	Seed int64
 	// Points lists the operating points; keys must be unique.
 	Points []Point
-	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers bounds the worker pool; 0 means runtime.GOMAXPROCS(0) and
+	// a negative count is rejected.
 	Workers int
 	// ShardSize is the number of consecutive trials one work item bundles;
 	// <= 0 means DefaultShardSize. The shard is the unit of scheduling,
@@ -107,7 +109,8 @@ type Spec struct {
 	// Obs receives the run's telemetry; nil falls back to the process
 	// default registry.
 	Obs *obs.Registry
-	// Stop, when non-nil, enables adaptive stopping.
+	// Stop, when non-nil, enables adaptive stopping; its HalfWidth must
+	// be finite and positive.
 	Stop *Stop
 }
 
@@ -237,10 +240,14 @@ type run struct {
 // persists a checkpoint of the completed shards — when the spec names a
 // checkpoint path — and returns the causing error; rerunning the same
 // spec resumes from that file and finishes with a Result bit-identical to
-// an uninterrupted run's.
+// an uninterrupted run's. An invalid spec, such as a negative worker
+// count or a NaN stopping half-width, fails before any trial runs.
 func Run(ctx context.Context, spec Spec, trial Trial) (*Result, error) {
 	if trial == nil {
 		return nil, fmt.Errorf("runner: nil trial function")
+	}
+	if spec.Workers < 0 {
+		return nil, fmt.Errorf("runner: negative worker count %d (0 means GOMAXPROCS)", spec.Workers)
 	}
 	if len(spec.Points) == 0 {
 		return nil, fmt.Errorf("runner: no points")
@@ -262,8 +269,8 @@ func Run(ctx context.Context, spec Spec, trial Trial) (*Result, error) {
 		if spec.Stop.Class == "" {
 			return nil, fmt.Errorf("runner: stopping rule names no class")
 		}
-		if spec.Stop.HalfWidth <= 0 {
-			return nil, fmt.Errorf("runner: stopping half-width %g <= 0", spec.Stop.HalfWidth)
+		if hw := spec.Stop.HalfWidth; !(hw > 0) || math.IsInf(hw, 1) {
+			return nil, fmt.Errorf("runner: stopping half-width %g, want a finite value > 0", hw)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -103,6 +104,39 @@ func TestRunValidation(t *testing.T) {
 	spec.Stop = &Stop{Class: "nope", HalfWidth: 0.1}
 	if _, err := Run(ctx, spec, coinTrial(1)); err == nil {
 		t.Error("stopping class outside the class set accepted")
+	}
+}
+
+// TestRunRejectsBadSettings checks the worker count and CI half-width
+// every Monte-Carlo command passes through: an invalid one fails before
+// any trial runs.
+func TestRunRejectsBadSettings(t *testing.T) {
+	ran := false
+	trial := func(context.Context, int64, Point, int) (Outcome, error) {
+		ran = true
+		return Outcome{Class: "ok"}, nil
+	}
+	for _, tc := range []struct {
+		name      string
+		workers   int
+		halfWidth float64
+	}{
+		{"negative workers", -3, 0.1},
+		{"NaN half-width", 1, math.NaN()},
+		{"+Inf half-width", 1, math.Inf(1)},
+		{"-Inf half-width", 1, math.Inf(-1)},
+		{"negative half-width", 1, -1},
+		{"zero half-width", 1, 0},
+	} {
+		spec := testSpec(1)
+		spec.Workers = tc.workers
+		spec.Stop = &Stop{Class: "ok", HalfWidth: tc.halfWidth}
+		if _, err := Run(context.Background(), spec, trial); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if ran {
+		t.Error("a trial ran under an invalid spec")
 	}
 }
 

@@ -72,16 +72,18 @@ type Config struct {
 	FramesPerChannel int
 	// SamplesPerChip is the baseband oversampling factor.
 	SamplesPerChip int
-	// Workers bounds the Monte-Carlo worker pool; <= 0 means
-	// runtime.GOMAXPROCS. Results do not depend on the value.
+	// Workers bounds the Monte-Carlo worker pool; 0 means
+	// runtime.GOMAXPROCS and a negative count is an error. Results do
+	// not depend on the value.
 	Workers int
 	// Checkpoint, when non-empty, persists completed trial shards to this
 	// path: a cancelled run can resume from it and finish bit-identically
 	// to an uninterrupted one.
 	Checkpoint string
-	// CIHalfWidth, when > 0, stops each channel adaptively once the 95%
-	// Wilson half-width of its valid rate reaches this target, instead of
-	// always spending FramesPerChannel frames.
+	// CIHalfWidth, when non-zero, stops each channel adaptively once the
+	// 95% Wilson half-width of its valid rate reaches this target, instead
+	// of always spending FramesPerChannel frames. A negative, NaN or
+	// infinite target is an error.
 	CIHalfWidth float64
 	// Obs, when non-nil, receives the run's telemetry: the per-channel
 	// classification counters plus everything the instrumented pipeline
@@ -249,7 +251,7 @@ func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*
 		Checkpoint: cfg.Checkpoint,
 		Obs:        runReg,
 	}
-	if cfg.CIHalfWidth > 0 {
+	if cfg.CIHalfWidth != 0 {
 		spec.Stop = &runner.Stop{Class: "valid", HalfWidth: cfg.CIHalfWidth}
 	}
 

@@ -45,6 +45,18 @@ type FrameMonitor struct {
 	// Obs receives the monitor's metrics; nil falls back to the process
 	// default registry.
 	Obs *obs.Registry
+
+	ctrs obs.CounterCache // over frameCounterSeries
+}
+
+// frameCounterSeries lists the counters Judge bumps: the inspection
+// total at index 0, then each alert kind's detection series at the
+// kind's own value.
+var frameCounterSeries = [][]string{
+	0:                          {"wazabee_ids_frame_inspections_total"},
+	AlertBLEFraming:            {"wazabee_ids_frame_detections_total", "kind", AlertBLEFraming.String()},
+	AlertModulationFingerprint: {"wazabee_ids_frame_detections_total", "kind", AlertModulationFingerprint.String()},
+	AlertUnexpectedTraffic:     {"wazabee_ids_frame_detections_total", "kind", AlertUnexpectedTraffic.String()},
 }
 
 // NewFrameMonitor builds a frame-tier monitor with the default policy.
@@ -58,11 +70,19 @@ func NewFrameMonitor() *FrameMonitor {
 // Judge runs the detector policy over one frame's features. The verdict
 // mirrors Inspect's: alerts appear in the same order (band policy,
 // fingerprint, framing) with the same kinds, so downstream consumers
-// need not know which tier produced them.
+// need not know which tier produced them. Judge is small enough to
+// inline, so a caller that does not keep the verdict holds it on its
+// stack: a clean frame costs no allocation.
 func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
-	reg := obs.Or(m.Obs)
-	reg.Counter("wazabee_ids_frame_inspections_total").Inc()
 	verdict := &Verdict{FrameSeen: true, SoftEVM: f.SoftEVM}
+	m.judge(f, verdict)
+	return verdict
+}
+
+// judge appends f's alerts to verdict and counts them.
+func (m *FrameMonitor) judge(f FrameFeatures, verdict *Verdict) {
+	reg := obs.Or(m.Obs)
+	m.ctrs.Counter(reg, frameCounterSeries, 0).Inc()
 	if !m.ChannelExpected {
 		verdict.Alerts = append(verdict.Alerts, Alert{
 			Kind:   AlertUnexpectedTraffic,
@@ -83,7 +103,6 @@ func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 		})
 	}
 	for _, a := range verdict.Alerts {
-		reg.Counter("wazabee_ids_frame_detections_total", "kind", a.Kind.String()).Inc()
+		m.ctrs.Counter(reg, frameCounterSeries, int(a.Kind)).Inc()
 	}
-	return verdict
 }

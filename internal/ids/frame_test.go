@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"wazabee/internal/obs"
@@ -107,5 +109,117 @@ func TestMonitorDefaultThresholdConstant(t *testing.T) {
 	if m.FingerprintThreshold != DefaultFingerprintThreshold {
 		t.Errorf("IQ monitor default threshold = %v, want the shared constant %v",
 			m.FingerprintThreshold, DefaultFingerprintThreshold)
+	}
+}
+
+// judgeSequence is a fixed feature sequence that raises every alert kind
+// on a monitor that does not expect traffic: clean, fingerprint,
+// framing, and both at once.
+var judgeSequence = []FrameFeatures{
+	{SoftEVM: 0.10},
+	{SoftEVM: 0.40},
+	{SoftEVM: 0.12, BLEFraming: true},
+	{SoftEVM: 0.38, BLEFraming: true},
+	{SoftEVM: 0.05},
+}
+
+// TestFrameMonitorPrometheusText pins the registry text a fixed feature
+// sequence leaves behind: the cached counters must register and count
+// exactly the series a lookup per frame does.
+func TestFrameMonitorPrometheusText(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: true, Obs: reg}
+	for _, f := range judgeSequence {
+		m.Judge(f)
+	}
+	m.ChannelExpected = false
+	for _, f := range judgeSequence {
+		m.Judge(f)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE wazabee_ids_frame_detections_total counter
+wazabee_ids_frame_detections_total{kind="ble-framing"} 4
+wazabee_ids_frame_detections_total{kind="modulation-fingerprint"} 4
+wazabee_ids_frame_detections_total{kind="unexpected-traffic"} 5
+# TYPE wazabee_ids_frame_inspections_total counter
+wazabee_ids_frame_inspections_total 10
+`
+	if got := b.String(); got != want {
+		t.Errorf("Prometheus text:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFrameMonitorObsSwap re-points Obs mid-stream: later counts must
+// land on the new registry only.
+func TestFrameMonitorObsSwap(t *testing.T) {
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: true, Obs: first}
+	m.Judge(FrameFeatures{SoftEVM: 0.4})
+	m.Obs = second
+	m.Judge(FrameFeatures{SoftEVM: 0.4})
+	m.Judge(FrameFeatures{SoftEVM: 0.1, BLEFraming: true})
+	for _, tc := range []struct {
+		reg                     *obs.Registry
+		inspections, fp, framed uint64
+	}{{first, 1, 1, 0}, {second, 2, 1, 1}} {
+		if got := tc.reg.Counter("wazabee_ids_frame_inspections_total").Value(); got != tc.inspections {
+			t.Errorf("inspections = %d, want %d", got, tc.inspections)
+		}
+		if got := tc.reg.Counter("wazabee_ids_frame_detections_total", "kind", AlertModulationFingerprint.String()).Value(); got != tc.fp {
+			t.Errorf("fingerprint detections = %d, want %d", got, tc.fp)
+		}
+		if got := tc.reg.Counter("wazabee_ids_frame_detections_total", "kind", AlertBLEFraming.String()).Value(); got != tc.framed {
+			t.Errorf("framing detections = %d, want %d", got, tc.framed)
+		}
+	}
+}
+
+// TestFrameMonitorConcurrentJudge judges from many goroutines on one
+// monitor (run it under -race): no count may be lost.
+func TestFrameMonitorConcurrentJudge(t *testing.T) {
+	const goroutines, rounds = 8, 200
+	reg := obs.NewRegistry()
+	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: true, Obs: reg}
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for _, f := range judgeSequence {
+					m.Judge(f)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := uint64(goroutines * rounds)
+	if got := reg.Counter("wazabee_ids_frame_inspections_total").Value(); got != n*uint64(len(judgeSequence)) {
+		t.Errorf("inspections = %d, want %d", got, n*uint64(len(judgeSequence)))
+	}
+	if got := reg.Counter("wazabee_ids_frame_detections_total", "kind", AlertModulationFingerprint.String()).Value(); got != 2*n {
+		t.Errorf("fingerprint detections = %d, want %d", got, 2*n)
+	}
+	if got := reg.Counter("wazabee_ids_frame_detections_total", "kind", AlertBLEFraming.String()).Value(); got != 2*n {
+		t.Errorf("framing detections = %d, want %d", got, 2*n)
+	}
+}
+
+// TestFrameMonitorCleanFrameAllocs checks that judging a clean frame
+// allocates nothing when the caller does not keep the verdict: Judge
+// inlines, so the verdict lives on the caller's stack, and the counters
+// come from the cache.
+func TestFrameMonitorCleanFrameAllocs(t *testing.T) {
+	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: true, Obs: obs.NewRegistry()}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if m.Judge(FrameFeatures{SoftEVM: 0.1}).Suspicious() {
+			t.Fatal("clean frame flagged")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Judge allocates %v times per clean frame, want 0", allocs)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"wazabee/internal/bitstream"
 )
 
 func TestPPDUBytesLayout(t *testing.T) {
@@ -193,6 +195,38 @@ func TestParseMACFrameFCSError(t *testing.T) {
 func TestParseMACFrameTruncated(t *testing.T) {
 	if _, err := ParseMACFrame([]byte{1, 2}); err == nil {
 		t.Error("expected error for short PSDU")
+	}
+}
+
+// TestParseMACFrameRejectsUnencodable checks that ParseMACFrame refuses,
+// even under a valid FCS, what Encode could not reproduce: a PSDU longer
+// than the PHY allows, a reserved frame type, and PAN ID compression
+// with an address missing. FuzzParseMACFrame found all three.
+func TestParseMACFrameRejectsUnencodable(t *testing.T) {
+	withFCS := func(body []byte) []byte {
+		fcs := bitstream.FCS16Bytes(bitstream.FCS16(body))
+		return append(body, fcs[0], fcs[1])
+	}
+	sized := func(n int) []byte {
+		body := make([]byte, n-2)
+		body[0] = byte(FrameData) // no addressing fields
+		return withFCS(body)
+	}
+	// Data frame, PAN ID compression, short destination, no source.
+	compressed := withFCS([]byte{byte(FrameData) | 1<<6, byte(AddrShort) << 2, 7, 0x34, 0x12, 0x42, 0x00})
+	for _, tc := range []struct {
+		name string
+		psdu []byte
+		ok   bool
+	}{
+		{"127 bytes", sized(MaxPSDULength), true},
+		{"128 bytes", sized(MaxPSDULength + 1), false},
+		{"reserved frame type", withFCS([]byte{5, 0, 7}), false},
+		{"PAN ID compression without a source", compressed, false},
+	} {
+		if _, err := ParseMACFrame(tc.psdu); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -96,17 +96,8 @@ type MACFrame struct {
 // Encode serialises the frame into a PSDU: MHR, payload and the two-byte
 // FCS computed over everything before it.
 func (f *MACFrame) Encode() ([]byte, error) {
-	if f.Type > FrameCommand {
-		return nil, fmt.Errorf("ieee802154: invalid frame type %d", f.Type)
-	}
-	if err := checkAddrMode(f.DestMode); err != nil {
+	if err := f.checkHeader(); err != nil {
 		return nil, err
-	}
-	if err := checkAddrMode(f.SrcMode); err != nil {
-		return nil, err
-	}
-	if f.PANCompression && (f.DestMode == AddrNone || f.SrcMode == AddrNone) {
-		return nil, fmt.Errorf("ieee802154: PAN ID compression requires both addresses")
 	}
 
 	fcf := uint16(f.Type)
@@ -150,10 +141,15 @@ func (f *MACFrame) Encode() ([]byte, error) {
 
 // ParseMACFrame decodes a PSDU (including FCS) into a MACFrame. The FCS is
 // verified; a mismatch returns FCSError so callers can distinguish
-// corruption from malformed headers.
+// corruption from malformed headers. A PSDU longer than MaxPSDULength
+// cannot come off the air, and Encode could not reproduce it, so it is
+// rejected.
 func ParseMACFrame(psdu []byte) (*MACFrame, error) {
 	if len(psdu) < 5 { // FCF + seq + FCS
 		return nil, fmt.Errorf("ieee802154: PSDU too short (%d bytes)", len(psdu))
+	}
+	if len(psdu) > MaxPSDULength {
+		return nil, fmt.Errorf("ieee802154: PSDU length %d exceeds %d", len(psdu), MaxPSDULength)
 	}
 	if !bitstream.CheckFCS(psdu) {
 		return nil, &FCSError{Length: len(psdu)}
@@ -171,10 +167,7 @@ func ParseMACFrame(psdu []byte) (*MACFrame, error) {
 		DestMode:       AddrMode((fcf >> 10) & 0x3),
 		SrcMode:        AddrMode((fcf >> 14) & 0x3),
 	}
-	if err := checkAddrMode(f.DestMode); err != nil {
-		return nil, err
-	}
-	if err := checkAddrMode(f.SrcMode); err != nil {
+	if err := f.checkHeader(); err != nil {
 		return nil, err
 	}
 
@@ -225,9 +218,21 @@ func (e *FCSError) Error() string {
 	return fmt.Sprintf("ieee802154: FCS mismatch on %d-byte PSDU", e.Length)
 }
 
-func checkAddrMode(m AddrMode) error {
-	if m != AddrNone && m != AddrShort {
-		return fmt.Errorf("ieee802154: unsupported addressing mode %d", m)
+// checkHeader validates the header fields the codec supports, for Encode
+// and ParseMACFrame alike: a defined frame type, short or absent
+// addresses, and PAN ID compression only when both addresses are
+// present.
+func (f *MACFrame) checkHeader() error {
+	if f.Type > FrameCommand {
+		return fmt.Errorf("ieee802154: invalid frame type %d", f.Type)
+	}
+	for _, m := range []AddrMode{f.DestMode, f.SrcMode} {
+		if m != AddrNone && m != AddrShort {
+			return fmt.Errorf("ieee802154: unsupported addressing mode %d", m)
+		}
+	}
+	if f.PANCompression && (f.DestMode == AddrNone || f.SrcMode == AddrNone) {
+		return fmt.Errorf("ieee802154: PAN ID compression requires both addresses")
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
@@ -529,33 +528,10 @@ var tierCounterSeries = [numTierCounters][]string{
 	ctrVirtualErased:    {"wazabee_medium_virtual_erased_total"},
 }
 
-// tierCounters caches the tier counters of one registry, so a delivery
-// pays for a pointer load instead of a label-set lookup. Each series is
-// resolved on its first increment, leaving the registry with exactly the
-// series a lookup per frame would have created. Medium.count keys the
-// cache by the registry it was resolved on, so pointing Medium.Obs
-// elsewhere takes effect at the next delivery. Safe for concurrent use,
-// like the tiers.
-type tierCounters struct {
-	reg *obs.Registry
-	c   [numTierCounters]atomic.Pointer[obs.Counter]
-}
-
-// count increments one tier counter on the medium's registry.
+// count increments one tier counter on the medium's registry, through
+// the medium's per-registry cache (see obs.CounterCache).
 func (m *Medium) count(which tierCounter) {
-	reg := obs.Or(m.Obs)
-	set := m.tierCtrs.Load()
-	if set == nil || set.reg != reg {
-		set = &tierCounters{reg: reg}
-		m.tierCtrs.Store(set)
-	}
-	c := set.c[which].Load()
-	if c == nil {
-		series := tierCounterSeries[which]
-		c = reg.Counter(series[0], series[1:]...)
-		set.c[which].Store(c)
-	}
-	c.Inc()
+	m.tierCtrs.Counter(obs.Or(m.Obs), tierCounterSeries[:], int(which)).Inc()
 }
 
 // SymbolCorrectProb returns P[symbol decodes correctly | k chip errors],

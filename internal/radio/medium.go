@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -65,7 +64,7 @@ type Medium struct {
 
 	// tierCtrs caches the counters the symbol and frame tiers bump per
 	// frame (see Medium.count).
-	tierCtrs atomic.Pointer[tierCounters]
+	tierCtrs obs.CounterCache
 
 	// virtualCh is the lazily-built frame-fidelity channel behind
 	// DeliverVirtual (see virtualChannel).
