@@ -29,12 +29,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
 
-# Short smoke runs of every native fuzzer: the capture readers and the
-# 802.15.4 and 6LoWPAN parsers must never panic on corrupt input, the
-# streaming receiver must decode byte-identically for any fuzzed chunking
-# of a capture, the packed sync scan must make the byte-wise FindPattern
-# reference's decision, and the campaign's lazy EVM source must match
-# math/rand's seeded source bit for bit.
+# Short smoke runs of every native fuzzer: the capture readers, the
+# 802.15.4 and 6LoWPAN parsers and the calibration table decoder must
+# never panic on corrupt input, the streaming receiver must decode
+# byte-identically for any fuzzed chunking of a capture, the packed sync
+# scan must make the byte-wise FindPattern reference's decision, and the
+# campaign's lazy EVM source must match math/rand's seeded source bit
+# for bit. The calibration table fuzzer caps minimisation at 10 runs:
+# its seed is the 187 KB embedded table, which the default 60 s
+# minimiser would spend the whole run shrinking.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
@@ -47,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzEVMSourceMatchesMathRand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzParseCalTable -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The concurrent per-channel streaming test under the race detector:
 # many RxStreams plus whole-capture calls sharing one Receiver/registry.
@@ -75,7 +79,8 @@ determinism:
 	$(GO) test -run 'TestFidelity' -count 1 ./internal/experiment
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
-# truth (internal/calib; ~20 s) and embed them. calibrate-check refits
+# truth (internal/calib; ~10 s on 2 cores, the grid cells spread over
+# GOMAXPROCS runner workers) and embed them. calibrate-check refits
 # into memory and fails when the checked-in table has drifted from what
 # the current DSP chain produces — the guard that keeps the cheap tiers
 # honest as the IQ path evolves.

@@ -14,7 +14,9 @@
 //
 // The fit is fully deterministic in -seed, so -check is a byte
 // comparison: any drift means the DSP chain, the chip models or the
-// fitter changed without the table being regenerated.
+// fitter changed without the table being regenerated. The grid cells
+// run on the experiment runner's default pool of GOMAXPROCS workers;
+// the table is the same at any worker count.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,50 +34,63 @@ import (
 
 func main() {
 	obs.RegisterBuildInfo(nil)
-	out := flag.String("out", "internal/radio/caldata/table.json", "where to write the fitted table")
-	check := flag.Bool("check", false, "regenerate and compare against -out instead of writing; non-zero exit on drift")
-	frames := flag.Int("frames", calib.DefaultOptions().FramesPerCell, "ground-truth frames per grid cell")
-	seed := flag.Int64("seed", calib.DefaultOptions().Seed, "fit seed")
-	sps := flag.Int("sps", calib.DefaultOptions().SamplesPerChip, "IQ samples per chip")
-	quiet := flag.Bool("q", false, "suppress progress output")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
+		os.Exit(1)
+	}
+}
+
+// run fits the table and writes it to -out, or with -check compares it
+// against -out. Progress goes to errOut and the outcome line to out.
+// Bad flags and fit errors return before -out is touched.
+func run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	path := fs.String("out", "internal/radio/caldata/table.json", "where to write the fitted table")
+	check := fs.Bool("check", false, "regenerate and compare against -out instead of writing; non-zero exit on drift")
+	frames := fs.Int("frames", calib.DefaultOptions().FramesPerCell, "ground-truth frames per grid cell")
+	seed := fs.Int64("seed", calib.DefaultOptions().Seed, "fit seed")
+	sps := fs.Int("sps", calib.DefaultOptions().SamplesPerChip, "IQ samples per chip")
+	quiet := fs.Bool("q", false, "suppress progress output")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 
 	opts := calib.Options{SamplesPerChip: *sps, FramesPerCell: *frames, Seed: *seed}
 	start := time.Now()
 	if !*quiet {
 		opts.Progress = func(profile string, done, total int) {
-			fmt.Fprintf(os.Stderr, "calibrate: [%d/%d] %-25s %s\n", done, total, profile, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(errOut, "calibrate: [%d/%d] %-25s %s\n", done, total, profile, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	table, err := calib.Fit(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
+		return err
 	}
 	data, err := json.MarshalIndent(table, "", " ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
 
 	if *check {
-		have, err := os.ReadFile(*out)
+		have, err := os.ReadFile(*path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate: read checked-in table:", err)
-			os.Exit(1)
+			return fmt.Errorf("read checked-in table: %w", err)
 		}
 		if !bytes.Equal(have, data) {
-			fmt.Fprintf(os.Stderr, "calibrate: %s drifted from a fresh fit (regenerate with `make calibrate`)\n", *out)
-			os.Exit(1)
+			return fmt.Errorf("%s drifted from a fresh fit (regenerate with `make calibrate`)", *path)
 		}
-		fmt.Fprintf(os.Stderr, "calibrate: %s matches a fresh fit (%s)\n", *out, time.Since(start).Round(time.Millisecond))
-		return
+		fmt.Fprintf(out, "calibrate: %s matches a fresh fit (%s)\n", *path, time.Since(start).Round(time.Millisecond))
+		return nil
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
+	if err := os.WriteFile(*path, data, 0o644); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "calibrate: wrote %s (%d profiles, %d bytes, %s)\n",
-		*out, len(table.Profiles), len(data), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "calibrate: wrote %s (%d profiles, %d bytes, %s)\n",
+		*path, len(table.Profiles), len(data), time.Since(start).Round(time.Millisecond))
+	return nil
 }

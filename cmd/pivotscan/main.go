@@ -52,6 +52,11 @@ func run(args []string, out, errOut io.Writer) error {
 		return fmt.Errorf("-fidelity %s is not supported: pivotscan scores raw modulation similarity, which only exists at IQ fidelity", fid)
 	}
 
+	// The single-burst survey below never reaches the runner, which
+	// validates the pool size on every other path, so check it here.
+	if *workers < 0 {
+		return fmt.Errorf("negative -workers %d (0 means GOMAXPROCS)", *workers)
+	}
 	if *bursts == 1 && *checkpoint == "" && *ciHalf == 0 {
 		scores, err := modsim.SurveyAgainstOQPSK(*sps, *seed)
 		if err != nil {

@@ -25,6 +25,7 @@ func TestRunBaseline(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-workers", "-3"},
+		{"-bursts", "1", "-workers", "-3"},
 		{"-ci", "NaN"},
 		{"-ci", "-1"},
 		{"-ci", "+Inf"},

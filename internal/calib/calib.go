@@ -16,11 +16,13 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"wazabee/internal/chip"
 	"wazabee/internal/dsp"
+	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/radio"
@@ -56,7 +58,8 @@ type Options struct {
 	// Seed makes the fit reproducible; cmd/calibrate's drift check
 	// relies on byte-identical regeneration.
 	Seed int64
-	// Progress, when non-nil, is called after each finished profile.
+	// Progress, when non-nil, is called once per profile, in profile
+	// order, after every cell has been fitted and that profile smoothed.
 	Progress func(profile string, done, total int)
 }
 
@@ -76,7 +79,8 @@ type profileSpec struct {
 	name string
 	cfo  []float64
 	wifi []float64
-	// build constructs the modem pair (called once per profile).
+	// build constructs a fresh modem pair (called once per profile for
+	// the waveforms and once per cell for the demodulator).
 	build func(sps int, reg *obs.Registry) (endpoints, error)
 }
 
@@ -179,7 +183,12 @@ func synthInterferer(weight float64, sps int) radio.WiFiInterferer {
 	}
 }
 
-// Fit runs the calibration pass and returns the fitted table.
+// Fit runs the calibration pass and returns the fitted table. Every grid
+// cell of every profile is one point of an experiment/runner run with a
+// single trial, so the cells spread over GOMAXPROCS workers. A cell's
+// frames draw only from its own mixSeed coordinates, never from the
+// runner's trial seed, so the table is byte-identical at any worker
+// count.
 func Fit(opts Options) (*radio.CalTable, error) {
 	if opts.SamplesPerChip < 1 {
 		return nil, fmt.Errorf("calib: samples per chip %d < 1", opts.SamplesPerChip)
@@ -187,7 +196,64 @@ func Fit(opts Options) (*radio.CalTable, error) {
 	if opts.FramesPerCell < 1 {
 		return nil, fmt.Errorf("calib: frames per cell %d < 1", opts.FramesPerCell)
 	}
+	// All pipeline and runner telemetry of the fit lands in a private
+	// registry the fitter discards: calibration must not pollute process
+	// metrics.
+	reg := obs.NewRegistry()
 	specs := profileSpecs()
+	profiles := make([]*radio.CalProfile, len(specs))
+	sigs := make([][]dsp.IQ, len(specs))
+	var points []runner.Point
+	cellOf := make(map[string]gridCell)
+	for pi, spec := range specs {
+		var err error
+		if sigs[pi], err = calibrationFrames(opts, reg, spec); err != nil {
+			return nil, fmt.Errorf("calib: profile %s: %w", spec.name, err)
+		}
+		profiles[pi] = &radio.CalProfile{
+			Name:  spec.name,
+			SNRdB: append([]float64(nil), snrGrid...),
+			CFOHz: append([]float64(nil), spec.cfo...),
+			WiFi:  append([]float64(nil), spec.wifi...),
+			Cells: make([]radio.CalCell, len(snrGrid)*len(spec.cfo)*len(spec.wifi)),
+		}
+		for si := range snrGrid {
+			for ci := range spec.cfo {
+				for wi := range spec.wifi {
+					key := fmt.Sprintf("%s/%d/%d/%d", spec.name, si, ci, wi)
+					points = append(points, runner.Point{Key: key, Trials: 1})
+					cellOf[key] = gridCell{prof: pi, si: si, ci: ci, wi: wi}
+				}
+			}
+		}
+	}
+
+	sampleRate := float64(opts.SamplesPerChip) * ieee802154.ChipRate
+	run := runner.Spec{Name: "calib", Seed: opts.Seed, Points: points, Obs: reg}
+	_, err := runner.Run(context.Background(), run, func(_ context.Context, _ int64, point runner.Point, _ int) (runner.Outcome, error) {
+		g := cellOf[point.Key]
+		ps := specs[g.prof]
+		// Each cell builds its own modem pair, so no receiver state is
+		// shared between workers; the waveforms are only read.
+		ep, err := ps.build(opts.SamplesPerChip, reg)
+		if err != nil {
+			return runner.Outcome{}, err
+		}
+		cell, err := fitCell(opts, reg, ep, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
+			snrGrid[g.si], ps.cfo[g.ci], ps.wifi[g.wi])
+		if err != nil {
+			return runner.Outcome{}, err
+		}
+		// Every cell has exactly one writer, and runner.Run returns only
+		// after all workers have exited.
+		prof := profiles[g.prof]
+		prof.Cells[cellIndex(prof, g.si, g.ci, g.wi)] = cell
+		return runner.Outcome{Class: "fitted"}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("calib: %w", err)
+	}
+
 	table := &radio.CalTable{
 		Version:        1,
 		SamplesPerChip: opts.SamplesPerChip,
@@ -195,14 +261,11 @@ func Fit(opts Options) (*radio.CalTable, error) {
 		Seed:           opts.Seed,
 		Profiles:       make(map[string]*radio.CalProfile, len(specs)),
 	}
-	for pi, spec := range specs {
-		prof, err := fitProfile(opts, pi, spec)
-		if err != nil {
-			return nil, fmt.Errorf("calib: profile %s: %w", spec.name, err)
-		}
-		table.Profiles[spec.name] = prof
+	for pi, prof := range profiles {
+		smoothProfile(prof)
+		table.Profiles[prof.Name] = prof
 		if opts.Progress != nil {
-			opts.Progress(spec.name, pi+1, len(specs))
+			opts.Progress(prof.Name, pi+1, len(specs))
 		}
 	}
 	if err := table.Validate(); err != nil {
@@ -211,18 +274,27 @@ func Fit(opts Options) (*radio.CalTable, error) {
 	return table, nil
 }
 
-func fitProfile(opts Options, profIdx int, spec profileSpec) (*radio.CalProfile, error) {
-	// All pipeline telemetry of the fit lands in a private registry the
-	// fitter discards: calibration must not pollute process metrics.
-	reg := obs.NewRegistry()
+// gridCell locates one calibration cell: a profile index into
+// profileSpecs and the cell's SNR, CFO and WiFi axis indices.
+type gridCell struct {
+	prof, si, ci, wi int
+}
+
+// cellIndex is the position of grid cell (si, ci, wi) in p.Cells: the
+// SNR-major layout radio.CalProfile documents and Lookup reads.
+func cellIndex(p *radio.CalProfile, si, ci, wi int) int {
+	return (si*len(p.CFOHz)+ci)*len(p.WiFi) + wi
+}
+
+// calibrationFrames synthesises one profile's ground-truth frames. They
+// mirror the Table III traffic (counter-tagged sensor data frames); the
+// waveforms depend only on the frame index, so they are synthesised once
+// per profile and reused across every cell.
+func calibrationFrames(opts Options, reg *obs.Registry, spec profileSpec) ([]dsp.IQ, error) {
 	ep, err := spec.build(opts.SamplesPerChip, reg)
 	if err != nil {
 		return nil, err
 	}
-
-	// The calibration frames mirror the Table III traffic (counter-tagged
-	// sensor data frames). The waveforms depend only on the frame index,
-	// so they are synthesised once and reused across every cell.
 	sigs := make([]dsp.IQ, opts.FramesPerCell)
 	for f := range sigs {
 		hdr := ieee802154.NewDataFrame(uint8(f), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
@@ -239,28 +311,7 @@ func fitProfile(opts Options, profIdx int, spec profileSpec) (*radio.CalProfile,
 			return nil, err
 		}
 	}
-
-	prof := &radio.CalProfile{
-		Name:  spec.name,
-		SNRdB: append([]float64(nil), snrGrid...),
-		CFOHz: append([]float64(nil), spec.cfo...),
-		WiFi:  append([]float64(nil), spec.wifi...),
-		Cells: make([]radio.CalCell, len(snrGrid)*len(spec.cfo)*len(spec.wifi)),
-	}
-	sampleRate := float64(opts.SamplesPerChip) * ieee802154.ChipRate
-	for si, snr := range snrGrid {
-		for ci, cfo := range spec.cfo {
-			for wi, wifi := range spec.wifi {
-				cell, err := fitCell(opts, reg, ep, sigs, sampleRate, profIdx, si, ci, wi, snr, cfo, wifi)
-				if err != nil {
-					return nil, err
-				}
-				prof.Cells[(si*len(spec.cfo)+ci)*len(spec.wifi)+wi] = cell
-			}
-		}
-	}
-	smoothProfile(prof)
-	return prof, nil
+	return sigs, nil
 }
 
 // fitCell measures one grid cell: FramesPerCell independent frames, each
@@ -332,7 +383,7 @@ func fitCell(opts Options, reg *obs.Registry, ep endpoints, sigs []dsp.IQ, sampl
 // fidelity tiers' shape tests pin.
 func smoothProfile(p *radio.CalProfile) {
 	cell := func(si, ci, wi int) *radio.CalCell {
-		return &p.Cells[(si*len(p.CFOHz)+ci)*len(p.WiFi)+wi]
+		return &p.Cells[cellIndex(p, si, ci, wi)]
 	}
 	symOK := func(c *radio.CalCell) float64 {
 		s := 0.0

@@ -462,10 +462,9 @@ func (c *frameChannel) successProb(eff, cfo, wifi float64, psduLen int) float64 
 		return m.prob
 	}
 	cell := c.prof.Lookup(eff, cfo, wifi)
-	correct := symbolCorrectProbTable()
 	s := 0.0
 	for k, p := range cell.Dist {
-		s += p * correct[k]
+		s += p * symbolCorrectProb[k]
 	}
 	symbols := 2 * (psduLen + 1)
 	prob := (1 - cell.SyncFail) * math.Pow(s, float64(symbols))
@@ -546,50 +545,26 @@ func SymbolCorrectProb(k int) float64 {
 	if k > 16 {
 		k = 16
 	}
-	return symbolCorrectProbTable()[k]
+	return symbolCorrectProb[k]
 }
 
-var symCorrect struct {
-	once sync.Once
-	p    [17]float64
-}
+// symbolCorrectTrials is the per-k trial count of the Monte-Carlo that
+// measured symbolCorrectProb (a float constant, so hits/trials divides
+// exactly instead of truncating).
+const symbolCorrectTrials = 4096.0
 
-// symbolCorrectProbTable returns P[symbol decodes correctly | k chip
-// errors] for k = 0..16. Up to 5 errors always decode (the PN codewords
-// are at least 12 chips apart); heavier hits are measured once by a
-// fixed-seed Monte-Carlo through the real despreader, so the frame tier
-// stays consistent with the symbol tier's decision logic.
-func symbolCorrectProbTable() *[17]float64 {
-	symCorrect.once.Do(func() {
-		for k := 0; k <= 5; k++ {
-			symCorrect.p[k] = 1
-		}
-		const trials = 4096
-		for k := 6; k <= 16; k++ {
-			rng := seedStream{state: 0xca11b8 + uint64(k)}
-			hits := 0
-			for t := 0; t < trials; t++ {
-				sym := t % 16
-				chips, err := ieee802154.PNSequence(sym)
-				if err != nil {
-					continue
-				}
-				var idx [32]int
-				for i := range idx {
-					idx[i] = i
-				}
-				for i := 0; i < k; i++ {
-					j := i + rng.intn(len(idx)-i)
-					idx[i], idx[j] = idx[j], idx[i]
-					chips[idx[i]] ^= 1
-				}
-				got, _, err := ieee802154.ClosestSymbol(chips)
-				if err == nil && got == sym {
-					hits++
-				}
-			}
-			symCorrect.p[k] = float64(hits) / trials
-		}
-	})
-	return &symCorrect.p
+// symbolCorrectProb is P[symbol decodes correctly | k chip errors] for
+// k = 0..16, as hits out of symbolCorrectTrials. Up to 5 errors always
+// decode (the PN codewords are at least 12 chips apart); heavier hits
+// were measured by a fixed-seed Monte-Carlo through the real despreader,
+// which TestSymbolCorrectProbMatchesMonteCarlo reruns and must reproduce
+// hit for hit, so the frame tier stays consistent with the symbol tier's
+// decision logic.
+var symbolCorrectProb = [17]float64{
+	4096 / symbolCorrectTrials, 4096 / symbolCorrectTrials, 4096 / symbolCorrectTrials,
+	4096 / symbolCorrectTrials, 4096 / symbolCorrectTrials, 4096 / symbolCorrectTrials,
+	4089 / symbolCorrectTrials, 4066 / symbolCorrectTrials, 3975 / symbolCorrectTrials,
+	3728 / symbolCorrectTrials, 3209 / symbolCorrectTrials, 2346 / symbolCorrectTrials,
+	1223 / symbolCorrectTrials, 339 / symbolCorrectTrials, 43 / symbolCorrectTrials,
+	2 / symbolCorrectTrials, 0 / symbolCorrectTrials,
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
 
@@ -89,7 +90,7 @@ func TestDeliverVirtualAdjacentChannelPenalty(t *testing.T) {
 // of the frame tier's per-symbol decode table: up to half the minimum
 // codeword distance always decodes, and more chip errors never help.
 func TestSymbolCorrectProbTable(t *testing.T) {
-	p := symbolCorrectProbTable()
+	p := &symbolCorrectProb
 	for k := 0; k <= 5; k++ {
 		if p[k] != 1 {
 			t.Errorf("P[decode | %d chip errors] = %g, want 1 (min codeword distance 12)", k, p[k])
@@ -102,5 +103,40 @@ func TestSymbolCorrectProbTable(t *testing.T) {
 	}
 	if p[16] > 0.5 {
 		t.Errorf("P[decode | 16 errors] = %g, want near-random despreading", p[16])
+	}
+}
+
+// TestSymbolCorrectProbMatchesMonteCarlo reruns the fixed-seed
+// Monte-Carlo behind the symbolCorrectProb literal: for each k, 4,096
+// codewords with k distinct chips flipped through the real despreader.
+// Every hit count must reproduce exactly, so the shipped table cannot
+// drift from ieee802154.ClosestSymbol's decision logic.
+func TestSymbolCorrectProbMatchesMonteCarlo(t *testing.T) {
+	for k := 0; k <= 16; k++ {
+		rng := seedStream{state: 0xca11b8 + uint64(k)}
+		hits := 0
+		for trial := 0; trial < symbolCorrectTrials; trial++ {
+			sym := trial % 16
+			chips, err := ieee802154.PNSequence(sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var idx [32]int
+			for i := range idx {
+				idx[i] = i
+			}
+			for i := 0; i < k; i++ {
+				j := i + rng.intn(len(idx)-i)
+				idx[i], idx[j] = idx[j], idx[i]
+				chips[idx[i]] ^= 1
+			}
+			got, _, err := ieee802154.ClosestSymbol(chips)
+			if err == nil && got == sym {
+				hits++
+			}
+		}
+		if want := symbolCorrectProb[k] * symbolCorrectTrials; float64(hits) != want {
+			t.Errorf("k=%d: Monte-Carlo decodes %d/%d, literal says %g", k, hits, int(symbolCorrectTrials), want)
+		}
 	}
 }
