@@ -19,23 +19,32 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark sweep with allocation counts, repeated for statistical
-# stability, persisted both as raw text (bench.out — feed two of these to
-# benchstat to compare revisions) and as machine-readable BENCH.json.
-# BenchmarkWazaBeeRX/TX are the pre-streaming "before" paths;
-# BenchmarkRxStream/BenchmarkTxPooled are the pooled streaming "after".
+# The benchmark record. For each perfbench workload, BENCHCOUNT
+# untraced runs and one traced run at the pinned default seed, 30 s
+# each (BENCHMARK.json's run_seconds), appended to bench/<workload>.txt;
+# cmd/benchjson then writes BENCH.json from those files: the median, Q1
+# and Q3 of each end-to-end metric and the traced run's per-layer
+# metrics. About 11 minutes on a 2-vCPU host. The go test benchmarks
+# are profiling targets and feed no record.
 BENCHCOUNT ?= 5
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
+	rm -rf bench && mkdir bench
+	set -e; for w in table3-iq mesh-tree campaign-matrix; do \
+		for i in $$(seq $(BENCHCOUNT)); do \
+			bash perfbench/run.sh --workload $$w --seconds 30 --trace 0 >> bench/$$w.txt; \
+		done; \
+		bash perfbench/run.sh --workload $$w --seconds 30 --trace 1 >> bench/$$w.txt; \
+	done
+	$(GO) run ./cmd/benchjson -out BENCH.json table3-iq=bench/table3-iq.txt mesh-tree=bench/mesh-tree.txt campaign-matrix=bench/campaign-matrix.txt
 
 # Short smoke runs of every native fuzzer: the capture readers, the
 # 802.15.4 and 6LoWPAN parsers and the calibration table decoder must
-# never panic on corrupt input, the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture, the packed sync
-# scan must make the byte-wise FindPattern reference's decision, and the
-# campaign's lazy EVM source must match math/rand's seeded source bit
-# for bit. The calibration table fuzzer caps minimisation at 10 runs:
+# never panic on corrupt input, the Zigbee NWK, APS, ZCL and remote-AT
+# parsers must re-encode whatever they accept to the same bytes, the
+# streaming receiver must decode byte-identically for any fuzzed
+# chunking of a capture, the packed sync scan must make the byte-wise
+# FindPattern reference's decision, and the campaign's lazy EVM source
+# must match math/rand's seeded source bit for bit. The calibration table fuzzer caps minimisation at 10 runs:
 # its seed is the 187 KB embedded table, which the default 60 s
 # minimiser would spend the whole run shrinking.
 fuzz:
@@ -50,6 +59,11 @@ fuzz:
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzEVMSourceMatchesMathRand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseNWKFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseAPSFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZCLFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseATCommand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseATResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzParseCalTable -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # The concurrent per-channel streaming test under the race detector:

@@ -231,28 +231,15 @@ func BenchmarkScenarioB(b *testing.B) {
 	b.ReportMetric(100*float64(succeeded)/float64(b.N), "success%")
 }
 
-// reportStageMetrics attaches the per-stage mean timings recorded in reg
-// to the benchmark output, so `go test -bench` shows where inside the
-// primitive the time goes.
-func reportStageMetrics(b *testing.B, reg *obs.Registry) {
-	b.Helper()
-	for _, s := range reg.Snapshot() {
-		if s.Name != obs.StageSecondsMetric || s.Count == 0 {
-			continue
-		}
-		b.ReportMetric(s.Mean*1e9, s.Labels["stage"]+"-ns/op")
-	}
-}
-
 // BenchmarkWazaBeeTX measures the transmission primitive's throughput
-// (frame modulation cost).
+// (frame modulation cost): Transmitter.Modulate, the call Table III's
+// IQ channel makes per frame.
 func BenchmarkWazaBeeTX(b *testing.B) {
 	tx, err := chip.NRF52832().NewWazaBeeTransmitter(benchSPS)
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tx.Obs = reg
+	tx.Obs = obs.NewRegistry()
 	ppdu := benchPPDU(b, []byte{0x41, 0x88, 0x01, 0x34, 0x12, 0x42, 0x00, 0x63, 0x00, 0x2a})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,38 +247,6 @@ func BenchmarkWazaBeeTX(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportStageMetrics(b, reg)
-}
-
-// BenchmarkWazaBeeRX measures the reception primitive's demodulation and
-// despreading cost.
-func BenchmarkWazaBeeRX(b *testing.B) {
-	tx, err := chip.NRF52832().NewWazaBeeTransmitter(benchSPS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx, err := chip.CC1352R1().NewWazaBeeReceiver(benchSPS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ppdu := benchPPDU(b, []byte{0x41, 0x88, 0x01, 0x34, 0x12, 0x42, 0x00, 0x63, 0x00, 0x2a})
-	sig, err := tx.Modulate(ppdu)
-	if err != nil {
-		b.Fatal(err)
-	}
-	padded, err := sig.Pad(200, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	rx.Obs = reg
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rx.Receive(padded); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportStageMetrics(b, reg)
 }
 
 // BenchmarkSNRSweep measures the extension experiment: the sensitivity

@@ -1,291 +1,224 @@
-// Command benchjson converts `go test -bench` text output into a
-// machine-readable JSON report (BENCH.json), so benchmark history can be
-// diffed and the streaming-pipeline before/after allocation comparison
-// is queryable without re-parsing the bench text format.
+// Command benchjson writes BENCH.json, the repository's benchmark
+// record, from saved perfbench output:
 //
-// Usage:
+//	benchjson -out BENCH.json table3-iq=bench/table3-iq.txt mesh-tree=bench/mesh-tree.txt
 //
-//	go test -bench . -benchmem -count 5 . | tee bench.out
-//	go run ./cmd/benchjson -in bench.out -out BENCH.json
+// Each workload=file argument names one workload and a file holding the
+// stdout of several perfbench runs of it, appended. Like `perfbench
+// compare`, benchjson reads only the "host" lines and the {"correct"…}
+// result lines. Per workload the record holds the host, the untraced
+// run count, attempted and failed ops, the median, Q1 and Q3 of each
+// end-to-end metric over the untraced (--trace 0) runs, and every
+// per-layer metric of the one traced (--trace 1) run. `make bench`
+// makes the runs and writes the record.
 //
-// Each benchmark line becomes one entry; repeated -count runs of the
-// same benchmark are aggregated (mean over runs, per extra metric too).
-// For statistical comparison across revisions, feed the same bench.out
-// files to benchstat.
+// Nothing is written when a run is not correct or has failed ops, when
+// a result line has no host line before it, when one workload's runs
+// differ in GOMAXPROCS or worker count, or when a workload has no
+// untraced run.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
-
-	"wazabee/internal/obs"
 )
 
-// Result aggregates every run of one benchmark.
-type Result struct {
-	Name string `json:"name"`
-	Runs int    `json:"runs"`
-	// Iterations is the mean b.N across runs.
-	Iterations float64 `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	// BytesPerOp / AllocsPerOp come from -benchmem; absent metrics stay
-	// zero and are listed in Metrics only when reported.
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics holds every extra b.ReportMetric unit (valid%, stage
-	// timings, ...), mean over runs.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+// host and result mirror the lines perfbench prints.
+type host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Workers    int    `json:"workers"`
+	Go         string `json:"go"`
+	CPU        string `json:"cpu"`
 }
 
-type report struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	Benchmarks []Result `json:"benchmarks"`
+type metricValue struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
-// parse consumes go-test bench output and aggregates per-benchmark sums;
-// header key/value lines (goos:, pkg:, ...) fill the report preamble.
-func parse(r io.Reader) (*report, error) {
-	rep := &report{}
-	var lines [][]string
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-			continue
-		}
-		lines = append(lines, fields)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	// Strip the -<GOMAXPROCS> suffix so counts aggregate by name.
-	suffix := procsSuffix(lines)
-	sums := map[string]*Result{}
-	var order []string
-	for _, fields := range lines {
-		name := strings.TrimSuffix(fields[0], suffix)
-		iters, _ := strconv.ParseFloat(fields[1], 64)
-		res := sums[name]
-		if res == nil {
-			res = &Result{Name: name, Metrics: map[string]float64{}}
-			sums[name] = res
-			order = append(order, name)
-		}
-		res.Runs++
-		res.Iterations += iters
-		// The rest of the line is value/unit pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp += v
-			case "B/op":
-				res.BytesPerOp += v
-			case "allocs/op":
-				res.AllocsPerOp += v
-			default:
-				res.Metrics[fields[i+1]] += v
-			}
-		}
-	}
-
-	sort.Strings(order)
-	for _, name := range order {
-		res := sums[name]
-		n := float64(res.Runs)
-		res.Iterations /= n
-		res.NsPerOp /= n
-		res.BytesPerOp /= n
-		res.AllocsPerOp /= n
-		for k := range res.Metrics {
-			res.Metrics[k] /= n
-		}
-		if len(res.Metrics) == 0 {
-			res.Metrics = nil
-		}
-		rep.Benchmarks = append(rep.Benchmarks, *res)
-	}
-	return rep, nil
+type result struct {
+	Correct   bool                   `json:"correct"`
+	Attempted int64                  `json:"attempted"`
+	Failed    int64                  `json:"failed"`
+	Metrics   map[string]metricValue `json:"metrics"`
 }
 
-// procsSuffix returns the "-N" that go test appends to every benchmark
-// name when GOMAXPROCS is N > 1, or "" unless every line carries the
-// same one. At GOMAXPROCS=1 nothing is appended, so the digits of a
-// sub-benchmark such as BenchmarkRunnerSweep/workers-4 are part of its
-// name and must stay.
-func procsSuffix(lines [][]string) string {
-	suffix := ""
-	for i, fields := range lines {
-		name := fields[0]
-		j := strings.LastIndex(name, "-")
-		if j <= 0 {
-			return ""
-		}
-		if _, err := strconv.Atoi(name[j+1:]); err != nil {
-			return ""
-		}
-		if i > 0 && name[j:] != suffix {
-			return ""
-		}
-		suffix = name[j:]
-	}
-	return suffix
+type savedRun struct {
+	host host
+	res  result
 }
 
-// historyRecord is one appended line of the benchmark history: the full
-// report stamped with when it was taken, so the perf trajectory across
-// revisions survives BENCH.json being overwritten every run.
-type historyRecord struct {
-	At string `json:"at"`
-	report
+// tracedMarker is the metric only a --trace 1 run reports.
+const tracedMarker = "trace.overhead_ratio"
+
+// summary is one end-to-end metric over the untraced runs.
+type summary struct {
+	Unit   string  `json:"unit"`
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
 }
 
-// appendHistory appends the report as one compact timestamped JSON
-// line — unless the file's last line already holds an identical report
-// (timestamp aside), in which case the append is skipped: re-running
-// `make bench` without a perf change must not bloat the history with
-// duplicate entries. It reports whether a line was written.
-func appendHistory(path string, rep *report, at time.Time) (bool, error) {
-	if dup, err := lastHistoryMatches(path, rep); err != nil {
-		return false, err
-	} else if dup {
-		return false, nil
-	}
-	line, err := json.Marshal(historyRecord{At: at.UTC().Format(time.RFC3339), report: *rep})
-	if err != nil {
-		return false, err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false, err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return false, err
-	}
-	return true, f.Close()
+type workloadRecord struct {
+	Host host `json:"host"`
+	// Runs is the number of untraced runs the quartiles summarise.
+	Runs      int   `json:"runs"`
+	Attempted int64 `json:"attempted"`
+	// Failed is always 0: a run with failed ops stops the record.
+	Failed   int64                  `json:"failed"`
+	EndToEnd map[string]summary     `json:"end_to_end"`
+	PerLayer map[string]metricValue `json:"per_layer"`
 }
 
-// lastHistoryMatches reports whether the final line of the history file
-// decodes to the same report as rep, ignoring the At timestamp.
-// A missing file, an empty file or an unparseable last line all count
-// as "no match" — appending is always safe then.
-func lastHistoryMatches(path string, rep *report) (bool, error) {
+type record struct {
+	Workloads map[string]workloadRecord `json:"workloads"`
+}
+
+// readRuns parses every run in a file of saved output: each run is a
+// "host" line followed, later, by its result line.
+func readRuns(path string) ([]savedRun, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
+		return nil, err
 	}
 	defer f.Close()
-	var last string
+	var runs []savedRun
+	var h *host
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" {
-			last = line
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "host "); ok {
+			h = new(host)
+			if err := json.Unmarshal([]byte(rest), h); err != nil {
+				return nil, fmt.Errorf("%s: host line: %w", path, err)
+			}
+			continue
 		}
+		if !strings.HasPrefix(line, `{"correct"`) {
+			continue
+		}
+		if h == nil {
+			return nil, fmt.Errorf("%s: result line without a host line", path)
+		}
+		r := savedRun{host: *h}
+		if err := json.Unmarshal([]byte(line), &r.res); err != nil {
+			return nil, fmt.Errorf("%s: result line: %w", path, err)
+		}
+		runs = append(runs, r)
+		h = nil
 	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-	if last == "" {
-		return false, nil
-	}
-	var prev historyRecord
-	if err := json.Unmarshal([]byte(last), &prev); err != nil {
-		return false, nil
-	}
-	prevJSON, err := json.Marshal(prev.report)
-	if err != nil {
-		return false, nil
-	}
-	repJSON, err := json.Marshal(*rep)
-	if err != nil {
-		return false, err
-	}
-	return string(prevJSON) == string(repJSON), nil
+	return runs, sc.Err()
 }
 
-func run(inPath, outPath, historyPath string) error {
-	var in io.Reader = os.Stdin
-	if inPath != "" && inPath != "-" {
-		f, err := os.Open(inPath)
+// summarise folds one workload's runs into its record.
+func summarise(path string, runs []savedRun) (workloadRecord, error) {
+	var rec workloadRecord
+	values := map[string][]float64{}
+	units := map[string]string{}
+	for i, r := range runs {
+		if r.host.GOMAXPROCS != runs[0].host.GOMAXPROCS || r.host.Workers != runs[0].host.Workers {
+			return rec, fmt.Errorf("%s: run %d at GOMAXPROCS=%d workers=%d, run 1 at GOMAXPROCS=%d workers=%d",
+				path, i+1, r.host.GOMAXPROCS, r.host.Workers, runs[0].host.GOMAXPROCS, runs[0].host.Workers)
+		}
+		if !r.res.Correct || r.res.Failed > 0 {
+			return rec, fmt.Errorf("%s: run %d is not clean (correct=%t, failed=%d)", path, i+1, r.res.Correct, r.res.Failed)
+		}
+		rec.Attempted += r.res.Attempted
+		if _, traced := r.res.Metrics[tracedMarker]; traced {
+			if rec.PerLayer != nil {
+				return rec, fmt.Errorf("%s: more than one traced run", path)
+			}
+			rec.PerLayer = r.res.Metrics
+			continue
+		}
+		rec.Runs++
+		for name, m := range r.res.Metrics {
+			values[name] = append(values[name], m.Value)
+			units[name] = m.Unit
+		}
+	}
+	if rec.Runs == 0 {
+		return rec, fmt.Errorf("%s: no untraced run", path)
+	}
+	rec.Host = runs[0].host
+	rec.EndToEnd = map[string]summary{}
+	for name, v := range values {
+		sort.Float64s(v)
+		rec.EndToEnd[name] = summary{Unit: units[name], Median: quantile(v, 0.5), Q1: quantile(v, 0.25), Q3: quantile(v, 0.75)}
+	}
+	return rec, nil
+}
+
+// quantile returns the q-quantile of sorted, interpolating linearly
+// between the two nearest ranks: perfbench's rule.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo >= len(sorted)-1 {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
+// build reads every workload=file argument and returns the record's
+// bytes.
+func build(args []string) ([]byte, error) {
+	if len(args) == 0 {
+		return nil, errors.New("usage: benchjson [-out FILE] workload=file...")
+	}
+	rec := record{Workloads: map[string]workloadRecord{}}
+	for _, arg := range args {
+		name, path, ok := strings.Cut(arg, "=")
+		if !ok || name == "" || path == "" {
+			return nil, fmt.Errorf("argument %q: want workload=file", arg)
+		}
+		if _, dup := rec.Workloads[name]; dup {
+			return nil, fmt.Errorf("workload %s given twice", name)
+		}
+		runs, err := readRuns(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer f.Close()
-		in = f
+		w, err := summarise(path, runs)
+		if err != nil {
+			return nil, err
+		}
+		rec.Workloads[name] = w
 	}
-	rep, err := parse(in)
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	out := fs.String("out", "-", "record path (- for stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	data, err := build(fs.Args())
 	if err != nil {
 		return err
 	}
-	if len(rep.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmark lines found in input")
-	}
-	if historyPath != "" {
-		if _, err := appendHistory(historyPath, rep, time.Now()); err != nil {
-			return fmt.Errorf("append history: %w", err)
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if *out == "-" {
+		_, err = stdout.Write(data)
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "" || outPath == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(outPath, data, 0o644)
+	return os.WriteFile(*out, data, 0o644)
 }
 
 func main() {
-	obs.RegisterBuildInfo(nil)
-	inPath := flag.String("in", "-", "bench output file (- for stdin)")
-	outPath := flag.String("out", "-", "JSON report path (- for stdout)")
-	historyPath := flag.String("history", "", "append the report as one timestamped JSON line here (e.g. BENCH_history.jsonl); empty disables")
-	flag.Parse()
-	if err := run(*inPath, *outPath, *historyPath); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

@@ -53,8 +53,8 @@ func BenchmarkHubPublishUnstamped(b *testing.B) {
 }
 
 // BenchmarkHubPublishLatencyStamped publishes Origin-stamped records,
-// exercising the full latency instrumentation on the publish path. The
-// BENCH.json gate compares its ns/op against the unstamped baseline.
+// exercising the full latency instrumentation on the publish path.
+// Compare its ns/op against the unstamped baseline.
 func BenchmarkHubPublishLatencyStamped(b *testing.B) {
 	hub, rec := benchHub(b)
 	defer hub.Close()

@@ -40,16 +40,6 @@ func ConvertChipStream(chips bitstream.Bits) (bitstream.Bits, error) {
 	return convert(chips), nil
 }
 
-// AppendConvertChipStream is the appending form of ConvertChipStream
-// for pooled transmit scratch: the n-1 MSK bits of the chip stream are
-// appended to dst.
-func AppendConvertChipStream(dst, chips bitstream.Bits) (bitstream.Bits, error) {
-	if len(chips) < 2 {
-		return dst, fmt.Errorf("core: chip stream length %d < 2", len(chips))
-	}
-	return appendConvert(dst, chips), nil
-}
-
 // convert runs the Algorithm 1 state machine over a chip sequence of any
 // length. The state tracks the constellation position; at every chip the
 // counter-clockwise neighbour state is taken when its label matches the
@@ -66,11 +56,7 @@ func AppendConvertChipStream(dst, chips bitstream.Bits) (bitstream.Bits, error) 
 // match the waveform for all sixteen sequences — verified against the
 // modulator in the package tests.
 func convert(chips bitstream.Bits) bitstream.Bits {
-	return appendConvert(make(bitstream.Bits, 0, len(chips)-1), chips)
-}
-
-// appendConvert is convert in appending form, reusing dst's capacity.
-func appendConvert(dst, chips bitstream.Bits) bitstream.Bits {
+	dst := make(bitstream.Bits, 0, len(chips)-1)
 	currentState := 0
 	if chips[0] == 0 {
 		currentState = 1

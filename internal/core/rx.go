@@ -36,12 +36,6 @@ type Receiver struct {
 	// Trace, when non-nil, records a span per pipeline stage
 	// (aa-correlate, despread) for each Receive call.
 	Trace *obs.Trace
-
-	// stream backs the incremental Push/FlushStream convenience API;
-	// Receive/ReceiveStats always run on a fresh stream so they stay
-	// safe to call concurrently (the Table III harness fans one
-	// receiver call out per channel).
-	stream *RxStream
 }
 
 // NewReceiver wraps a BLE PHY; like the transmitter it requires the 2
@@ -100,28 +94,6 @@ func (r *Receiver) ReceiveStatsAt(origin time.Time, sig dsp.IQ) (*ieee802154.Dem
 	s.SetOrigin(origin)
 	s.Push(sig)
 	return s.Flush()
-}
-
-// Push feeds one IQ chunk into the receiver's internal stream, creating
-// it on first use, and returns any frame completed by this chunk. Pair
-// with FlushStream at capture boundaries. Unlike Receive/ReceiveStats,
-// the incremental API is not goroutine-safe — it shares one stream
-// across calls; use Stream() directly for one stream per goroutine.
-func (r *Receiver) Push(chunk dsp.IQ) []*ieee802154.Demodulated {
-	if r.stream == nil {
-		r.stream = r.Stream()
-	}
-	return r.stream.Push(chunk)
-}
-
-// FlushStream concludes the internal stream's current capture: the
-// decoded frame (or "not received" error) and link stats, exactly as
-// Receive would report for the concatenated chunks.
-func (r *Receiver) FlushStream() (*ieee802154.Demodulated, *link.Stats, error) {
-	if r.stream == nil {
-		r.stream = r.Stream()
-	}
-	return r.stream.Flush()
 }
 
 // PHY exposes the underlying BLE modem.

@@ -6,7 +6,6 @@ import (
 	"wazabee/internal/bitstream"
 	"wazabee/internal/ble"
 	"wazabee/internal/dsp"
-	"wazabee/internal/dsp/stream"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
@@ -68,42 +67,6 @@ func (t *Transmitter) Modulate(ppdu *ieee802154.PPDU) (dsp.IQ, error) {
 	}
 	reg.Counter("wazabee_frames_transmitted_total").Inc()
 	return sig, nil
-}
-
-// ModulatePooled is the pooled form of Modulate: every intermediate
-// buffer (serialised PPDU octets, DSSS chips, MSK bits) is borrowed
-// from the shared stream.BufferPool, and the returned waveform itself
-// lives in a pooled slab. The caller must invoke release exactly once
-// when done with sig; after that the slab may be reused and sig must
-// not be touched. The waveform samples are identical to Modulate's.
-func (t *Transmitter) ModulatePooled(ppdu *ieee802154.PPDU) (sig dsp.IQ, release func(), err error) {
-	if ppdu == nil {
-		return nil, nil, fmt.Errorf("core: nil PPDU")
-	}
-	reg := obs.Or(t.Obs)
-	end := obs.Stage(reg, t.Trace, "modulate")
-	defer end()
-
-	pool := stream.Shared()
-	octets := ppdu.AppendBytes(pool.Bits(ieee802154.PreambleLength + 2 + len(ppdu.PSDU)))
-	nChips := len(octets) * ieee802154.SymbolsPerByte * ieee802154.ChipsPerSymbol
-	chips := ieee802154.AppendSpread(bitstream.Bits(pool.Bits(nChips)), octets)
-	pool.PutBits(octets)
-	bits, err := AppendConvertChipStream(bitstream.Bits(pool.Bits(nChips)), chips)
-	pool.PutBits(chips)
-	if err != nil {
-		pool.PutBits(bits)
-		return nil, nil, err
-	}
-
-	sps := t.phy.SamplesPerSymbol
-	sig, err = t.phy.AppendModulateBits(pool.IQ(len(bits)*sps+4*sps+1), bits)
-	pool.PutBits(bits)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg.Counter("wazabee_frames_transmitted_total").Inc()
-	return sig, func() { pool.PutIQ(sig) }, nil
 }
 
 // ModulatePSDU wraps a MAC-level PSDU in a PPDU and modulates it.

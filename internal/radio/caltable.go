@@ -24,7 +24,7 @@ var defaultCalJSON []byte
 
 // ProfileOQPSK is the calibration profile of a native O-QPSK link
 // (802.15.4 radio to 802.15.4 radio, no BLE diversion) — the profile the
-// mesh simulator's erasure draws and DeliverVirtual run on.
+// mesh simulator's erasure draws run on.
 const ProfileOQPSK = "oqpsk/native"
 
 // CalProfileName returns the calibration profile name of one WazaBee

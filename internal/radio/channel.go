@@ -430,8 +430,8 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 
 // frameChannel is the cheapest tier: the symbol tier's statistics are
 // collapsed to one closed-form per-frame success probability and a
-// single uniform draw. It is what DeliverVirtual and the mesh
-// simulator's erasure model run on.
+// single uniform draw. It is what the mesh simulator's erasure model
+// runs on.
 type frameChannel struct {
 	m    *Medium
 	prof *CalProfile

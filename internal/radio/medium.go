@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -65,12 +64,6 @@ type Medium struct {
 	// tierCtrs caches the counters the symbol and frame tiers bump per
 	// frame (see Medium.count).
 	tierCtrs obs.CounterCache
-
-	// virtualCh is the lazily-built frame-fidelity channel behind
-	// DeliverVirtual (see virtualChannel).
-	virtualOnce sync.Once
-	virtualCh   Channel
-	virtualErr  error
 }
 
 // NewMedium builds a medium with the given sample rate and seed. All
@@ -96,10 +89,10 @@ func (m *Medium) AddWiFi(w WiFiInterferer) {
 //
 // The returned *rand.Rand is NOT synchronised: it must only be used
 // from the single goroutine that drives this medium's waveform
-// deliveries (Deliver, DeliverChunks, Replay all draw from it).
-// Seed-parameterised deliveries — DeliverVirtual and the symbol/frame
-// fidelity tiers of Channel — never touch this stream, which is what
-// makes them safe to call concurrently with per-call seeds.
+// deliveries (Deliver and Replay draw from it). Seed-parameterised
+// deliveries — the symbol and frame fidelity tiers of Channel — never
+// touch this stream, which is what makes them safe to call
+// concurrently with per-call seeds.
 func (m *Medium) Rand() *rand.Rand {
 	return m.rnd
 }
@@ -193,36 +186,6 @@ func (m *Medium) deliverInto(dst, sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link
 		}
 	}
 	return out, nil
-}
-
-// DeliverChunks is the chunked delivery mode of the streaming pipeline:
-// it propagates a burst exactly like Deliver, then hands the resulting
-// receiver-side capture to fn in consecutive slabs of at most chunk
-// samples instead of one whole buffer. The slabs alias the delivered
-// capture, so fn must not retain them past its return (a streaming
-// receiver copies what it carries over — see internal/dsp/stream's
-// ownership contract). fn's first error aborts the walk and is returned.
-func (m *Medium) DeliverChunks(sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link Link, chunk int, fn func(dsp.IQ) error) error {
-	if chunk <= 0 {
-		return fmt.Errorf("radio: chunk size %d <= 0", chunk)
-	}
-	if fn == nil {
-		return fmt.Errorf("radio: nil chunk callback")
-	}
-	out, err := m.Deliver(sig, txFreqMHz, rxFreqMHz, link)
-	if err != nil {
-		return err
-	}
-	for start := 0; start < len(out); start += chunk {
-		end := start + chunk
-		if end > len(out) {
-			end = len(out)
-		}
-		if err := fn(out[start:end]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Replay is the injection point for recorded captures: it propagates a

@@ -6,17 +6,18 @@ import (
 )
 
 // TestDeliverVirtualConcurrentSeeded exercises the virtual delivery
-// path from many goroutines on one shared Medium. Virtual deliveries
-// draw exclusively from their per-call seed — never from the medium's
-// shared Rand, whose single-goroutine contract is documented on
-// Medium.Rand — so concurrent callers with private seeds must be safe
-// under the race detector and must produce exactly the outcomes a
-// sequential caller sees.
+// path (the frame tier) from many goroutines on one shared Medium and
+// channel. Virtual deliveries draw exclusively from their per-call
+// seed — never from the medium's shared Rand, whose single-goroutine
+// contract is documented on Medium.Rand — so concurrent callers with
+// private seeds must be safe under the race detector and must produce
+// exactly the outcomes a sequential caller sees.
 func TestDeliverVirtualConcurrentSeeded(t *testing.T) {
 	m, err := NewMedium(16e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := frameTier(t, m)
 	link := Link{SNRdB: 2} // mid-curve: both outcomes occur
 
 	const workers = 8
@@ -26,7 +27,7 @@ func TestDeliverVirtualConcurrentSeeded(t *testing.T) {
 		want[w] = make([]bool, perWorker)
 		for i := range want[w] {
 			seed := uint64(w*perWorker + i)
-			want[w][i] = m.DeliverVirtual(40, 2420, 2420, link, seed).Delivered
+			want[w][i] = deliverFrame(t, ch, 40, 2420, 2420, link, seed).Delivered()
 		}
 	}
 
@@ -40,7 +41,12 @@ func TestDeliverVirtualConcurrentSeeded(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				seed := uint64(w*perWorker + i)
-				got[w][i] = m.DeliverVirtual(40, 2420, 2420, link, seed).Delivered
+				out, err := ch.Deliver(FrameSpec{PSDULen: 40, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: link, Seed: seed})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][i] = out.Delivered()
 			}
 		}()
 	}

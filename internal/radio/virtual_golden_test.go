@@ -6,14 +6,15 @@ import (
 )
 
 // TestVirtualSuccessProbGolden pins the frame-level success probability
-// of the virtual delivery path at its edge cases — zero-length PSDU,
-// extreme SNR at both ends, the adjacent-channel penalty and two
-// mid-curve operating points — so any change to the underlying model
-// shows up as a reviewable golden diff rather than a silent shift in
-// every mesh simulation's loss rate.
+// of the virtual delivery path (the frame tier on the oqpsk/native
+// profile) at its edge cases — zero-length PSDU, extreme SNR at both
+// ends, the adjacent-channel penalty and two mid-curve operating
+// points — so any change to the underlying model shows up as a
+// reviewable golden diff rather than a silent shift in every mesh
+// simulation's loss rate.
 //
-// The goldens are probed through DeliverVirtual's SuccessProb (the
-// public surface), not the internal probability function, so the test
+// The goldens are probed through FrameOutcome.SuccessProb (the public
+// surface), not the internal probability function, so the test
 // survives the model being swapped out as long as the swap is
 // deliberate and the goldens are updated alongside it.
 func TestVirtualSuccessProbGolden(t *testing.T) {
@@ -21,6 +22,7 @@ func TestVirtualSuccessProbGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := frameTier(t, m)
 	cases := []struct {
 		name   string
 		psdu   int
@@ -56,7 +58,7 @@ func TestVirtualSuccessProbGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out := m.DeliverVirtual(c.psdu, 2420, c.rxFreq, Link{SNRdB: c.snr}, 1)
+			out := deliverFrame(t, ch, c.psdu, 2420, c.rxFreq, Link{SNRdB: c.snr}, 1)
 			if !out.InBand {
 				t.Fatalf("delivery unexpectedly out of band")
 			}
@@ -76,8 +78,9 @@ func TestVirtualSuccessProbShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := frameTier(t, m)
 	prob := func(psdu int, snr, rxFreq float64) float64 {
-		return m.DeliverVirtual(psdu, 2420, rxFreq, Link{SNRdB: snr}, 1).SuccessProb
+		return deliverFrame(t, ch, psdu, 2420, rxFreq, Link{SNRdB: snr}, 1).SuccessProb
 	}
 	snrs := []float64{-60, -10, 0, 2, 5, 8, 12, 25, 60}
 	for i := 1; i < len(snrs); i++ {

@@ -8,23 +8,46 @@ import (
 	"wazabee/internal/obs"
 )
 
+// frameTier returns m's frame-fidelity channel on the native O-QPSK
+// profile: the virtual-time delivery the mesh simulator's erasure draws
+// run on.
+func frameTier(t testing.TB, m *Medium) Channel {
+	t.Helper()
+	ch, err := m.Channel(FidelityFrame, ChannelOptions{Profile: ProfileOQPSK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// deliverFrame propagates one psduLen-octet frame through ch.
+func deliverFrame(t testing.TB, ch Channel, psduLen int, txFreqMHz, rxFreqMHz float64, link Link, seed uint64) FrameOutcome {
+	t.Helper()
+	out, err := ch.Deliver(FrameSpec{PSDULen: psduLen, TxFreqMHz: txFreqMHz, RxFreqMHz: rxFreqMHz, Link: link, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestDeliverVirtualPassbandGate(t *testing.T) {
 	m, err := NewMedium(16e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Obs = obs.NewRegistry()
+	ch := frameTier(t, m)
 	link := Link{SNRdB: 30}
 
-	out := m.DeliverVirtual(20, 2420, 2470, link, 1)
-	if out.InBand || out.Delivered {
+	out := deliverFrame(t, ch, 20, 2420, 2470, link, 1)
+	if out.InBand || out.Delivered() {
 		t.Errorf("out-of-band delivery reported %+v", out)
 	}
-	out = m.DeliverVirtual(20, 2420, 2420, link, 1)
+	out = deliverFrame(t, ch, 20, 2420, 2420, link, 1)
 	if !out.InBand {
 		t.Error("co-channel transmission not in band")
 	}
-	if !out.Delivered {
+	if !out.Delivered() {
 		t.Error("30 dB co-channel frame erased (success prob should be ~1)")
 	}
 	if out.SuccessProb < 0.999 {
@@ -37,11 +60,12 @@ func TestDeliverVirtualDeterministicInSeed(t *testing.T) {
 	m2, _ := NewMedium(16e6, 99) // different medium seed must not matter
 	m1.Obs = obs.NewRegistry()
 	m2.Obs = obs.NewRegistry()
+	ch1, ch2 := frameTier(t, m1), frameTier(t, m2)
 	link := Link{SNRdB: 1.5} // deep in the erasure regime
 	for seed := uint64(0); seed < 512; seed++ {
-		a := m1.DeliverVirtual(60, 2420, 2420, link, seed)
-		b := m2.DeliverVirtual(60, 2420, 2420, link, seed)
-		if a != b {
+		a := deliverFrame(t, ch1, 60, 2420, 2420, link, seed)
+		b := deliverFrame(t, ch2, 60, 2420, 2420, link, seed)
+		if a.InBand != b.InBand || a.Delivered() != b.Delivered() || a.SuccessProb != b.SuccessProb {
 			t.Fatalf("seed %d: outcomes diverge: %+v vs %+v", seed, a, b)
 		}
 	}
@@ -50,14 +74,15 @@ func TestDeliverVirtualDeterministicInSeed(t *testing.T) {
 func TestDeliverVirtualErasureRateTracksProbability(t *testing.T) {
 	m, _ := NewMedium(16e6, 1)
 	m.Obs = obs.NewRegistry()
+	ch := frameTier(t, m)
 	link := Link{SNRdB: 2}
 	const trials = 20000
 	delivered := 0
 	var prob float64
 	for seed := uint64(0); seed < trials; seed++ {
-		out := m.DeliverVirtual(40, 2420, 2420, link, seed)
+		out := deliverFrame(t, ch, 40, 2420, 2420, link, seed)
 		prob = out.SuccessProb
-		if out.Delivered {
+		if out.Delivered() {
 			delivered++
 		}
 	}
@@ -75,9 +100,10 @@ func TestDeliverVirtualErasureRateTracksProbability(t *testing.T) {
 func TestDeliverVirtualAdjacentChannelPenalty(t *testing.T) {
 	m, _ := NewMedium(16e6, 1)
 	m.Obs = obs.NewRegistry()
+	ch := frameTier(t, m)
 	link := Link{SNRdB: 12}
-	co := m.DeliverVirtual(40, 2420, 2420, link, 7)
-	adj := m.DeliverVirtual(40, 2420, 2421, link, 7)
+	co := deliverFrame(t, ch, 40, 2420, 2420, link, 7)
+	adj := deliverFrame(t, ch, 40, 2420, 2421, link, 7)
 	if !adj.InBand {
 		t.Fatal("adjacent channel should still be in band")
 	}

@@ -23,6 +23,14 @@ const (
 // nwkProtocolVersion is the Zigbee PRO protocol version.
 const nwkProtocolVersion = 2
 
+// nwkFCFBits are the frame-control bits NWKFrame.Encode writes: frame
+// type (0-1), protocol version (2-5), discover route (6), security (9)
+// and the destination and source IEEE address flags (11, 12). The others
+// (multicast, source route, end-device initiator, reserved) add header
+// fields this codec does not lay out, so ParseNWKFrame refuses a frame
+// carrying one rather than misread it.
+const nwkFCFBits = 0x3 | 0xf<<2 | 1<<6 | 1<<9 | 1<<11 | 1<<12
+
 // NWKFrame is a network-layer frame.
 type NWKFrame struct {
 	Type NWKFrameType
@@ -84,6 +92,9 @@ func ParseNWKFrame(data []byte) (*NWKFrame, error) {
 		return nil, fmt.Errorf("zigbee: NWK frame too short (%d bytes)", len(data))
 	}
 	fcf := binary.LittleEndian.Uint16(data[0:2])
+	if fcf&^nwkFCFBits != 0 {
+		return nil, fmt.Errorf("zigbee: unsupported NWK frame control %#04x", fcf)
+	}
 	if v := (fcf >> 2) & 0xf; v != nwkProtocolVersion {
 		return nil, fmt.Errorf("zigbee: unsupported NWK protocol version %d", v)
 	}
@@ -146,6 +157,12 @@ type APSFrame struct {
 	Payload []byte
 }
 
+// apsFCFBits are the frame-control bits APSFrame.Encode writes: frame
+// type (0-1) and ack request (6). Group or broadcast delivery (2-3), ack
+// format (4), security (5) and the extended header (7) change the header
+// layout, so ParseAPSFrame refuses a frame carrying one.
+const apsFCFBits = 0x3 | 1<<6
+
 // Encode serialises the APS frame.
 func (f *APSFrame) Encode() ([]byte, error) {
 	if f.Type > APSAck {
@@ -167,6 +184,9 @@ func (f *APSFrame) Encode() ([]byte, error) {
 func ParseAPSFrame(data []byte) (*APSFrame, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("zigbee: APS frame too short (%d bytes)", len(data))
+	}
+	if data[0]&^apsFCFBits != 0 {
+		return nil, fmt.Errorf("zigbee: unsupported APS frame control %#02x", data[0])
 	}
 	f := &APSFrame{
 		Type:         APSFrameType(data[0] & 0x3),

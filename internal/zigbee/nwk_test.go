@@ -98,6 +98,54 @@ func TestNWKFrameErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnencodedFrameControl: every frame-control bit the
+// NWK, APS and ZCL encoders never write is refused, since each adds or
+// reshapes header fields the parsers would otherwise misread. A
+// source-routed NWK frame (bit 10) used to come back with its relay
+// subframe as Payload, and APS group delivery (bits 2-3 = 0b11) with the
+// group address read as DestEndpoint and ClusterID.
+func TestParseRejectsUnencodedFrameControl(t *testing.T) {
+	nwk, err := BuildZigbeeDataFrame(1, 2, 0x0042, 0x0063, ClusterOnOff, []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zcl, err := (&ZCLFrame{Type: ZCLClusterSpecific, Seq: 1, Command: OnOffCmdOn}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(frame []byte, byteIdx int, mask byte) []byte {
+		out := append([]byte{}, frame...)
+		out[byteIdx] |= mask
+		return out
+	}
+	for _, bit := range []int{7, 8, 10, 13, 14, 15} {
+		if _, err := ParseNWKFrame(with(nwk, bit/8, 1<<(bit%8))); err == nil {
+			t.Errorf("NWK frame-control bit %d accepted", bit)
+		}
+	}
+	apsRaw := nwk[8:]
+	for _, bit := range []int{2, 3, 4, 5, 7} {
+		if _, err := ParseAPSFrame(with(apsRaw, 0, 1<<bit)); err == nil {
+			t.Errorf("APS frame-control bit %d accepted", bit)
+		}
+	}
+	if _, err := ParseAPSFrame(with(apsRaw, 0, 0x0c)); err == nil {
+		t.Error("APS group delivery accepted")
+	}
+	for _, bit := range []int{5, 6, 7} {
+		if _, err := ParseZCLFrame(with(zcl, 0, 1<<bit)); err == nil {
+			t.Errorf("ZCL frame-control bit %d accepted", bit)
+		}
+	}
+	// The bits the encoders do write still parse.
+	if _, err := ParseAPSFrame(with(apsRaw, 0, 1<<6)); err != nil {
+		t.Errorf("APS ack request refused: %v", err)
+	}
+	if _, err := ParseNWKFrame(with(nwk, 0, 1<<6)); err != nil {
+		t.Errorf("NWK discover route refused: %v", err)
+	}
+}
+
 func TestAPSFrameRoundTrip(t *testing.T) {
 	f := func(destEP, srcEP, counter uint8, cluster, profile uint16, payload []byte) bool {
 		give := &APSFrame{

@@ -56,6 +56,11 @@ type ZCLFrame struct {
 	Payload []byte
 }
 
+// zclFCFBits are the frame-control bits ZCLFrame.Encode writes: frame
+// type (0-1), manufacturer specific (2), direction (3) and disable
+// default response (4). ParseZCLFrame refuses the reserved bits 5-7.
+const zclFCFBits = 0x1f
+
 // Encode serialises the ZCL frame.
 func (f *ZCLFrame) Encode() ([]byte, error) {
 	if f.Type > ZCLClusterSpecific {
@@ -86,6 +91,9 @@ func ParseZCLFrame(data []byte) (*ZCLFrame, error) {
 		return nil, fmt.Errorf("zigbee: ZCL frame too short (%d bytes)", len(data))
 	}
 	fcf := data[0]
+	if fcf&^zclFCFBits != 0 {
+		return nil, fmt.Errorf("zigbee: unsupported ZCL frame control %#02x", fcf)
+	}
 	f := &ZCLFrame{
 		Type:                   ZCLFrameType(fcf & 0x3),
 		Direction:              fcf&(1<<3) != 0,
