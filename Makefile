@@ -39,26 +39,35 @@ bench:
 
 # Short smoke runs of every native fuzzer: the capture readers, the
 # 802.15.4 and 6LoWPAN parsers and the calibration table decoder must
-# never panic on corrupt input, the Zigbee NWK, APS, ZCL and remote-AT
-# parsers must re-encode whatever they accept to the same bytes, the
-# streaming receiver must decode byte-identically for any fuzzed
-# chunking of a capture, the packed sync scan must make the byte-wise
-# FindPattern reference's decision, and the campaign's lazy EVM source
-# must match math/rand's seeded source bit for bit. The calibration table fuzzer caps minimisation at 10 runs:
-# its seed is the 187 KB embedded table, which the default 60 s
-# minimiser would spend the whole run shrinking.
+# never panic on corrupt input; the capture record, Zigbee NWK, APS,
+# ZCL and remote-AT, BLE advertising, AuxPtr, ESB and packet, and
+# association-response decoders must also re-encode whatever they
+# accept to the same bytes; the streaming receiver must decode
+# byte-identically for any fuzzed chunking of a capture, the packed
+# sync scan must make the byte-wise FindPattern reference's decision,
+# and the lazily seeded math/rand source (internal/randsrc) must match
+# rand.NewSource bit for bit at any re-seed point. The calibration
+# table fuzzer caps minimisation at 10 runs: its seed is the 187 KB
+# embedded table, which the default 60 s minimiser would spend the
+# whole run shrinking.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzParseAuxAdvInd -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzDecodeAuxPtr -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzParseESBAirBits -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzPacketParseAirBits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsp/stream -run '^$$' -fuzz FuzzCorrelatorMatchesFindPattern -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParsePPDU -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOpenFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseAssociationResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzEVMSourceMatchesMathRand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/randsrc -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseNWKFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseAPSFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZCLFrame -fuzztime $(FUZZTIME)
@@ -86,11 +95,13 @@ racesim:
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume
 # boundaries; simulator capture sequences bit-identical across same-seed
-# runs and event-batch sizes, and equal to the pinned mesh goldens.
+# runs and event-batch sizes, and equal to the pinned mesh goldens; and
+# every seeded stream equal to math/rand's rand.NewSource stream.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity' -count 1 ./internal/experiment
+	$(GO) test -run 'TestSourceMatchesMathRand' -count 1 ./internal/randsrc
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
 # truth (internal/calib; ~10 s on 2 cores, the grid cells spread over

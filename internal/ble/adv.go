@@ -1,6 +1,7 @@
 package ble
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -33,6 +34,13 @@ const (
 	extFlagAuxPtr = 1 << 4
 )
 
+// Extended header lengths, flags byte included, of the two PDUs built
+// here (AdvMode 00, non-connectable non-scannable).
+const (
+	advExtIndExtLen = 1 + 2 + 3 // flags, ADI, AuxPtr
+	auxAdvIndExtLen = 1 + 6 + 2 // flags, AdvA, ADI
+)
+
 // AuxPtr describes where the auxiliary advertisement will be transmitted.
 type AuxPtr struct {
 	// ChannelIndex is the secondary advertising channel (0..36).
@@ -60,7 +68,7 @@ func BuildAdvExtInd(sid uint8, did uint16, aux AuxPtr) ([]byte, error) {
 	payload := make([]byte, 0, 7)
 	// Extended header length (6 bits) | AdvMode (2 bits, 00 =
 	// non-connectable non-scannable).
-	payload = append(payload, byte(6)) // flags + ADI(2) + AuxPtr(3)
+	payload = append(payload, advExtIndExtLen)
 	payload = append(payload, extFlagADI|extFlagAuxPtr)
 	payload = binary.LittleEndian.AppendUint16(payload, did|uint16(sid)<<12)
 	auxBytes, err := encodeAuxPtr(aux)
@@ -91,7 +99,7 @@ func BuildAuxAdvInd(advA [6]byte, sid uint8, did uint16, companyID uint16, data 
 	}
 
 	payload := make([]byte, 0, AuxAdvIndOverhead-2+len(data))
-	payload = append(payload, byte(9)) // ext header: flags + AdvA(6) + ADI(2)
+	payload = append(payload, auxAdvIndExtLen)
 	payload = append(payload, extFlagAdvA|extFlagADI)
 	payload = append(payload, advA[:]...)
 	payload = binary.LittleEndian.AppendUint16(payload, did|uint16(sid)<<12)
@@ -107,31 +115,43 @@ func BuildAuxAdvInd(advA [6]byte, sid uint8, did uint16, companyID uint16, data 
 }
 
 // ParseAuxAdvInd extracts the manufacturer-specific data from an
-// AUX_ADV_IND built by BuildAuxAdvInd.
+// AUX_ADV_IND built by BuildAuxAdvInd. It accepts that layout only —
+// no header flag bits, an AdvA+ADI extended header and one AD structure
+// filling the PDU — so every PDU it accepts re-encodes to its own
+// bytes.
 func ParseAuxAdvInd(pdu []byte) (advA [6]byte, companyID uint16, data []byte, err error) {
 	if len(pdu) < AuxAdvIndOverhead {
 		return advA, 0, nil, fmt.Errorf("ble: AUX_ADV_IND too short (%d bytes)", len(pdu))
 	}
-	if pdu[0]&0x0f != PDUTypeAdvExt {
-		return advA, 0, nil, fmt.Errorf("ble: PDU type %#x is not ADV_EXT", pdu[0]&0x0f)
-	}
-	if int(pdu[1]) != len(pdu)-2 {
-		return advA, 0, nil, fmt.Errorf("ble: PDU length field %d does not match %d payload bytes", pdu[1], len(pdu)-2)
-	}
-	if pdu[3]&extFlagAdvA == 0 || pdu[3]&extFlagADI == 0 {
-		return advA, 0, nil, fmt.Errorf("ble: missing AdvA/ADI in extended header")
+	if err := checkAdvExtHeader(pdu, auxAdvIndExtLen, extFlagAdvA|extFlagADI); err != nil {
+		return advA, 0, nil, err
 	}
 	copy(advA[:], pdu[4:10])
-	adLen := int(pdu[12])
 	if pdu[13] != ADTypeManufacturer {
 		return advA, 0, nil, fmt.Errorf("ble: AD type %#x is not manufacturer data", pdu[13])
 	}
-	if 12+1+adLen > len(pdu) {
-		return advA, 0, nil, fmt.Errorf("ble: AD structure overruns PDU")
+	if adLen := int(pdu[12]); 13+adLen != len(pdu) {
+		return advA, 0, nil, fmt.Errorf("ble: AD structure length %d does not fill the %d-byte PDU", adLen, len(pdu))
 	}
 	companyID = binary.LittleEndian.Uint16(pdu[14:16])
-	data = append([]byte{}, pdu[16:12+1+adLen]...)
+	data = append([]byte{}, pdu[AuxAdvIndOverhead:]...)
 	return advA, companyID, data, nil
+}
+
+// checkAdvExtHeader checks the PDU header and the extended header
+// length and flags bytes of an extended advertising PDU against the
+// ones the builders write.
+func checkAdvExtHeader(pdu []byte, extLen, flags byte) error {
+	if pdu[0] != PDUTypeAdvExt {
+		return fmt.Errorf("ble: PDU header %#x is not a bare ADV_EXT (%#x)", pdu[0], PDUTypeAdvExt)
+	}
+	if int(pdu[1]) != len(pdu)-2 {
+		return fmt.Errorf("ble: PDU length field %d does not match %d payload bytes", pdu[1], len(pdu)-2)
+	}
+	if pdu[2] != extLen || pdu[3] != flags {
+		return fmt.Errorf("ble: extended header length/flags %#x/%#x, want %#x/%#x", pdu[2], pdu[3], extLen, flags)
+	}
+	return nil
 }
 
 func encodeAuxPtr(aux AuxPtr) ([]byte, error) {
@@ -146,7 +166,7 @@ func encodeAuxPtr(aux AuxPtr) ([]byte, error) {
 		unitsBit = 1
 	}
 	offset := aux.OffsetUsec / units
-	if offset > 0x1fff {
+	if aux.OffsetUsec < 0 || offset > 0x1fff {
 		return nil, fmt.Errorf("ble: aux offset %d µs out of range", aux.OffsetUsec)
 	}
 	phyBits := 0 // LE 1M
@@ -160,16 +180,16 @@ func encodeAuxPtr(aux AuxPtr) ([]byte, error) {
 }
 
 // DecodeAuxPtr parses the three AuxPtr bytes of an ADV_EXT_IND built by
-// BuildAdvExtInd (it appears at payload offset 4, PDU offset 6).
+// BuildAdvExtInd (it appears at payload offset 4, PDU offset 6). It
+// accepts that layout only, with an AuxPtr BuildAdvExtInd would write,
+// so every PDU it accepts re-encodes to its own bytes.
 func DecodeAuxPtr(pdu []byte) (AuxPtr, error) {
-	if len(pdu) < 9 {
-		return AuxPtr{}, fmt.Errorf("ble: ADV_EXT_IND too short (%d bytes)", len(pdu))
+	// Header, extended header length byte, extended header.
+	if want := 2 + 1 + advExtIndExtLen; len(pdu) != want {
+		return AuxPtr{}, fmt.Errorf("ble: ADV_EXT_IND is %d bytes, want %d", len(pdu), want)
 	}
-	if pdu[0]&0x0f != PDUTypeAdvExt {
-		return AuxPtr{}, fmt.Errorf("ble: PDU type %#x is not ADV_EXT", pdu[0]&0x0f)
-	}
-	if pdu[3]&extFlagAuxPtr == 0 {
-		return AuxPtr{}, fmt.Errorf("ble: no AuxPtr present")
+	if err := checkAdvExtHeader(pdu, advExtIndExtLen, extFlagADI|extFlagAuxPtr); err != nil {
+		return AuxPtr{}, err
 	}
 	raw := pdu[6:9]
 	units := 30
@@ -181,9 +201,18 @@ func DecodeAuxPtr(pdu []byte) (AuxPtr, error) {
 	if raw[2]>>5 == 1 {
 		phy = LE2M
 	}
-	return AuxPtr{
+	aux := AuxPtr{
 		ChannelIndex: int(raw[0] & 0x3f),
 		OffsetUsec:   offset,
 		PHY:          phy,
-	}, nil
+	}
+	if !IsDataChannel(aux.ChannelIndex) {
+		return AuxPtr{}, fmt.Errorf("ble: aux channel %d is not a data channel", aux.ChannelIndex)
+	}
+	// The clock-accuracy bit, a reserved PHY or an offset in the other
+	// unit decode to an AuxPtr that encodes differently.
+	if enc, err := encodeAuxPtr(aux); err != nil || !bytes.Equal(enc, raw) {
+		return AuxPtr{}, fmt.Errorf("ble: AuxPtr % x is not one BuildAdvExtInd writes", raw)
+	}
+	return aux, nil
 }

@@ -385,6 +385,9 @@ func TestPacketValidation(t *testing.T) {
 	if _, _, err := good.ParseAirBits(make(bitstream.Bits, 4), 4); err == nil {
 		t.Error("expected error for short capture")
 	}
+	if _, _, err := good.ParseAirBits(make(bitstream.Bits, 64), -1); err == nil {
+		t.Error("expected error for negative PDU length")
+	}
 }
 
 func TestPacketAirBitsPropertyRoundTrip(t *testing.T) {
@@ -562,6 +565,11 @@ func TestParseAuxAdvIndErrors(t *testing.T) {
 	bad[13] = 0x09
 	if _, _, _, err := ParseAuxAdvInd(bad); err == nil {
 		t.Error("expected error for non-manufacturer AD type")
+	}
+	bad = append([]byte{}, good...)
+	bad[12] = 2 // shorter than type + company ID
+	if _, _, _, err := ParseAuxAdvInd(bad); err == nil {
+		t.Error("expected error for an AD length below 3")
 	}
 }
 

@@ -93,7 +93,8 @@ func (p *ESBPacket) AirBits() (bitstream.Bits, error) {
 // ParseESBAirBits decodes a bit stream that starts at the first address
 // bit (after the receiver matched the address, like a hardware pipe
 // correlator) into an ESB packet. addressLen selects the pipe address
-// width. It verifies the CRC.
+// width. It verifies the CRC and refuses a non-binary bit, so the
+// packet's AirBits reproduce the bits it read.
 func ParseESBAirBits(bits bitstream.Bits, addressLen int) (*ESBPacket, error) {
 	if addressLen < ESBMinAddress || addressLen > ESBMaxAddress {
 		return nil, fmt.Errorf("ble: ESB address length %d outside [%d,%d]", addressLen, ESBMinAddress, ESBMaxAddress)
@@ -113,6 +114,11 @@ func ParseESBAirBits(bits bitstream.Bits, addressLen int) (*ESBPacket, error) {
 	total := header + length*8 + 16
 	if len(bits) < total {
 		return nil, fmt.Errorf("ble: ESB capture truncated: %d bits, need %d", len(bits), total)
+	}
+	for i, b := range bits[:total] {
+		if b > 1 {
+			return nil, fmt.Errorf("ble: ESB bit %d has non-binary value %d", i, b)
+		}
 	}
 
 	wantCRC := bitstream.CRC16CCITTBits(bits[:header+length*8], 0xffff)

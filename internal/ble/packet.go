@@ -39,10 +39,7 @@ func preambleByte(aa uint32) byte {
 // AirBits assembles the exact on-air bit sequence of the packet: preamble,
 // Access Address, then the (optionally whitened) PDU and CRC.
 func (p *Packet) AirBits() (bitstream.Bits, error) {
-	if p.Channel < 0 || p.Channel >= ChannelCount {
-		return nil, fmt.Errorf("ble: channel %d out of range", p.Channel)
-	}
-	if _, err := p.Mode.SymbolRate(); err != nil {
+	if err := p.check(); err != nil {
 		return nil, err
 	}
 
@@ -70,12 +67,28 @@ func (p *Packet) AirBits() (bitstream.Bits, error) {
 	return append(bits, bodyBits...), nil
 }
 
+// check validates the channel and PHY that AirBits and ParseAirBits
+// depend on.
+func (p *Packet) check() error {
+	if p.Channel < 0 || p.Channel >= ChannelCount {
+		return fmt.Errorf("ble: channel %d out of range", p.Channel)
+	}
+	_, err := p.Mode.SymbolRate()
+	return err
+}
+
 // ParseAirBits reverses AirBits on a received bit stream that starts at
 // the PDU (immediately after the Access Address): it de-whitens when
 // whitening is enabled, extracts pduLen bytes and verifies the CRC when
 // enabled. It returns the PDU and whether the CRC verified (true when CRC
-// checking is disabled).
+// checking is disabled). It refuses a packet AirBits refuses.
 func (p *Packet) ParseAirBits(bits bitstream.Bits, pduLen int) ([]byte, bool, error) {
+	if err := p.check(); err != nil {
+		return nil, false, err
+	}
+	if pduLen < 0 || pduLen > len(bits)/8 {
+		return nil, false, fmt.Errorf("ble: PDU length %d does not fit a %d-bit capture", pduLen, len(bits))
+	}
 	total := pduLen
 	if !p.DisableCRC {
 		total += 3

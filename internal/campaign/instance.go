@@ -8,6 +8,7 @@ import (
 	"wazabee/internal/ids"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/randsrc"
 	"wazabee/internal/zigbee/sim"
 )
 
@@ -45,15 +46,15 @@ func splitmix64(x uint64) uint64 {
 // evmModel draws per-frame monitor features. Draws are keyed on the
 // global capture sequence number — deterministic and batch-order
 // independent — never on shared stream state: each frame re-keys rng to
-// the same stream rand.New(rand.NewSource(key)) would give.
+// key, whose stream is math/rand's seeded source's.
 type evmModel struct {
 	seed  int64
 	snrDB float64
-	rng   *rand.Rand // over an *evmSource
+	rng   *rand.Rand // over a *randsrc.Source
 }
 
 func newEVMModel(seed int64, snrDB float64) evmModel {
-	return evmModel{seed: seed, snrDB: snrDB, rng: rand.New(new(evmSource))}
+	return evmModel{seed: seed, snrDB: snrDB, rng: rand.New(randsrc.New(seed))}
 }
 
 // draw produces one frame's features: the soft-EVM statistic from the

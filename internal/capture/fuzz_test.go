@@ -2,6 +2,8 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"testing"
 	"time"
 )
@@ -110,4 +112,80 @@ func FuzzZEPDecode(f *testing.F) {
 			t.Fatalf("timestamp drifted %v", d)
 		}
 	})
+}
+
+// FuzzRecordRoundTrip feeds the record decoder arbitrary bytes, both
+// directly and through ReadRecord as one length-prefixed body and as a
+// raw stream. It must error without panicking. An accepted version-2
+// record must re-encode to its own bytes, an accepted version-1 record
+// must decode the same after re-encoding, and ReadRecord must accept a
+// framed body exactly when UnmarshalBinary accepts it.
+func FuzzRecordRoundTrip(f *testing.F) {
+	v2, err := Record{
+		At: time.Unix(1700000000, 5), Channel: 17, RSSIdBm: -44.5, SNRdB: 18.25, LQI: 201,
+		Seq: 7, CFOHz: -37_500, SyncCorr: 0.9375, ChipErrors: 42, ChipsCompared: 1364,
+		Decoder: "wazabee", PSDU: []byte{0x61, 0x88, 0x01},
+	}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	v1 := []byte{1, 0}
+	v1 = binary.BigEndian.AppendUint64(v1, uint64(time.Unix(5, 0).UnixNano()))
+	v1 = append(v1, 14, 200)
+	v1 = binary.BigEndian.AppendUint64(v1, 0)
+	v1 = binary.BigEndian.AppendUint64(v1, 0)
+	v1 = append(v1, 3, 'r', 'a', 'w', 2, 0xaa, 0xbb)
+	f.Add(v1)
+	f.Add([]byte{})
+	f.Add([]byte{2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec Record
+		err := rec.UnmarshalBinary(data)
+		framed := binary.BigEndian.AppendUint32(nil, uint32(len(data)))
+		got, rerr := ReadRecord(bytes.NewReader(append(framed, data...)))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("UnmarshalBinary error %v, ReadRecord of the framed body %v", err, rerr)
+		}
+		if err == nil {
+			enc := checkRecordRoundTrip(t, rec)
+			if data[0] == recordVersion && !bytes.Equal(enc, data) {
+				t.Fatalf("version-2 record re-encodes to %x, was %x", enc, data)
+			}
+			if genc, _ := got.MarshalBinary(); !bytes.Equal(genc, enc) {
+				t.Fatalf("ReadRecord decoded %+v, UnmarshalBinary %+v", got, rec)
+			}
+		}
+		stream := bytes.NewReader(data)
+		for range 8 {
+			rec, err := ReadRecord(stream)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return
+			}
+			checkRecordRoundTrip(t, rec)
+		}
+	})
+}
+
+// checkRecordRoundTrip re-encodes a decoded record, decodes that again
+// and fails unless both decodes encode to the same bytes; it returns the
+// encoding.
+func checkRecordRoundTrip(t *testing.T, rec Record) []byte {
+	t.Helper()
+	enc, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatalf("decoded record does not re-encode: %v", err)
+	}
+	var again Record
+	if err := again.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("re-encoded record does not decode: %v", err)
+	}
+	if enc2, _ := again.MarshalBinary(); !bytes.Equal(enc2, enc) {
+		t.Fatalf("record changed across re-encode: %+v vs %+v", rec, again)
+	}
+	return enc
 }

@@ -153,7 +153,10 @@ func (r Record) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a version-1 or version-2 record. Unknown
 // future versions are rejected with a descriptive error rather than
-// misparsed; corrupt input yields an error, never a panic.
+// misparsed; corrupt input yields an error, never a panic. So does
+// anything MarshalBinary never writes — set reserved flags or bytes
+// after the PSDU — so an accepted version-2 record re-encodes to its
+// own bytes.
 func (r *Record) UnmarshalBinary(b []byte) error {
 	if len(b) < 1 {
 		return fmt.Errorf("capture: empty record")
@@ -162,6 +165,9 @@ func (r *Record) UnmarshalBinary(b []byte) error {
 	if version == 0 || version > recordMaxKnown {
 		return fmt.Errorf("capture: record version %d is newer than this reader supports (max %d); upgrade the reader or re-record",
 			version, recordMaxKnown)
+	}
+	if len(b) > 1 && b[1] != 0 {
+		return fmt.Errorf("capture: reserved record flags %#x set", b[1])
 	}
 	header := recordV1Header
 	if version == 2 {
@@ -203,6 +209,9 @@ func (r *Record) UnmarshalBinary(b []byte) error {
 	rest = rest[1:]
 	if len(rest) < plen {
 		return fmt.Errorf("capture: PSDU truncated (%d < %d)", len(rest), plen)
+	}
+	if len(rest) > plen {
+		return fmt.Errorf("capture: %d bytes after the PSDU", len(rest)-plen)
 	}
 	*r = Record{
 		At:            time.Unix(0, at),

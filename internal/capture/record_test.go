@@ -88,6 +88,17 @@ func TestReadRecordRejectsCorruptStream(t *testing.T) {
 	if _, err := ReadRecord(bytes.NewReader(raw)); err == nil {
 		t.Error("accepted an unknown record version")
 	}
+	// What MarshalBinary never writes: reserved flags, then a byte after
+	// the PSDU (the length prefix grown to cover it).
+	raw[4], raw[5] = recordVersion, 0x80
+	if _, err := ReadRecord(bytes.NewReader(raw)); err == nil {
+		t.Error("accepted set reserved flags")
+	}
+	raw[5] = 0
+	raw[3]++
+	if _, err := ReadRecord(bytes.NewReader(append(raw, 0))); err == nil {
+		t.Error("accepted a byte after the PSDU")
+	}
 }
 
 func TestMarshalRejectsInvalidRecords(t *testing.T) {

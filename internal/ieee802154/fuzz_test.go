@@ -74,3 +74,21 @@ func FuzzOpenFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseAssociationResponse checks that the association response
+// parser never panics and that every payload it accepts is the one
+// NewAssociationResponse writes for the address and status it returned.
+func FuzzParseAssociationResponse(f *testing.F) {
+	f.Add(NewAssociationResponse(1, 0x1234, 0x0042, 0x0063, 0).Payload)
+	f.Add([]byte{byte(CmdAssociationResponse), 0xff, 0xff, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		assigned, status, err := ParseAssociationResponse(payload)
+		if err != nil {
+			return
+		}
+		if out := NewAssociationResponse(0, 0, 0, assigned, status).Payload; !bytes.Equal(out, payload) {
+			t.Fatalf("association response re-encodes to % x, was % x", out, payload)
+		}
+	})
+}

@@ -29,6 +29,7 @@ import (
 	"wazabee/internal/ble"
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/randsrc"
 )
 
 // Emulator is the attacker-controlled modulation (the radio being
@@ -206,7 +207,7 @@ func ScoreEntry(e CatalogueEntry, tgt Target, samplesPerSymbol int, seed int64) 
 	if err != nil {
 		return PairScore{}, err
 	}
-	score, err := Similarity(em, tgt, rand.New(rand.NewSource(seed)))
+	score, err := Similarity(em, tgt, rand.New(randsrc.New(seed)))
 	if err != nil {
 		return PairScore{}, err
 	}

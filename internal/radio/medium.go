@@ -14,6 +14,7 @@ import (
 
 	"wazabee/internal/dsp"
 	"wazabee/internal/obs"
+	"wazabee/internal/randsrc"
 )
 
 // Link describes the propagation between one transmitter and one receiver.
@@ -75,7 +76,7 @@ func NewMedium(sampleRateHz float64, seed int64) (*Medium, error) {
 	}
 	return &Medium{
 		SampleRateHz: sampleRateHz,
-		rnd:          rand.New(rand.NewSource(seed)),
+		rnd:          rand.New(randsrc.New(seed)),
 	}, nil
 }
 
@@ -85,7 +86,10 @@ func (m *Medium) AddWiFi(w WiFiInterferer) {
 }
 
 // Rand exposes the medium's random source so callers sequencing several
-// deliveries share one deterministic stream.
+// deliveries share one deterministic stream: math/rand's seeded stream,
+// replicated by a randsrc.Source that computes each seeded word at its
+// first read, so the frame- and symbol-tier meshes, which never draw
+// from it, pay no seeding.
 //
 // The returned *rand.Rand is NOT synchronised: it must only be used
 // from the single goroutine that drives this medium's waveform

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"wazabee/internal/dsp"
@@ -26,6 +27,29 @@ func TestNewMediumValidation(t *testing.T) {
 	}
 	if m.Rand() == nil {
 		t.Error("Rand() returned nil")
+	}
+}
+
+// TestMediumRandMatchesMathRand pins the medium's stream, which every
+// IQ noise floor and CFO draw comes from, to math/rand's seeded source.
+func TestMediumRandMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		m, err := NewMedium(16e6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := m.Rand(), rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			var g, w float64
+			if i%3 == 0 {
+				g, w = got.Float64(), want.Float64()
+			} else {
+				g, w = got.NormFloat64(), want.NormFloat64()
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d: draw %d = %v, math/rand gives %v", seed, i, g, w)
+			}
+		}
 	}
 }
 

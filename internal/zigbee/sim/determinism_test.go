@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -35,6 +36,22 @@ func digestRun(t *testing.T, topo Topology, seed int64, virtualFor, batchSize ti
 
 // TestSimDeterministicAcrossRuns pins the headline determinism claim:
 // two same-seed runs produce byte-identical capture sequences.
+// TestNodeRandMatchesMathRand pins the node and intruder streams, which
+// every backoff and jitter draw comes from, to math/rand's seeded
+// source.
+func TestNodeRandMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		for _, id := range []int{IntruderSrc, 0, 1110} {
+			got, want := nodeRand(seed, id), rand.New(rand.NewSource(nodeSeed(seed, id)))
+			for i := 0; i < 2000; i++ {
+				if g, w := got.Int63n(1<<uint(i%40+1)), want.Int63n(1<<uint(i%40+1)); g != w {
+					t.Fatalf("seed %d node %d: draw %d = %d, math/rand gives %d", seed, id, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestSimDeterministicAcrossRuns(t *testing.T) {
 	a, na := digestRun(t, Tree(2, 5), 42, 30*time.Second, 0)
 	b, nb := digestRun(t, Tree(2, 5), 42, 30*time.Second, 0)

@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"wazabee/internal/randsrc"
+)
 
 // The simulator follows the Monte-Carlo runner's seed discipline
 // (internal/experiment/runner): structured coordinates pass through
@@ -37,7 +41,9 @@ func deliverySeed(seed int64, frameSeq uint64, rxID int) uint64 {
 	return h
 }
 
-// nodeRand builds a node's private random stream.
+// nodeRand builds a node's private random stream: the stream
+// rand.NewSource would give, seeded lazily because a node draws a few
+// dozen outputs in a typical run.
 func nodeRand(seed int64, nodeID int) *rand.Rand {
-	return rand.New(rand.NewSource(nodeSeed(seed, nodeID)))
+	return rand.New(randsrc.New(nodeSeed(seed, nodeID)))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/randsrc"
 )
 
 // Role is a node's 802.15.4 device role.
@@ -167,7 +168,7 @@ func Random(n int, seed int64) Topology {
 	if n < 2 {
 		n = 2
 	}
-	rnd := rand.New(rand.NewSource(nodeSeed(seed, -1)))
+	rnd := rand.New(randsrc.New(nodeSeed(seed, -1)))
 	pans := 1 + (n-1)/400
 	channels := rnd.Perm(ieee802154.LastChannel - ieee802154.FirstChannel + 1)
 
