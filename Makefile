@@ -94,13 +94,16 @@ racesim:
 
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume
-# boundaries; simulator capture sequences bit-identical across same-seed
-# runs and event-batch sizes, and equal to the pinned mesh goldens; and
+# boundaries; the Table III and PER-sweep tallies equal to the pinned
+# experiment golden; simulator capture sequences bit-identical across
+# same-seed runs and event-batch sizes, and equal to the pinned mesh
+# goldens; the calibration fit byte-identical at any worker count; and
 # every seeded stream equal to math/rand's rand.NewSource stream.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
-	$(GO) test -run 'TestFidelity' -count 1 ./internal/experiment
+	$(GO) test -run 'TestFidelity|TestExperimentGolden' -count 1 ./internal/experiment
+	$(GO) test -run 'TestFitIdenticalAcrossWorkerCounts' -count 1 ./internal/calib
 	$(GO) test -run 'TestSourceMatchesMathRand' -count 1 ./internal/randsrc
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground

@@ -8,6 +8,7 @@ package wazabee
 // reproduction report.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -81,7 +82,7 @@ func benchTable3(b *testing.B, model chip.Model, side experiment.Side) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		res, err := experiment.Run(cfg, model, side)
+		res, err := experiment.RunContext(context.Background(), cfg, model, side)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +262,7 @@ func BenchmarkSNRSweep(b *testing.B) {
 	var per float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		points, err := experiment.RunSweep(cfg, chip.CC1352R1(), experiment.Reception)
+		points, err := experiment.RunSweepContext(context.Background(), cfg, chip.CC1352R1(), experiment.Reception)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func BenchmarkRunnerSweep(b *testing.B) {
 		trials := 0
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(i + 1)
-			points, err := experiment.RunSweep(cfg, chip.CC1352R1(), experiment.Reception)
+			points, err := experiment.RunSweepContext(context.Background(), cfg, chip.CC1352R1(), experiment.Reception)
 			if err != nil {
 				b.Fatal(err)
 			}

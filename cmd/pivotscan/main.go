@@ -21,7 +21,6 @@ import (
 	"wazabee/internal/experiment"
 	"wazabee/internal/modsim"
 	"wazabee/internal/obs"
-	"wazabee/internal/radio"
 )
 
 func main() {
@@ -41,15 +40,8 @@ func run(args []string, out, errOut io.Writer) error {
 	workers := fs.Int("workers", 0, "Monte-Carlo worker pool size; 0 = GOMAXPROCS (results are identical at any value)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file; completed shards persist here and an identical invocation resumes from it")
 	ciHalf := fs.Float64("ci", 0, "adaptive stop: end each entry once the 95% CI half-width of its pivotable rate reaches this target; 0 = fixed burst count")
-	fidelity := fs.String("fidelity", "iq", "frame-delivery tier; the modulation-similarity survey has no calibrated shortcut, so only iq is accepted")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if fid, err := radio.ParseFidelity(*fidelity); err != nil {
-		return err
-	} else if fid != radio.FidelityIQ {
-		return fmt.Errorf("-fidelity %s is not supported: pivotscan scores raw modulation similarity, which only exists at IQ fidelity", fid)
 	}
 
 	// The single-burst survey below never reaches the runner, which

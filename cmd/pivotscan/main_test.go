@@ -31,7 +31,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-ci", "+Inf"},
 		{"-ci", "-Inf"},
 		{"-bursts", "0"},
-		{"-fidelity", "frame"},
+		{"-fidelity", "frame"}, // no such flag: the survey only exists at IQ
 		{"-no-such-flag"},
 	} {
 		args := append(append([]string(nil), pivotscanBase...), bad...)

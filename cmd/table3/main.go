@@ -142,7 +142,6 @@ func run(args []string, out, errOut io.Writer) error {
 func printRoundTripTrace(out io.Writer, reg *obs.Registry, seed int64) error {
 	const sps = 8
 	model := chip.NRF52832()
-	stick := chip.RZUSBStick()
 	channel := zigbee.DefaultChannel
 	freq, err := ieee802154.ChannelFrequencyMHz(channel)
 	if err != nil {
@@ -164,61 +163,38 @@ func printRoundTripTrace(out io.Writer, reg *obs.Registry, seed int64) error {
 	if err != nil {
 		return err
 	}
-	zigbeePHY, err := stick.NewZigbeePHY(sps)
-	if err != nil {
-		return err
-	}
-	tx, err := model.NewWazaBeeTransmitter(sps)
-	if err != nil {
-		return err
-	}
-	rx, err := model.NewWazaBeeReceiver(sps)
-	if err != nil {
-		return err
-	}
-
-	tr := obs.NewTrace(fmt.Sprintf("one frame per side, %s <-> %s, channel %d", model.Name, stick.Name, channel))
-	tx.Obs, tx.Trace = reg, tr
-	rx.Obs, rx.Trace = reg, tr
+	tr := obs.NewTrace(fmt.Sprintf("one frame per side, %s <-> %s, channel %d", model.Name, chip.RZUSBStick().Name, channel))
 	medium.Obs, medium.Trace = reg, tr
-	zigbeePHY.Obs, zigbeePHY.Trace = reg, tr
 	link := radio.Link{SNRdB: 12, LeadSamples: 40 * sps, LagSamples: 20 * sps}
 
-	// Transmission side: the diverted BLE chip transmits, the
-	// legitimate 802.15.4 radio receives.
-	span := tr.Start("transmission").SetAttr("channel", channel)
-	sig, err := tx.Modulate(ppdu)
-	if err != nil {
-		return err
+	// Transmission first, then reception: both deliveries draw from the
+	// one medium's stream in that order.
+	for _, side := range []experiment.Side{experiment.Transmission, experiment.Reception} {
+		tx, rx := side.Ends(model)
+		modulate, err := tx.Modulator(sps, reg, tr)
+		if err != nil {
+			return err
+		}
+		demodulate, err := rx.Demodulator(sps, reg, tr)
+		if err != nil {
+			return err
+		}
+		span := tr.Start(side.String()).SetAttr("channel", channel)
+		sig, err := modulate(ppdu)
+		if err != nil {
+			return err
+		}
+		capture, err := medium.Deliver(sig, freq, freq, link)
+		if err != nil {
+			return err
+		}
+		if dem, _, err := demodulate(capture); err != nil {
+			span.SetAttr("result", err.Error())
+		} else {
+			span.SetAttr("result", "received").SetAttr("worst_chip_distance", dem.WorstChipDistance)
+		}
+		span.End()
 	}
-	capture, err := medium.Deliver(sig, freq, freq, link)
-	if err != nil {
-		return err
-	}
-	if _, err := zigbeePHY.Demodulate(capture); err != nil {
-		span.SetAttr("result", err.Error())
-	} else {
-		span.SetAttr("result", "received")
-	}
-	span.End()
-
-	// Reception side: the legitimate radio transmits, the diverted BLE
-	// chip locks on via the MSK Access Address and despreads.
-	span = tr.Start("reception").SetAttr("channel", channel)
-	sig, err = zigbeePHY.Modulate(ppdu)
-	if err != nil {
-		return err
-	}
-	capture, err = medium.Deliver(sig, freq, freq, link)
-	if err != nil {
-		return err
-	}
-	if dem, err := rx.Receive(capture); err != nil {
-		span.SetAttr("result", err.Error())
-	} else {
-		span.SetAttr("result", "received").SetAttr("worst_chip_distance", dem.WorstChipDistance)
-	}
-	span.End()
 
 	fmt.Fprintln(out, "=== round-trip span trace ===")
 	fmt.Fprint(out, tr.Tree())

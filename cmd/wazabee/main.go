@@ -21,13 +21,14 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/chip"
 	"wazabee/internal/core"
-	"wazabee/internal/dsp"
+	"wazabee/internal/experiment"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/obs/link"
@@ -37,66 +38,66 @@ import (
 
 func main() {
 	obs.RegisterBuildInfo(nil)
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "wazabee:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out, errOut io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("missing subcommand (table, channels, chips, convert, tx, rx, link)")
 	}
 	switch args[0] {
 	case "link":
-		return linkReport(args[1:])
+		return linkReport(args[1:], out, errOut)
 	case "table":
-		return printTable()
+		return printTable(out)
 	case "channels":
-		return printChannels()
+		return printChannels(out)
 	case "chips":
-		return printChips()
+		return printChips(out)
 	case "convert":
 		if len(args) < 2 {
 			return fmt.Errorf("convert needs a 32-chip bit string")
 		}
-		return convert(args[1])
+		return convert(out, args[1])
 	case "tx":
-		return overAir(args[1:], true)
+		return overAir(args[1:], out, errOut, experiment.Transmission)
 	case "rx":
-		return overAir(args[1:], false)
+		return overAir(args[1:], out, errOut, experiment.Reception)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 }
 
-func printTable() error {
+func printTable(out io.Writer) error {
 	table, err := core.CorrespondenceTable()
 	if err != nil {
 		return err
 	}
-	fmt.Println("symbol  PN sequence (32 chips, Table I)      MSK encoding (31 bits, Algorithm 1)")
+	fmt.Fprintln(out, "symbol  PN sequence (32 chips, Table I)      MSK encoding (31 bits, Algorithm 1)")
 	for _, row := range table {
-		fmt.Printf("%4d    %s %s\n", row.Symbol, row.PN, row.MSK)
+		fmt.Fprintf(out, "%4d    %s %s\n", row.Symbol, row.PN, row.MSK)
 	}
-	fmt.Printf("\nBLE access address for 802.15.4 preamble detection: 0x%08x\n", core.AccessAddress())
+	fmt.Fprintf(out, "\nBLE access address for 802.15.4 preamble detection: 0x%08x\n", core.AccessAddress())
 	return nil
 }
 
-func printChannels() error {
-	fmt.Println("Zigbee channel  BLE channel  centre frequency (Table II)")
+func printChannels(out io.Writer) error {
+	fmt.Fprintln(out, "Zigbee channel  BLE channel  centre frequency (Table II)")
 	for _, m := range core.CommonChannels() {
-		fmt.Printf("%14d  %11d  %g MHz\n", m.Zigbee, m.BLE, m.FrequencyMHz)
+		fmt.Fprintf(out, "%14d  %11d  %g MHz\n", m.Zigbee, m.BLE, m.FrequencyMHz)
 	}
 	return nil
 }
 
-func printChips() error {
+func printChips(out io.Writer) error {
 	models := []chip.Model{
 		chip.NRF52832(), chip.CC1352R1(), chip.NRF51822(),
 		chip.CC2652R(), chip.AndroidController(), chip.RZUSBStick(),
 	}
-	fmt.Printf("%-24s %-8s %-9s %-9s %-9s %-8s %s\n",
+	fmt.Fprintf(out, "%-24s %-8s %-9s %-9s %-9s %-8s %s\n",
 		"chip", "mode", "any-freq", "crc-off", "whit-off", "tx", "rx")
 	for _, m := range models {
 		mode := "-"
@@ -110,13 +111,13 @@ func printChips() error {
 		if _, err := m.NewWazaBeeReceiver(8); err == nil {
 			rxOK = "yes"
 		}
-		fmt.Printf("%-24s %-8s %-9v %-9v %-9v %-8s %s\n",
+		fmt.Fprintf(out, "%-24s %-8s %-9v %-9v %-9v %-8s %s\n",
 			m.Name, mode, m.ArbitraryFrequency, m.CanDisableCRC, m.CanDisableWhitening, txOK, rxOK)
 	}
 	return nil
 }
 
-func convert(s string) error {
+func convert(out io.Writer, s string) error {
 	pn, err := bitstream.ParseBits(s)
 	if err != nil {
 		return err
@@ -125,15 +126,16 @@ func convert(s string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("PN : %s\nMSK: %s\n", pn, msk)
+	fmt.Fprintf(out, "PN : %s\nMSK: %s\n", pn, msk)
 	return nil
 }
 
 // linkReport sounds the simulated link with test frames and prints each
 // frame's LinkStats plus the per-channel aggregate — the one-shot
 // diagnostics table the CI smoke target runs.
-func linkReport(args []string) error {
+func linkReport(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("link", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	chipName := fs.String("chip", "nrf52832", "BLE chip model (nrf52832, cc1352r1, nrf51822)")
 	channel := fs.Int("channel", zigbee.DefaultChannel, "Zigbee channel (11-26)")
 	frames := fs.Int("frames", 10, "number of sounding frames")
@@ -145,6 +147,11 @@ func linkReport(args []string) error {
 	if *frames < 1 {
 		return fmt.Errorf("frame count %d < 1", *frames)
 	}
+	const sps = 8
+	air := radio.Link{SNRdB: *snr, LeadSamples: 40 * sps, LagSamples: 20 * sps}
+	if err := air.Validate(); err != nil {
+		return err
+	}
 
 	model, err := chipByName(*chipName)
 	if err != nil {
@@ -154,7 +161,6 @@ func linkReport(args []string) error {
 		return fmt.Errorf("%s cannot tune Zigbee channel %d", model.Name, *channel)
 	}
 
-	const sps = 8
 	freq, err := ieee802154.ChannelFrequencyMHz(*channel)
 	if err != nil {
 		return err
@@ -163,55 +169,50 @@ func linkReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	stick := chip.RZUSBStick()
-	zigbeePHY, err := stick.NewZigbeePHY(sps)
+	// Keep the sounding run's telemetry out of the process totals.
+	reg := obs.NewRegistry()
+	medium.Obs = reg
+	modulate, err := chip.RZUSBStick().Modulator(sps, reg, nil)
 	if err != nil {
 		return err
 	}
+	// The receiver is the WazaBee primitive itself rather than a modem
+	// half: the sounding stamps each capture's emission time.
 	rx, err := model.NewWazaBeeReceiver(sps)
 	if err != nil {
 		return err
 	}
-	// Keep the sounding run's telemetry out of the process totals.
-	reg := obs.NewRegistry()
-	medium.Obs, zigbeePHY.Obs, rx.Obs = reg, reg, reg
+	rx.Obs = reg
 	agg := link.NewAggregator(reg)
 
-	fmt.Printf("sounding channel %d (%g MHz), %s receiving, %d frames at %g dB SNR\n\n",
+	fmt.Fprintf(out, "sounding channel %d (%g MHz), %s receiving, %d frames at %g dB SNR\n\n",
 		*channel, freq, model.Name, *frames, *snr)
-	fmt.Printf("%-6s %-10s %9s %9s %10s %6s %9s %5s\n",
+	fmt.Fprintf(out, "%-6s %-10s %9s %9s %10s %6s %9s %5s\n",
 		"frame", "result", "rssi(dB)", "snr(dB)", "cfo(Hz)", "sync", "chip-err", "lqi")
 	for i := 0; i < *frames; i++ {
-		frame := ieee802154.NewDataFrame(uint8(i), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-			zigbee.DefaultSensor, zigbee.SensorPayload(uint16(i)), false)
-		psdu, err := frame.Encode()
+		ppdu, err := ieee802154.NewPPDU(experiment.CounterFrame(i))
 		if err != nil {
 			return err
 		}
-		ppdu, err := ieee802154.NewPPDU(psdu)
-		if err != nil {
-			return err
-		}
-		sig, err := zigbeePHY.Modulate(ppdu)
+		sig, err := modulate(ppdu)
 		if err != nil {
 			return err
 		}
 		origin := time.Now() // the frame hits the air now
-		capture, err := medium.Deliver(sig, freq, freq,
-			radio.Link{SNRdB: *snr, LeadSamples: 40 * sps, LagSamples: 20 * sps})
+		capture, err := medium.Deliver(sig, freq, freq, air)
 		if err != nil {
 			return err
 		}
 		_, st, _ := rx.ReceiveStatsAt(origin, capture)
 		agg.Observe(*channel, st)
-		fmt.Printf("%-6d %-10s %9.1f %9.1f %10.0f %6.2f %9.4f %5d\n",
+		fmt.Fprintf(out, "%-6d %-10s %9.1f %9.1f %10.0f %6.2f %9.4f %5d\n",
 			i, st.Result(), st.RSSIdBFS, st.SNRdB, st.CFOHz, st.SyncCorr, st.ChipErrorRate(), st.LQI)
 	}
-	fmt.Println("\nper-channel aggregate:")
-	fmt.Print(agg.Table())
+	fmt.Fprintln(out, "\nper-channel aggregate:")
+	fmt.Fprint(out, agg.Table())
 	hDemod := obs.LatencyHistogram(reg, "demod", "decoder", "wazabee")
 	if n := hDemod.Count(); n > 0 {
-		fmt.Printf("\ndecode latency (emit→verdict, %d frames): p50 %.3f ms  p99 %.3f ms\n",
+		fmt.Fprintf(out, "\ndecode latency (emit→verdict, %d frames): p50 %.3f ms  p99 %.3f ms\n",
 			n, hDemod.Quantile(0.5)*1e3, hDemod.Quantile(0.99)*1e3)
 	}
 	return nil
@@ -230,8 +231,12 @@ func chipByName(name string) (chip.Model, error) {
 	}
 }
 
-func overAir(args []string, wazaTransmits bool) error {
+// overAir sends one frame across the side's link: on Transmission the
+// diverted chip transmits to the RZUSBStick, on Reception the RZUSBStick
+// transmits to the diverted chip.
+func overAir(args []string, out, errOut io.Writer, side experiment.Side) error {
 	fs := flag.NewFlagSet("air", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	chipName := fs.String("chip", "nrf52832", "BLE chip model (nrf52832, cc1352r1, nrf51822)")
 	channel := fs.Int("channel", zigbee.DefaultChannel, "Zigbee channel (11-26)")
 	payloadHex := fs.String("payload", "cafe0042", "MAC payload bytes (hex)")
@@ -239,6 +244,11 @@ func overAir(args []string, wazaTransmits bool) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	metrics := fs.Bool("metrics", false, "print the span trace and telemetry snapshot after the round trip")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	const sps = 8
+	air := radio.Link{SNRdB: *snr, LeadSamples: 40 * sps, LagSamples: 20 * sps}
+	if err := air.Validate(); err != nil {
 		return err
 	}
 
@@ -254,7 +264,6 @@ func overAir(args []string, wazaTransmits bool) error {
 		return fmt.Errorf("payload: %w", err)
 	}
 
-	const sps = 8
 	freq, err := ieee802154.ChannelFrequencyMHz(*channel)
 	if err != nil {
 		return err
@@ -271,7 +280,7 @@ func overAir(args []string, wazaTransmits bool) error {
 	if *metrics {
 		reg = obs.NewRegistry()
 		direction := "rx"
-		if wazaTransmits {
+		if side == experiment.Transmission {
 			direction = "tx"
 		}
 		tr = obs.NewTrace(fmt.Sprintf("wazabee %s, %s, channel %d", direction, model.Name, *channel))
@@ -288,35 +297,27 @@ func overAir(args []string, wazaTransmits bool) error {
 		return err
 	}
 
-	stick := chip.RZUSBStick()
-	zigbeePHY, err := stick.NewZigbeePHY(sps)
+	tx, rx := side.Ends(model)
+	modulate, err := tx.Modulator(sps, reg, tr)
 	if err != nil {
 		return err
 	}
-	zigbeePHY.Obs, zigbeePHY.Trace = reg, tr
-
-	var sig dsp.IQ
-	if wazaTransmits {
-		tx, err := model.NewWazaBeeTransmitter(sps)
-		if err != nil {
-			return err
-		}
-		tx.Obs, tx.Trace = reg, tr
-		sig, err = tx.Modulate(ppdu)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("WazaBee TX on %s: %d-byte PSDU as %d GFSK bits on channel %d (%g MHz)\n",
+	demodulate, err := rx.Demodulator(sps, reg, tr)
+	if err != nil {
+		return err
+	}
+	sig, err := modulate(ppdu)
+	if err != nil {
+		return err
+	}
+	if side == experiment.Transmission {
+		fmt.Fprintf(out, "WazaBee TX on %s: %d-byte PSDU as %d GFSK bits on channel %d (%g MHz)\n",
 			model.Name, len(psdu), len(sig)/sps, *channel, freq)
 	} else {
-		sig, err = zigbeePHY.Modulate(ppdu)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("802.15.4 TX (RZUSBStick): %d-byte PSDU on channel %d (%g MHz)\n", len(psdu), *channel, freq)
+		fmt.Fprintf(out, "802.15.4 TX (%s): %d-byte PSDU on channel %d (%g MHz)\n", tx.Name, len(psdu), *channel, freq)
 	}
 
-	capture, err := medium.Deliver(sig, freq, freq, radio.Link{SNRdB: *snr, LeadSamples: 40 * sps, LagSamples: 20 * sps})
+	capture, err := medium.Deliver(sig, freq, freq, air)
 	if err != nil {
 		return err
 	}
@@ -327,42 +328,34 @@ func overAir(args []string, wazaTransmits bool) error {
 		if !*metrics {
 			return nil
 		}
-		fmt.Println("\n=== span trace ===")
-		fmt.Print(tr.Tree())
-		fmt.Println("\n=== telemetry snapshot (Prometheus text format) ===")
-		return reg.WritePrometheus(os.Stdout)
+		fmt.Fprintln(out, "\n=== span trace ===")
+		fmt.Fprint(out, tr.Tree())
+		fmt.Fprintln(out, "\n=== telemetry snapshot (Prometheus text format) ===")
+		return reg.WritePrometheus(out)
 	}
 
-	var dem *ieee802154.Demodulated
-	if wazaTransmits {
-		dem, err = zigbeePHY.Demodulate(capture)
-		if err != nil {
-			dumpMetrics()
+	dem, _, err := demodulate(capture)
+	if err != nil {
+		_ = dumpMetrics() // the receive error is the one to report
+		if side == experiment.Transmission {
 			return fmt.Errorf("802.15.4 RX: %w", err)
 		}
-		fmt.Println("802.15.4 RX (RZUSBStick): frame received")
+		return fmt.Errorf("WazaBee RX: %w", err)
+	}
+	if side == experiment.Transmission {
+		fmt.Fprintf(out, "802.15.4 RX (%s): frame received\n", rx.Name)
 	} else {
-		rx, err := model.NewWazaBeeReceiver(sps)
-		if err != nil {
-			return err
-		}
-		rx.Obs, rx.Trace = reg, tr
-		dem, err = rx.Receive(capture)
-		if err != nil {
-			dumpMetrics()
-			return fmt.Errorf("WazaBee RX: %w", err)
-		}
-		fmt.Printf("WazaBee RX on %s: frame received\n", model.Name)
+		fmt.Fprintf(out, "WazaBee RX on %s: frame received\n", model.Name)
 	}
 
-	fmt.Printf("  PSDU: %x\n", dem.PPDU.PSDU)
-	fmt.Printf("  FCS valid: %v, worst chip distance: %d, sync errors: %d\n",
+	fmt.Fprintf(out, "  PSDU: %x\n", dem.PPDU.PSDU)
+	fmt.Fprintf(out, "  FCS valid: %v, worst chip distance: %d, sync errors: %d\n",
 		bitstream.CheckFCS(dem.PPDU.PSDU), dem.WorstChipDistance, dem.SyncErrors)
 	rxFrame, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  MAC: %v seq=%d PAN=%#04x dest=%#04x src=%#04x payload=%x\n",
+	fmt.Fprintf(out, "  MAC: %v seq=%d PAN=%#04x dest=%#04x src=%#04x payload=%x\n",
 		rxFrame.Type, rxFrame.Seq, rxFrame.DestPAN, rxFrame.DestAddr, rxFrame.SrcAddr, rxFrame.Payload)
 	return dumpMetrics()
 }

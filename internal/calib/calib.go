@@ -22,11 +22,13 @@ import (
 
 	"wazabee/internal/chip"
 	"wazabee/internal/dsp"
+	"wazabee/internal/experiment"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/obs/link"
 	"wazabee/internal/radio"
-	"wazabee/internal/zigbee"
+	"wazabee/internal/randsrc"
 )
 
 // calFreqMHz is the carrier the calibration frames air on. The medium's
@@ -68,98 +70,41 @@ func DefaultOptions() Options {
 	return Options{SamplesPerChip: 8, FramesPerCell: 28, Seed: 1}
 }
 
-// endpoints is the modem pair of one calibration profile.
-type endpoints struct {
-	modulate   func(*ieee802154.PPDU) (dsp.IQ, error)
-	demodulate func(dsp.IQ) (*ieee802154.Demodulated, error)
-}
-
-// profileSpec describes one profile's link flavour and grid axes.
+// profileSpec describes one profile: the transmitting and receiving
+// radio of its link and its grid axes.
 type profileSpec struct {
-	name string
-	cfo  []float64
-	wifi []float64
-	// build constructs a fresh modem pair (called once per profile for
-	// the waveforms and once per cell for the demodulator).
-	build func(sps int, reg *obs.Registry) (endpoints, error)
-}
-
-// nativeEndpoints is an O-QPSK modem on both ends (the RZUSBStick role,
-// and what every node of the mesh simulator is).
-func nativeEndpoints(sps int, reg *obs.Registry) (endpoints, error) {
-	phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
-	if err != nil {
-		return endpoints{}, err
-	}
-	phy.Obs = reg
-	return endpoints{
-		modulate:   phy.Modulate,
-		demodulate: phy.Demodulate,
-	}, nil
-}
-
-// receptionEndpoints: legitimate 802.15.4 transmitter, diverted BLE
-// chip receiving (Table III's reception column).
-func receptionEndpoints(model chip.Model) func(int, *obs.Registry) (endpoints, error) {
-	return func(sps int, reg *obs.Registry) (endpoints, error) {
-		phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		phy.Obs = reg
-		rx, err := model.NewWazaBeeReceiver(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		rx.Obs = reg
-		return endpoints{modulate: phy.Modulate, demodulate: rx.Receive}, nil
-	}
-}
-
-// transmissionEndpoints: diverted BLE chip transmitting, legitimate
-// 802.15.4 radio receiving (Table III's transmission column).
-func transmissionEndpoints(model chip.Model) func(int, *obs.Registry) (endpoints, error) {
-	return func(sps int, reg *obs.Registry) (endpoints, error) {
-		tx, err := model.NewWazaBeeTransmitter(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		tx.Obs = reg
-		phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		phy.Obs = reg
-		return endpoints{modulate: tx.Modulate, demodulate: phy.Demodulate}, nil
-	}
+	name   string
+	tx, rx chip.Model
+	cfo    []float64
+	wifi   []float64
 }
 
 // profileSpecs enumerates the fitted profiles: the native O-QPSK link of
-// the mesh simulator plus both WazaBee chips on both sides. The CFO axis
-// tops out at each pairing's worst-case crystal budget (1 ppm at f MHz
-// is f Hz, and the experiment draws from ±(txPPM+rxPPM)).
+// the mesh simulator (an RZUSBStick-class radio at both ends) plus both
+// WazaBee chips on both Table III sides. The CFO axis tops out at each
+// pairing's worst-case crystal budget (1 ppm at f MHz is f Hz, and the
+// experiment draws from ±(txPPM+rxPPM)).
 func profileSpecs() []profileSpec {
 	stick := chip.RZUSBStick()
 	specs := []profileSpec{{
 		name: radio.ProfileOQPSK,
+		tx:   stick,
+		rx:   stick,
 		// The mesh simulator models co-located identical radios; its
 		// links carry no CFO, so one axis point suffices (lookups clamp).
-		cfo:   []float64{0},
-		wifi:  wifiGrid,
-		build: nativeEndpoints,
+		cfo:  []float64{0},
+		wifi: wifiGrid,
 	}}
 	for _, model := range []chip.Model{chip.NRF52832(), chip.CC1352R1()} {
 		maxCFO := (model.CrystalPPM + stick.CrystalPPM) * 2480 // worst channel
-		for _, side := range []string{"reception", "transmission"} {
-			build := receptionEndpoints(model)
-			if side == "transmission" {
-				build = transmissionEndpoints(model)
-			}
+		for _, side := range []experiment.Side{experiment.Reception, experiment.Transmission} {
+			tx, rx := side.Ends(model)
 			specs = append(specs, profileSpec{
-				name:  radio.CalProfileName(model.Name, side),
-				cfo:   []float64{0, maxCFO / 2, maxCFO},
-				wifi:  wifiGrid,
-				build: build,
+				name: radio.CalProfileName(model.Name, side.String()),
+				tx:   tx,
+				rx:   rx,
+				cfo:  []float64{0, maxCFO / 2, maxCFO},
+				wifi: wifiGrid,
 			})
 		}
 	}
@@ -233,13 +178,13 @@ func Fit(opts Options) (*radio.CalTable, error) {
 	_, err := runner.Run(context.Background(), run, func(_ context.Context, _ int64, point runner.Point, _ int) (runner.Outcome, error) {
 		g := cellOf[point.Key]
 		ps := specs[g.prof]
-		// Each cell builds its own modem pair, so no receiver state is
+		// Each cell builds its own receiver, so no receiver state is
 		// shared between workers; the waveforms are only read.
-		ep, err := ps.build(opts.SamplesPerChip, reg)
+		demodulate, err := ps.rx.Demodulator(opts.SamplesPerChip, reg, nil)
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		cell, err := fitCell(opts, reg, ep, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
+		cell, err := fitCell(opts, reg, demodulate, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
 			snrGrid[g.si], ps.cfo[g.ci], ps.wifi[g.wi])
 		if err != nil {
 			return runner.Outcome{}, err
@@ -286,28 +231,22 @@ func cellIndex(p *radio.CalProfile, si, ci, wi int) int {
 	return (si*len(p.CFOHz)+ci)*len(p.WiFi) + wi
 }
 
-// calibrationFrames synthesises one profile's ground-truth frames. They
-// mirror the Table III traffic (counter-tagged sensor data frames); the
+// calibrationFrames synthesises one profile's ground-truth frames: the
+// Table III counter frames, modulated by the profile's transmitter. The
 // waveforms depend only on the frame index, so they are synthesised once
 // per profile and reused across every cell.
 func calibrationFrames(opts Options, reg *obs.Registry, spec profileSpec) ([]dsp.IQ, error) {
-	ep, err := spec.build(opts.SamplesPerChip, reg)
+	modulate, err := spec.tx.Modulator(opts.SamplesPerChip, reg, nil)
 	if err != nil {
 		return nil, err
 	}
 	sigs := make([]dsp.IQ, opts.FramesPerCell)
 	for f := range sigs {
-		hdr := ieee802154.NewDataFrame(uint8(f), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-			zigbee.DefaultSensor, zigbee.SensorPayload(uint16(f)), false)
-		psdu, err := hdr.Encode()
+		ppdu, err := ieee802154.NewPPDU(experiment.CounterFrame(f))
 		if err != nil {
 			return nil, err
 		}
-		ppdu, err := ieee802154.NewPPDU(psdu)
-		if err != nil {
-			return nil, err
-		}
-		if sigs[f], err = ep.modulate(ppdu); err != nil {
+		if sigs[f], err = modulate(ppdu); err != nil {
 			return nil, err
 		}
 	}
@@ -317,8 +256,8 @@ func calibrationFrames(opts Options, reg *obs.Registry, spec profileSpec) ([]dsp
 // fitCell measures one grid cell: FramesPerCell independent frames, each
 // over a fresh medium whose every draw flows from the cell-and-frame
 // derived seed (the same isolation discipline as the Table III trials).
-func fitCell(opts Options, reg *obs.Registry, ep endpoints, sigs []dsp.IQ, sampleRate float64,
-	profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalCell, error) {
+func fitCell(opts Options, reg *obs.Registry, demodulate func(dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error),
+	sigs []dsp.IQ, sampleRate float64, profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalCell, error) {
 	fails := 0
 	var hist [17]uint64
 	var symbols uint64
@@ -345,7 +284,7 @@ func fitCell(opts Options, reg *obs.Registry, ep endpoints, sigs []dsp.IQ, sampl
 		if err != nil {
 			return radio.CalCell{}, err
 		}
-		dem, derr := ep.demodulate(capture)
+		dem, _, derr := demodulate(capture)
 		if derr != nil {
 			// Sync failures, mid-frame aborts and quality-gate drops all
 			// fold into SyncFail — the symbol tier must not re-apply the
@@ -408,15 +347,11 @@ func smoothProfile(p *radio.CalProfile) {
 }
 
 // mixSeed folds calibration coordinates into one well-mixed seed with
-// the SplitMix64 finaliser chain (the repo-wide seed discipline).
+// a SplitMix64 chain (the repo-wide seed discipline).
 func mixSeed(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
-		h ^= v
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = randsrc.SplitMix64(h ^ v)
 	}
 	return h
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"wazabee/internal/randsrc"
 )
 
 // TestEVMDrawMatchesSeededSource checks evmModel.draw against the
@@ -12,10 +14,10 @@ import (
 // knee.
 func TestEVMDrawMatchesSeededSource(t *testing.T) {
 	reference := func(seed int64, snrDB float64, seq uint64, diverted, framed bool) (float64, bool) {
-		h := splitmix64(uint64(seed) ^ 0xca3afee1)
-		h = splitmix64(h ^ seq)
+		h := randsrc.SplitMix64(uint64(seed) ^ 0xca3afee1)
+		h = randsrc.SplitMix64(h ^ seq)
 		if diverted {
-			h = splitmix64(h ^ 0x5eed)
+			h = randsrc.SplitMix64(h ^ 0x5eed)
 		}
 		rng := rand.New(rand.NewSource(int64(h)))
 		mean, sigma := nativeEVMMean, nativeEVMSigma

@@ -34,15 +34,6 @@ const (
 	framingDetectProb = 0.7
 )
 
-// splitmix64 is the SplitMix64 finaliser, mirrored from the simulator's
-// seed discipline so the campaign's draws stay structured the same way.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // evmModel draws per-frame monitor features. Draws are keyed on the
 // global capture sequence number — deterministic and batch-order
 // independent — never on shared stream state: each frame re-keys rng to
@@ -61,10 +52,10 @@ func newEVMModel(seed int64, snrDB float64) evmModel {
 // appropriate calibrated distribution, and whether BLE framing was
 // spotted (only ever true for attacker frames that carry it).
 func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framingSeen bool) {
-	h := splitmix64(uint64(m.seed) ^ 0xca3afee1)
-	h = splitmix64(h ^ seq)
+	h := randsrc.SplitMix64(uint64(m.seed) ^ 0xca3afee1)
+	h = randsrc.SplitMix64(h ^ seq)
 	if diverted {
-		h = splitmix64(h ^ 0x5eed)
+		h = randsrc.SplitMix64(h ^ 0x5eed)
 	}
 	m.rng.Seed(int64(h))
 	mean, sigma := nativeEVMMean, nativeEVMSigma

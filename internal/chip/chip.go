@@ -15,7 +15,10 @@ import (
 
 	"wazabee/internal/ble"
 	"wazabee/internal/core"
+	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
+	"wazabee/internal/obs/link"
 )
 
 // Model describes one radio front end.
@@ -222,6 +225,50 @@ func (m Model) NewZigbeePHY(samplesPerChip int) (*ieee802154.PHY, error) {
 		phy.MaxChipDistance = m.QualityThreshold
 	}
 	return phy, nil
+}
+
+// Modulator returns the transmit half of this radio's 802.15.4 modem at
+// the given oversampling factor: the WazaBee transmission primitive on a
+// BLE chip, the native O-QPSK modulator on an 802.15.4 radio (Mode 0).
+// The modem reports to reg (nil: the process default registry) and
+// records spans in tr (nil: none).
+func (m Model) Modulator(samplesPerChip int, reg *obs.Registry, tr *obs.Trace) (func(*ieee802154.PPDU) (dsp.IQ, error), error) {
+	if m.Mode == 0 {
+		phy, err := m.NewZigbeePHY(samplesPerChip)
+		if err != nil {
+			return nil, err
+		}
+		phy.Obs, phy.Trace = reg, tr
+		return phy.Modulate, nil
+	}
+	tx, err := m.NewWazaBeeTransmitter(samplesPerChip)
+	if err != nil {
+		return nil, err
+	}
+	tx.Obs, tx.Trace = reg, tr
+	return tx.Modulate, nil
+}
+
+// Demodulator returns the receive half of this radio's 802.15.4 modem,
+// with each frame's link diagnostics: the WazaBee reception primitive on
+// a BLE chip (which fails on chips that cannot disable CRC checking),
+// the native O-QPSK demodulator on an 802.15.4 radio (Mode 0). reg and
+// tr are as for Modulator.
+func (m Model) Demodulator(samplesPerChip int, reg *obs.Registry, tr *obs.Trace) (func(dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error), error) {
+	if m.Mode == 0 {
+		phy, err := m.NewZigbeePHY(samplesPerChip)
+		if err != nil {
+			return nil, err
+		}
+		phy.Obs, phy.Trace = reg, tr
+		return phy.DemodulateStats, nil
+	}
+	rx, err := m.NewWazaBeeReceiver(samplesPerChip)
+	if err != nil {
+		return nil, err
+	}
+	rx.Obs, rx.Trace = reg, tr
+	return rx.ReceiveStats, nil
 }
 
 func (m Model) newPHY(samplesPerSymbol int) (*ble.PHY, error) {

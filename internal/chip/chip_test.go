@@ -1,9 +1,14 @@
 package chip
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"wazabee/internal/ble"
+	"wazabee/internal/dsp"
+	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
 )
 
 func TestModelCatalogue(t *testing.T) {
@@ -109,6 +114,9 @@ func TestAndroidControllerConstraints(t *testing.T) {
 	if _, err := phone.NewWazaBeeReceiver(8); err == nil {
 		t.Error("phone must not offer the reception primitive (CRC drop in controller)")
 	}
+	if _, err := phone.Demodulator(8, nil, nil); err == nil {
+		t.Error("phone must not offer a demodulator")
+	}
 	// And it reaches only the Table II subset, through CSA#2.
 	if phone.CanTune(11) {
 		t.Error("phone cannot tune Zigbee channel 11 (no BLE equivalent)")
@@ -125,5 +133,70 @@ func TestCC2652RIsFullyCapable(t *testing.T) {
 	}
 	if _, err := m.NewWazaBeeReceiver(8); err != nil {
 		t.Errorf("CC2652R receiver: %v", err)
+	}
+}
+
+// TestModemHalvesDispatchOnMode checks that an 802.15.4 radio's modem
+// halves are the native O-QPSK PHY and a BLE chip's are the WazaBee
+// primitives: each modulator must produce its constructor's waveform,
+// and each demodulator must decode a legitimate transmission under its
+// own decoder label, in the registry it was given.
+func TestModemHalvesDispatchOnMode(t *testing.T) {
+	ppdu, err := ieee802154.NewPPDU([]byte{0x41, 0x88, 0x01, 0x34, 0x12, 0x42, 0x00, 0x63, 0x00, 0xca, 0xfe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phy, err := RZUSBStick().NewZigbeePHY(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oqpsk, err := phy.Modulate(ppdu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wtx, err := NRF52832().NewWazaBeeTransmitter(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gfsk, err := wtx.Modulate(ppdu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := append(append(make(dsp.IQ, 320), oqpsk...), make(dsp.IQ, 160)...)
+
+	for _, c := range []struct {
+		model   Model
+		want    dsp.IQ
+		decoder string
+	}{
+		{RZUSBStick(), oqpsk, "oqpsk"},
+		{NRF52832(), gfsk, "wazabee"},
+	} {
+		reg := obs.NewRegistry()
+		modulate, err := c.model.Modulator(8, reg, nil)
+		if err != nil {
+			t.Fatalf("%s modulator: %v", c.model.Name, err)
+		}
+		sig, err := modulate(ppdu)
+		if err != nil {
+			t.Fatalf("%s modulate: %v", c.model.Name, err)
+		}
+		if !slices.Equal(sig, c.want) {
+			t.Errorf("%s modulator is not its %s constructor's", c.model.Name, c.decoder)
+		}
+		demodulate, err := c.model.Demodulator(8, reg, nil)
+		if err != nil {
+			t.Fatalf("%s demodulator: %v", c.model.Name, err)
+		}
+		dem, st, err := demodulate(capture)
+		if err != nil {
+			t.Fatalf("%s demodulate: %v", c.model.Name, err)
+		}
+		if !bytes.Equal(dem.PPDU.PSDU, ppdu.PSDU) || st == nil || !st.Decoded {
+			t.Errorf("%s decoded %x (stats %+v), want %x", c.model.Name, dem.PPDU.PSDU, st, ppdu.PSDU)
+		}
+		if n := reg.Counter("wazabee_frames_received_total", "decoder", c.decoder).Value(); n != 1 {
+			t.Errorf("%s: %d frames under decoder %q in its registry, want 1", c.model.Name, n, c.decoder)
+		}
 	}
 }

@@ -40,13 +40,13 @@ func mustJSON(t *testing.T, v any) string {
 // from (seed, channel, frame), never from scheduling.
 func TestTable3DeterministicAcrossWorkers(t *testing.T) {
 	model := chip.NRF52832()
-	ref, err := Run(smallTable3Config(1), model, Reception)
+	ref, err := RunContext(context.Background(), smallTable3Config(1), model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refJSON := mustJSON(t, ref)
 	for _, workers := range []int{4, 8} {
-		res, err := Run(smallTable3Config(workers), model, Reception)
+		res, err := RunContext(context.Background(), smallTable3Config(workers), model, Reception)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func smallSweepConfig(workers int) SweepConfig {
 // byte-identical at any worker count, including the Wilson bounds.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	model := chip.NRF52832()
-	ref, err := RunSweep(smallSweepConfig(1), model, Transmission)
+	ref, err := RunSweepContext(context.Background(), smallSweepConfig(1), model, Transmission)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refJSON := mustJSON(t, ref)
 	for _, workers := range []int{4, 8} {
-		res, err := RunSweep(smallSweepConfig(workers), model, Transmission)
+		res, err := RunSweepContext(context.Background(), smallSweepConfig(workers), model, Transmission)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestSweepOrderIndependent(t *testing.T) {
 	model := chip.NRF52832()
 	cfg := smallSweepConfig(2)
-	forward, err := RunSweep(cfg, model, Reception)
+	forward, err := RunSweepContext(context.Background(), cfg, model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSweepOrderIndependent(t *testing.T) {
 	for i, snr := range cfg.SNRs {
 		rev.SNRs[len(cfg.SNRs)-1-i] = snr
 	}
-	backward, err := RunSweep(rev, model, Reception)
+	backward, err := RunSweepContext(context.Background(), rev, model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSweepOrderIndependent(t *testing.T) {
 // TestSweepCarriesWilsonInterval asserts every sweep point reports a
 // well-formed 95% interval around its PER.
 func TestSweepCarriesWilsonInterval(t *testing.T) {
-	points, err := RunSweep(smallSweepConfig(2), chip.NRF52832(), Reception)
+	points, err := RunSweepContext(context.Background(), smallSweepConfig(2), chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSweepCarriesWilsonInterval(t *testing.T) {
 // reference, wherever the cancellation landed.
 func TestSweepCheckpointResume(t *testing.T) {
 	model := chip.NRF52832()
-	ref, err := RunSweep(smallSweepConfig(2), model, Reception)
+	ref, err := RunSweepContext(context.Background(), smallSweepConfig(2), model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		}
 		resumed := smallSweepConfig(2)
 		resumed.Checkpoint = path
-		final, err = RunSweep(resumed, model, Reception)
+		final, err = RunSweepContext(context.Background(), resumed, model, Reception)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestTable3AdaptiveStop(t *testing.T) {
 		cfg := smallTable3Config(workers)
 		cfg.FramesPerChannel = 64
 		cfg.CIHalfWidth = 0.12
-		res, err := Run(cfg, model, Reception)
+		res, err := RunContext(context.Background(), cfg, model, Reception)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"wazabee/internal/chip"
@@ -17,11 +18,11 @@ func TestESBFallbackDegradedButSufficient(t *testing.T) {
 	cfg.WiFi = false
 	cfg.SNRdB = 9 // near the knee, where front-end quality shows
 
-	modern, err := Run(cfg, chip.NRF52832(), Reception)
+	modern, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := Run(cfg, chip.NRF51822(), Reception)
+	tracker, err := RunContext(context.Background(), cfg, chip.NRF51822(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}

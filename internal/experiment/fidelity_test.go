@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFidelitySymbolMatchesIQ(t *testing.T) {
 				iqCfg := DefaultConfig()
 				iqCfg.FramesPerChannel = iqFrames
 				iqCfg.Obs = obs.NewRegistry()
-				iqRes, err := Run(iqCfg, model, side)
+				iqRes, err := RunContext(context.Background(), iqCfg, model, side)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,7 +43,7 @@ func TestFidelitySymbolMatchesIQ(t *testing.T) {
 				symCfg.FramesPerChannel = symFrames
 				symCfg.Fidelity = radio.FidelitySymbol
 				symCfg.Obs = obs.NewRegistry()
-				symRes, err := Run(symCfg, model, side)
+				symRes, err := RunContext(context.Background(), symCfg, model, side)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +78,7 @@ func TestFidelityFrameTierTable3(t *testing.T) {
 	iqCfg := DefaultConfig()
 	iqCfg.FramesPerChannel = 24
 	iqCfg.Obs = obs.NewRegistry()
-	iqRes, err := Run(iqCfg, model, side)
+	iqRes, err := RunContext(context.Background(), iqCfg, model, side)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFidelityFrameTierTable3(t *testing.T) {
 	frCfg.FramesPerChannel = 400
 	frCfg.Fidelity = radio.FidelityFrame
 	frCfg.Obs = obs.NewRegistry()
-	frRes, err := Run(frCfg, model, side)
+	frRes, err := RunContext(context.Background(), frCfg, model, side)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +119,14 @@ func TestFidelityTiersDeterministic(t *testing.T) {
 		cfg.FramesPerChannel = 40
 		cfg.Fidelity = fid
 		cfg.Obs = obs.NewRegistry()
-		a, err := Run(cfg, chip.NRF52832(), Reception)
+		a, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg2 := cfg
 		cfg2.Workers = 3
 		cfg2.Obs = obs.NewRegistry()
-		b, err := Run(cfg2, chip.NRF52832(), Reception)
+		b, err := RunContext(context.Background(), cfg2, chip.NRF52832(), Reception)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"wazabee/internal/chip"
@@ -23,7 +24,7 @@ func TestLinkAggregatorSeesWiFiDegradation(t *testing.T) {
 	cfg.WiFiDutyCycle = 0.15
 	cfg.Link = oblink.NewAggregator(cfg.Obs)
 
-	if _, err := Run(cfg, chip.CC1352R1(), Reception); err != nil {
+	if _, err := RunContext(context.Background(), cfg, chip.CC1352R1(), Reception); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"wazabee/internal/chip"
-	"wazabee/internal/dsp"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
@@ -104,12 +103,6 @@ func DefaultSweepConfig() SweepConfig {
 	}
 }
 
-// RunSweep measures PER versus SNR with a background context. See
-// RunSweepContext.
-func RunSweep(cfg SweepConfig, model chip.Model, side Side) ([]SweepPoint, error) {
-	return RunSweepContext(context.Background(), cfg, model, side)
-}
-
 // RunSweepContext measures PER versus SNR for one chip model and side
 // over a clean channel (no WiFi, no CFO — pure sensitivity) on the
 // sharded Monte-Carlo runner. Each (SNR, frame) pair runs on its own
@@ -121,21 +114,10 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, sid
 	if len(cfg.SNRs) == 0 || cfg.FramesPerPoint < 1 {
 		return nil, fmt.Errorf("experiment: empty sweep configuration")
 	}
-	if side != Reception && side != Transmission {
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
-	freq, err := ieee802154.ChannelFrequencyMHz(cfg.Channel)
-	if err != nil {
+	if err := checkSide(model, side, cfg.SamplesPerChip); err != nil {
 		return nil, err
 	}
-	// Validate the chip/side combination once up front, so a
-	// misconfigured model is an error rather than a 100% loss column.
-	switch side {
-	case Reception:
-		_, err = model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-	case Transmission:
-		_, err = model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-	}
+	freq, err := ieee802154.ChannelFrequencyMHz(cfg.Channel)
 	if err != nil {
 		return nil, err
 	}
@@ -209,48 +191,18 @@ func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side,
 	}
 	medium.Obs = reg
 
-	frameHdr := ieee802154.NewDataFrame(uint8(frame), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(uint16(frame)), false)
-	psdu, err := frameHdr.Encode()
-	if err != nil {
-		return "", err
-	}
-
-	var rxNF float64
-	switch side {
-	case Reception:
-		rxNF = model.NoiseFigureDB
-	case Transmission:
-		rxNF = chip.RZUSBStick().NoiseFigureDB
-	}
+	_, rx := side.Ends(model)
 	link := radio.Link{
-		SNRdB:       snr - rxNF,
+		SNRdB:       snr - rx.NoiseFigureDB,
 		LeadSamples: 30 * cfg.SamplesPerChip,
 		LagSamples:  15 * cfg.SamplesPerChip,
 	}
-
-	fid := cfg.Fidelity
-	if fid == 0 {
-		fid = radio.FidelityIQ
-	}
-	var ch radio.Channel
-	if fid == radio.FidelityIQ {
-		ep, eperr := sweepEndpoints(cfg, reg, model, side)
-		if eperr != nil {
-			return "", eperr
-		}
-		ch, err = medium.Channel(fid, radio.ChannelOptions{Endpoints: ep})
-	} else {
-		ch, err = medium.Channel(fid, radio.ChannelOptions{
-			Profile: radio.CalProfileName(model.Name, side.String()),
-		})
-	}
+	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, nil)
 	if err != nil {
 		return "", err
 	}
-
 	out, err := ch.Deliver(radio.FrameSpec{
-		PSDU:      psdu,
+		PSDU:      CounterFrame(frame),
 		TxFreqMHz: freq,
 		RxFreqMHz: freq,
 		Link:      link,
@@ -266,59 +218,5 @@ func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side,
 		return "valid", nil
 	default:
 		return "corrupted", nil
-	}
-}
-
-// sweepEndpoints builds the IQ-tier modem pair of one sweep trial.
-func sweepEndpoints(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side) (*radio.IQEndpoints, error) {
-	zigbeePHY, err := chip.RZUSBStick().NewZigbeePHY(cfg.SamplesPerChip)
-	if err != nil {
-		return nil, err
-	}
-	zigbeePHY.Obs = reg
-	modulate := func(phyMod func(*ieee802154.PPDU) (dsp.IQ, error)) func([]byte) (dsp.IQ, error) {
-		return func(psdu []byte) (dsp.IQ, error) {
-			ppdu, err := ieee802154.NewPPDU(psdu)
-			if err != nil {
-				return nil, err
-			}
-			return phyMod(ppdu)
-		}
-	}
-	switch side {
-	case Reception:
-		rx, err := model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		rx.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(zigbeePHY.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, err := rx.Receive(capture)
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	case Transmission:
-		tx, err := model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		tx.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(tx.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, err := zigbeePHY.Demodulate(capture)
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
 	}
 }

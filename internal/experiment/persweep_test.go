@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"wazabee/internal/chip"
@@ -9,15 +10,18 @@ import (
 func TestRunSweepValidation(t *testing.T) {
 	cfg := DefaultSweepConfig()
 	cfg.SNRs = nil
-	if _, err := RunSweep(cfg, chip.NRF52832(), Reception); err == nil {
+	if _, err := RunSweepContext(context.Background(), cfg, chip.NRF52832(), Reception); err == nil {
 		t.Error("expected error for empty SNR list")
 	}
 	cfg = DefaultSweepConfig()
-	if _, err := RunSweep(cfg, chip.NRF52832(), Side(9)); err == nil {
+	if _, err := RunSweepContext(context.Background(), cfg, chip.NRF52832(), Side(9)); err == nil {
 		t.Error("expected error for invalid side")
 	}
+	if _, err := RunSweepContext(context.Background(), cfg, chip.RZUSBStick(), Transmission); err == nil {
+		t.Error("expected error for a chip without BLE radio")
+	}
 	cfg.Channel = 99
-	if _, err := RunSweep(cfg, chip.NRF52832(), Reception); err == nil {
+	if _, err := RunSweepContext(context.Background(), cfg, chip.NRF52832(), Reception); err == nil {
 		t.Error("expected error for invalid channel")
 	}
 }
@@ -32,7 +36,7 @@ func TestSweepMonotoneShape(t *testing.T) {
 		Seed:           3,
 		Channel:        14,
 	}
-	points, err := RunSweep(cfg, chip.CC1352R1(), Reception)
+	points, err := RunSweepContext(context.Background(), cfg, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +66,11 @@ func TestSweepTransmissionNeedsMoreSNRThanIdeal(t *testing.T) {
 		Seed:           4,
 		Channel:        14,
 	}
-	rx, err := RunSweep(cfg, chip.CC1352R1(), Reception)
+	rx, err := RunSweepContext(context.Background(), cfg, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := RunSweep(cfg, chip.NRF52832(), Transmission)
+	tx, err := RunSweepContext(context.Background(), cfg, chip.NRF52832(), Transmission)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+
+	"wazabee/internal/randsrc"
 )
 
 // CheckpointVersion is the current on-disk checkpoint format version.
@@ -41,15 +43,15 @@ type Checkpoint struct {
 // hex token. A resume against a spec with a different fingerprint would
 // silently misattribute shards, so Load refuses it.
 func fingerprint(spec *Spec) string {
-	h := splitmix64(uint64(spec.Seed))
-	h = splitmix64(h ^ fnv64a(spec.Name))
-	h = splitmix64(h ^ uint64(int64(spec.shardSize())))
+	h := randsrc.SplitMix64(uint64(spec.Seed))
+	h = randsrc.SplitMix64(h ^ fnv64a(spec.Name))
+	h = randsrc.SplitMix64(h ^ uint64(int64(spec.shardSize())))
 	for _, c := range spec.Classes {
-		h = splitmix64(h ^ fnv64a(c))
+		h = randsrc.SplitMix64(h ^ fnv64a(c))
 	}
 	for _, p := range spec.Points {
-		h = splitmix64(h ^ fnv64a(p.Key))
-		h = splitmix64(h ^ uint64(int64(p.Trials)))
+		h = randsrc.SplitMix64(h ^ fnv64a(p.Key))
+		h = randsrc.SplitMix64(h ^ uint64(int64(p.Trials)))
 	}
 	return strconv.FormatUint(h, 16)
 }

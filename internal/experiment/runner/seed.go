@@ -13,18 +13,11 @@
 // any checkpoint/resume boundary.
 package runner
 
-import "math/bits"
+import (
+	"math/bits"
 
-// splitmix64 is the finaliser of the SplitMix64 generator (Steele et al.,
-// "Fast splittable pseudorandom number generators"): a cheap invertible
-// mixer whose output passes BigCrush, which makes it a good one-way hash
-// from structured coordinates to independent-looking seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+	"wazabee/internal/randsrc"
+)
 
 // fnv64a hashes a point key with the FNV-1a parameters, folding the key
 // string into a single word before mixing.
@@ -43,12 +36,12 @@ func fnv64a(s string) uint64 {
 
 // TrialSeed derives the deterministic RNG seed of one Monte-Carlo trial
 // from the run seed, the operating point's key and the trial index. Each
-// coordinate passes through a splitmix64 round, so adjacent trials, points
+// coordinate passes through a SplitMix64 round, so adjacent trials, points
 // and run seeds land on unrelated streams; the result depends on nothing
 // else, which is what makes runs order- and parallelism-independent.
 func TrialSeed(seed int64, pointKey string, trial int) int64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ bits.RotateLeft64(fnv64a(pointKey), 17))
-	h = splitmix64(h ^ uint64(int64(trial)))
+	h := randsrc.SplitMix64(uint64(seed))
+	h = randsrc.SplitMix64(h ^ bits.RotateLeft64(fnv64a(pointKey), 17))
+	h = randsrc.SplitMix64(h ^ uint64(int64(trial)))
 	return int64(h)
 }

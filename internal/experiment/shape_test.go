@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 	results := make(map[string]*Result)
 	for _, m := range []chip.Model{chip.NRF52832(), chip.CC1352R1()} {
 		for _, side := range []Side{Reception, Transmission} {
-			res, err := Run(cfg, m, side)
+			res, err := RunContext(context.Background(), cfg, m, side)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,6 +66,16 @@ func (s Side) String() string {
 	}
 }
 
+// Ends returns the two radios of the side's link for a diverted chip
+// model: on Reception the RZUSBStick transmits to the model, on
+// Transmission the model transmits to the RZUSBStick.
+func (s Side) Ends(model chip.Model) (tx, rx chip.Model) {
+	if s == Transmission {
+		return model, chip.RZUSBStick()
+	}
+	return chip.RZUSBStick(), model
+}
+
 // Config parameterises a Table III run.
 type Config struct {
 	// FramesPerChannel is 100 in the paper.
@@ -197,12 +207,6 @@ func (r *Result) Row(channel int) (ChannelResult, bool) {
 // table3Classes is the outcome class set of a Table III trial.
 var table3Classes = []string{"valid", "corrupted", "not_received"}
 
-// Run executes the Table III experiment for one chip model and side with
-// a background context. See RunContext.
-func Run(cfg Config, model chip.Model, side Side) (*Result, error) {
-	return RunContext(context.Background(), cfg, model, side)
-}
-
 // RunContext executes the Table III experiment for one chip model and
 // side on the sharded Monte-Carlo runner: (channel, frame) work items on
 // a bounded worker pool, every frame's randomness derived from
@@ -213,19 +217,7 @@ func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*
 	if cfg.FramesPerChannel < 1 {
 		return nil, fmt.Errorf("experiment: frames per channel %d < 1", cfg.FramesPerChannel)
 	}
-	if side != Reception && side != Transmission {
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
-	// Validate the chip/side combination up front (one shared attempt)
-	// so misconfiguration surfaces as an error, not sixteen of them.
-	var err error
-	switch side {
-	case Reception:
-		_, err = model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-	case Transmission:
-		_, err = model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-	}
-	if err != nil {
+	if err := checkSide(model, side, cfg.SamplesPerChip); err != nil {
 		return nil, err
 	}
 
@@ -326,64 +318,27 @@ func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, cha
 		return "", err
 	}
 
-	// The paper's frames carry a counter incremented with each frame.
-	counter := uint16(frame)
-	frameHdr := ieee802154.NewDataFrame(uint8(frame), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(counter), false)
-	psdu, err := frameHdr.Encode()
-	if err != nil {
-		return "", err
-	}
-
-	stick := chip.RZUSBStick()
-	var rxNF, rxRej, txPPM, rxPPM float64
-	switch side {
-	case Reception:
-		rxNF = model.NoiseFigureDB
-		rxRej = model.InterferenceRejectionDB
-		txPPM, rxPPM = stick.CrystalPPM, model.CrystalPPM
-	case Transmission:
-		rxNF = stick.NoiseFigureDB
-		rxRej = stick.InterferenceRejectionDB
-		txPPM, rxPPM = model.CrystalPPM, stick.CrystalPPM
-	}
-
+	tx, rx := side.Ends(model)
 	// The CFO draw is the first consumption of the medium's seeded
 	// stream on every tier, keeping the IQ results byte-identical to the
 	// pre-Channel implementation and giving the calibrated tiers the
 	// same per-trial operating point.
-	cfoHz := (medium.Rand().Float64()*2 - 1) * (txPPM + rxPPM) * freq // 1 ppm at f MHz = f Hz
+	cfoHz := (medium.Rand().Float64()*2 - 1) * (tx.CrystalPPM + rx.CrystalPPM) * freq // 1 ppm at f MHz = f Hz
 	link := radio.Link{
-		SNRdB:                   cfg.SNRdB - rxNF,
+		SNRdB:                   cfg.SNRdB - rx.NoiseFigureDB,
 		CFOHz:                   cfoHz,
 		LeadSamples:             40 * cfg.SamplesPerChip,
 		LagSamples:              20 * cfg.SamplesPerChip,
-		InterferenceRejectionDB: rxRej,
+		InterferenceRejectionDB: rx.InterferenceRejectionDB,
 	}
 
-	fid := cfg.Fidelity
-	if fid == 0 {
-		fid = radio.FidelityIQ
-	}
-	var ch radio.Channel
 	var st *oblink.Stats
-	if fid == radio.FidelityIQ {
-		ep, eperr := table3Endpoints(cfg, reg, model, side, &st)
-		if eperr != nil {
-			return "", eperr
-		}
-		ch, err = medium.Channel(fid, radio.ChannelOptions{Endpoints: ep})
-	} else {
-		ch, err = medium.Channel(fid, radio.ChannelOptions{
-			Profile: radio.CalProfileName(model.Name, side.String()),
-		})
-	}
+	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, &st)
 	if err != nil {
 		return "", err
 	}
-
 	out, err := ch.Deliver(radio.FrameSpec{
-		PSDU:      psdu,
+		PSDU:      CounterFrame(frame),
 		TxFreqMHz: freq,
 		RxFreqMHz: freq,
 		Link:      link,
@@ -408,61 +363,77 @@ func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, cha
 	}
 }
 
-// table3Endpoints builds the IQ-tier modem pair of one trial: the
-// legitimate RZUSBStick O-QPSK modem on one end and the diverted BLE
-// chip's WazaBee primitive on the other, with the receiver's link
-// diagnostics captured into *stats for the run's aggregator.
-func table3Endpoints(cfg Config, reg *obs.Registry, model chip.Model, side Side, stats **oblink.Stats) (*radio.IQEndpoints, error) {
-	zigbeePHY, err := chip.RZUSBStick().NewZigbeePHY(cfg.SamplesPerChip)
+// CounterFrame is frame n of a Table III run: a sensor data frame from
+// the default sensor to the default coordinator whose MAC sequence
+// number is n mod 256 and whose reading is the counter n mod 65536 (the
+// paper's frames carry a counter incremented with each frame). The PER
+// sweep, the calibration fit and `wazabee link` send the same frames.
+func CounterFrame(n int) []byte {
+	psdu, err := ieee802154.NewDataFrame(uint8(n), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
+		zigbee.DefaultSensor, zigbee.SensorPayload(uint16(n)), false).Encode()
+	if err != nil {
+		// The header is fixed and valid; only a broken encoder fails.
+		panic(fmt.Sprintf("experiment: counter frame %d: %v", n, err))
+	}
+	return psdu
+}
+
+// checkSide rejects an invalid side and builds the diverted chip's
+// WazaBee primitive for the side once, so a chip that cannot play it
+// (no BLE radio, CRC checking locked on) fails the run up front instead
+// of failing every trial.
+func checkSide(model chip.Model, side Side, samplesPerChip int) error {
+	var err error
+	switch side {
+	case Reception:
+		_, err = model.NewWazaBeeReceiver(samplesPerChip)
+	case Transmission:
+		_, err = model.NewWazaBeeTransmitter(samplesPerChip)
+	default:
+		err = fmt.Errorf("experiment: invalid side %d", int(side))
+	}
+	return err
+}
+
+// trialChannel builds one trial's delivery channel over medium at the
+// fidelity tier fid (zero means FidelityIQ). At the IQ tier the
+// transmitting end's modulator feeds the receiving end's demodulator,
+// both reporting to reg, and when stats is non-nil each delivery stores
+// the receiver's link diagnostics there; the calibrated tiers draw from
+// the diverted chip's profile for the side.
+func trialChannel(medium *radio.Medium, fid radio.Fidelity, samplesPerChip int, reg *obs.Registry,
+	model chip.Model, side Side, stats **oblink.Stats) (radio.Channel, error) {
+	if fid != 0 && fid != radio.FidelityIQ {
+		return medium.Channel(fid, radio.ChannelOptions{
+			Profile: radio.CalProfileName(model.Name, side.String()),
+		})
+	}
+	tx, rx := side.Ends(model)
+	modulate, err := tx.Modulator(samplesPerChip, reg, nil)
 	if err != nil {
 		return nil, err
 	}
-	zigbeePHY.Obs = reg
-	modulate := func(phyMod func(*ieee802154.PPDU) (dsp.IQ, error)) func([]byte) (dsp.IQ, error) {
-		return func(psdu []byte) (dsp.IQ, error) {
+	demodulate, err := rx.Demodulator(samplesPerChip, reg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return medium.Channel(radio.FidelityIQ, radio.ChannelOptions{Endpoints: &radio.IQEndpoints{
+		Modulate: func(psdu []byte) (dsp.IQ, error) {
 			ppdu, err := ieee802154.NewPPDU(psdu)
 			if err != nil {
 				return nil, err
 			}
-			return phyMod(ppdu)
-		}
-	}
-	switch side {
-	case Reception:
-		wazaRX, err := model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		wazaRX.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(zigbeePHY.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, st, err := wazaRX.ReceiveStats(capture)
+			return modulate(ppdu)
+		},
+		Demodulate: func(capture dsp.IQ) ([]byte, error) {
+			dem, st, err := demodulate(capture)
+			if stats != nil {
 				*stats = st
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	case Transmission:
-		wazaTX, err := model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		wazaTX.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(wazaTX.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, st, err := zigbeePHY.DemodulateStats(capture)
-				*stats = st
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
+			}
+			if err != nil {
+				return nil, err
+			}
+			return dem.PPDU.PSDU, nil
+		},
+	}})
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -27,21 +29,60 @@ func TestSideString(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := quickConfig()
 	cfg.FramesPerChannel = 0
-	if _, err := Run(cfg, chip.NRF52832(), Reception); err == nil {
+	if _, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception); err == nil {
 		t.Error("expected error for zero frames")
 	}
-	if _, err := Run(quickConfig(), chip.NRF52832(), Side(9)); err == nil {
+	if _, err := RunContext(context.Background(), quickConfig(), chip.NRF52832(), Side(9)); err == nil {
 		t.Error("expected error for invalid side")
 	}
-	if _, err := Run(quickConfig(), chip.RZUSBStick(), Reception); err == nil {
-		t.Error("expected error for a chip without BLE radio")
+	for _, side := range []Side{Reception, Transmission} {
+		if _, err := RunContext(context.Background(), quickConfig(), chip.RZUSBStick(), side); err == nil {
+			t.Errorf("expected error for a chip without BLE radio on the %s side", side)
+		}
+	}
+}
+
+func TestSideEnds(t *testing.T) {
+	model := chip.CC1352R1()
+	for _, c := range []struct {
+		side   Side
+		tx, rx string
+	}{
+		{Reception, "RZUSBStick", "CC1352-R1"},
+		{Transmission, "CC1352-R1", "RZUSBStick"},
+	} {
+		tx, rx := c.side.Ends(model)
+		if tx.Name != c.tx || rx.Name != c.rx {
+			t.Errorf("%s ends = %s -> %s, want %s -> %s", c.side, tx.Name, rx.Name, c.tx, c.rx)
+		}
+	}
+	if _, rx := Reception.Ends(model); rx != model {
+		t.Errorf("reception receiver = %+v, want the model itself %+v", rx, model)
+	}
+	if tx, _ := Transmission.Ends(model); tx != model {
+		t.Errorf("transmission transmitter = %+v, want the model itself %+v", tx, model)
+	}
+}
+
+// TestCounterFrame pins the Table III frame bytes: the sequence number
+// wraps at 256 while the counter in the sensor reading carries on.
+func TestCounterFrame(t *testing.T) {
+	for n, want := range map[int]string{
+		0:   "4188003412420063001000008c52",
+		1:   "4188013412420063001001007367",
+		255: "4188ff34124200630010ff00fa8d",
+		256: "4188003412420063001000010543",
+	} {
+		if got := hex.EncodeToString(CounterFrame(n)); got != want {
+			t.Errorf("CounterFrame(%d) = %s, want %s", n, got, want)
+		}
 	}
 }
 
 func TestRunReceptionCleanChannels(t *testing.T) {
 	cfg := quickConfig()
 	cfg.WiFi = false
-	res, err := Run(cfg, chip.CC1352R1(), Reception)
+	res, err := RunContext(context.Background(), cfg, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +99,7 @@ func TestRunReceptionCleanChannels(t *testing.T) {
 func TestRunTransmissionCleanChannels(t *testing.T) {
 	cfg := quickConfig()
 	cfg.WiFi = false
-	res, err := Run(cfg, chip.NRF52832(), Transmission)
+	res, err := RunContext(context.Background(), cfg, chip.NRF52832(), Transmission)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +110,11 @@ func TestRunTransmissionCleanChannels(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := quickConfig()
-	a, err := Run(cfg, chip.NRF52832(), Reception)
+	a, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, chip.NRF52832(), Reception)
+	b, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +131,7 @@ func TestRunWiFiDegradesOverlappedChannels(t *testing.T) {
 	cfg := quickConfig()
 	cfg.FramesPerChannel = 25
 	cfg.WiFiDutyCycle = 0.08 // exaggerate so a short run shows the shape
-	res, err := Run(cfg, chip.NRF52832(), Reception)
+	res, err := RunContext(context.Background(), cfg, chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +234,7 @@ func TestFormatComparison(t *testing.T) {
 	cfg := quickConfig()
 	cfg.WiFi = false
 	cfg.FramesPerChannel = 2
-	res, err := Run(cfg, chip.CC1352R1(), Reception)
+	res, err := RunContext(context.Background(), cfg, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"wazabee/internal/dsp/stream"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/randsrc"
 )
 
 // Fidelity selects how much physics a Channel simulates per frame.
@@ -246,11 +247,9 @@ func passband(txFreqMHz, rxFreqMHz float64) (inBand, adjacent bool) {
 type seedStream struct{ state uint64 }
 
 func (s *seedStream) next() uint64 {
+	z := randsrc.SplitMix64(s.state)
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 func (s *seedStream) float64() float64 {

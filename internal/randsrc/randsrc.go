@@ -150,3 +150,17 @@ func (s *Source) word(i int) int64 {
 	c := b * lehmerMul % lehmerMod
 	return int64(a<<40^b<<20^c) ^ rngCooked[i]
 }
+
+// SplitMix64 is one step of the SplitMix64 generator (Steele et al.,
+// "Fast splittable pseudorandom number generators"): it adds the
+// golden-ratio increment to x and returns the finalised sum. The
+// finaliser is invertible and its output passes BigCrush, so chaining
+// it over structured coordinates (seed, point, trial, node, frame)
+// gives independent-looking seeds; a generator whose state advances by
+// the increment per draw returns SplitMix64(state) before advancing.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -176,3 +176,16 @@ func BenchmarkNormFloat64(b *testing.B) {
 		})
 	}
 }
+
+// TestSplitMix64 checks the first outputs of the reference SplitMix64
+// generator seeded with 0 (state advanced by the increment per draw).
+func TestSplitMix64(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec}
+	var state uint64
+	for i, w := range want {
+		if got := SplitMix64(state); got != w {
+			t.Errorf("output %d = %#016x, want %#016x", i, got, w)
+		}
+		state += 0x9e3779b97f4a7c15
+	}
+}

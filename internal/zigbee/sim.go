@@ -6,6 +6,7 @@ import (
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/radio"
+	"wazabee/internal/randsrc"
 )
 
 // Simulation couples the victim network (sensor + coordinator) to a
@@ -87,13 +88,7 @@ func (s *Simulation) SetFidelity(f radio.Fidelity) error {
 // from the simulation seed and the delivery's sequence number, following
 // the SplitMix64 discipline of internal/zigbee/sim.
 func victimSeed(seed int64, n uint64) uint64 {
-	mix := func(x uint64) uint64 {
-		x += 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		return x ^ (x >> 31)
-	}
-	return mix(mix(uint64(seed)^0x71c7) ^ n)
+	return randsrc.SplitMix64(randsrc.SplitMix64(uint64(seed)^0x71c7) ^ n)
 }
 
 func channelFreq(channel int) (float64, error) {

@@ -13,20 +13,11 @@ import (
 // interleaving — the property that makes capture sequences bit-identical
 // at any event-batch size.
 
-// splitmix64 is the SplitMix64 finaliser (Steele et al., "Fast
-// splittable pseudorandom number generators").
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // nodeSeed derives the RNG seed of one node's private stream from the
 // run seed and the node's index.
 func nodeSeed(seed int64, nodeID int) int64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ uint64(int64(nodeID))<<1 ^ 0x5a)
+	h := randsrc.SplitMix64(uint64(seed))
+	h = randsrc.SplitMix64(h ^ uint64(int64(nodeID))<<1 ^ 0x5a)
 	return int64(h)
 }
 
@@ -35,9 +26,9 @@ func nodeSeed(seed int64, nodeID int) int64 {
 // order, which is total), so the draw is reproducible without being
 // correlated across receivers.
 func deliverySeed(seed int64, frameSeq uint64, rxID int) uint64 {
-	h := splitmix64(uint64(seed) ^ 0xd1ce)
-	h = splitmix64(h ^ frameSeq)
-	h = splitmix64(h ^ uint64(int64(rxID)))
+	h := randsrc.SplitMix64(uint64(seed) ^ 0xd1ce)
+	h = randsrc.SplitMix64(h ^ frameSeq)
+	h = randsrc.SplitMix64(h ^ uint64(int64(rxID)))
 	return h
 }
 

@@ -175,7 +175,7 @@ func DefaultExperimentConfig() ExperimentConfig {
 
 // RunExperiment executes the Table III experiment for one chip and side.
 func RunExperiment(cfg ExperimentConfig, model Chip, side Side) (*ExperimentResult, error) {
-	return experiment.Run(cfg, model, side)
+	return experiment.RunContext(context.Background(), cfg, model, side)
 }
 
 // RunExperimentContext is RunExperiment with cancellation: the run
