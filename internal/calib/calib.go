@@ -5,13 +5,16 @@
 // both WazaBee chip models on both sides, an SNR sweep bracketing the
 // Table III operating band, carrier offsets up to the crystal budget and
 // clean as well as WiFi-degraded channels — and records, per grid cell,
-// the sync-failure rate and the per-symbol despreading distance
-// histogram. The symbol tier replays those distributions through the
-// real despreader decision logic; the frame tier collapses them to a
+// the frames the receiver returned nothing for and the per-symbol
+// despreading distance histogram of the frames it decoded. Those counts
+// (radio.CalTally) are the table's stored form; radio.CalTally.Cell
+// divides them into the sync-failure rate and the distance distribution.
+// The symbol tier replays those distributions through the real
+// despreader decision logic; the frame tier collapses them to a
 // closed-form per-frame probability.
 //
 // cmd/calibrate is the offline entry point that regenerates the
-// checked-in table (internal/radio/caldata/table.json) and verifies it
+// checked-in table (internal/radio/caldata/tallies.txt) and verifies it
 // for drift in CI.
 package calib
 
@@ -156,11 +159,11 @@ func Fit(opts Options) (*radio.CalTable, error) {
 			return nil, fmt.Errorf("calib: profile %s: %w", spec.name, err)
 		}
 		profiles[pi] = &radio.CalProfile{
-			Name:  spec.name,
-			SNRdB: append([]float64(nil), snrGrid...),
-			CFOHz: append([]float64(nil), spec.cfo...),
-			WiFi:  append([]float64(nil), spec.wifi...),
-			Cells: make([]radio.CalCell, len(snrGrid)*len(spec.cfo)*len(spec.wifi)),
+			Name:    spec.name,
+			SNRdB:   append([]float64(nil), snrGrid...),
+			CFOHz:   append([]float64(nil), spec.cfo...),
+			WiFi:    append([]float64(nil), spec.wifi...),
+			Tallies: make([]radio.CalTally, len(snrGrid)*len(spec.cfo)*len(spec.wifi)),
 		}
 		for si := range snrGrid {
 			for ci := range spec.cfo {
@@ -184,7 +187,7 @@ func Fit(opts Options) (*radio.CalTable, error) {
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		cell, err := fitCell(opts, reg, demodulate, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
+		tally, err := fitCell(opts, reg, demodulate, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
 			snrGrid[g.si], ps.cfo[g.ci], ps.wifi[g.wi])
 		if err != nil {
 			return runner.Outcome{}, err
@@ -192,7 +195,7 @@ func Fit(opts Options) (*radio.CalTable, error) {
 		// Every cell has exactly one writer, and runner.Run returns only
 		// after all workers have exited.
 		prof := profiles[g.prof]
-		prof.Cells[cellIndex(prof, g.si, g.ci, g.wi)] = cell
+		prof.Tallies[cellIndex(prof, g.si, g.ci, g.wi)] = tally
 		return runner.Outcome{Class: "fitted"}, nil
 	})
 	if err != nil {
@@ -200,14 +203,17 @@ func Fit(opts Options) (*radio.CalTable, error) {
 	}
 
 	table := &radio.CalTable{
-		Version:        1,
 		SamplesPerChip: opts.SamplesPerChip,
 		FramesPerCell:  opts.FramesPerCell,
 		Seed:           opts.Seed,
 		Profiles:       make(map[string]*radio.CalProfile, len(specs)),
 	}
 	for pi, prof := range profiles {
-		smoothProfile(prof)
+		smoothProfile(prof, opts.FramesPerCell)
+		prof.Cells = make([]radio.CalCell, len(prof.Tallies))
+		for i := range prof.Tallies {
+			prof.Cells[i] = prof.Tallies[i].Cell(opts.FramesPerCell)
+		}
 		table.Profiles[prof.Name] = prof
 		if opts.Progress != nil {
 			opts.Progress(prof.Name, pi+1, len(specs))
@@ -253,19 +259,17 @@ func calibrationFrames(opts Options, reg *obs.Registry, spec profileSpec) ([]dsp
 	return sigs, nil
 }
 
-// fitCell measures one grid cell: FramesPerCell independent frames, each
+// fitCell counts one grid cell: FramesPerCell independent frames, each
 // over a fresh medium whose every draw flows from the cell-and-frame
 // derived seed (the same isolation discipline as the Table III trials).
 func fitCell(opts Options, reg *obs.Registry, demodulate func(dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error),
-	sigs []dsp.IQ, sampleRate float64, profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalCell, error) {
-	fails := 0
-	var hist [17]uint64
-	var symbols uint64
+	sigs []dsp.IQ, sampleRate float64, profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalTally, error) {
+	var tally radio.CalTally
 	for f, sig := range sigs {
 		seed := mixSeed(uint64(opts.Seed), uint64(profIdx), uint64(si), uint64(ci), uint64(wi), uint64(f))
 		medium, err := radio.NewMedium(sampleRate, int64(seed))
 		if err != nil {
-			return radio.CalCell{}, err
+			return radio.CalTally{}, err
 		}
 		medium.Obs = reg
 		if wifi > 0 {
@@ -282,35 +286,21 @@ func fitCell(opts Options, reg *obs.Registry, demodulate func(dsp.IQ) (*ieee8021
 		}
 		capture, err := medium.Deliver(sig, calFreqMHz, calFreqMHz, link)
 		if err != nil {
-			return radio.CalCell{}, err
+			return radio.CalTally{}, err
 		}
 		dem, _, derr := demodulate(capture)
 		if derr != nil {
 			// Sync failures, mid-frame aborts and quality-gate drops all
-			// fold into SyncFail — the symbol tier must not re-apply the
-			// gate on top.
-			fails++
+			// count as fails, which divide into SyncFail — the symbol tier
+			// must not re-apply the gate on top.
+			tally.Fails++
 			continue
 		}
 		for d, n := range dem.ChipDistHist {
-			hist[d] += uint64(n)
-			symbols += uint64(n)
+			tally.Hist[d] += uint64(n)
 		}
 	}
-
-	cell := radio.CalCell{SyncFail: float64(fails) / float64(len(sigs))}
-	if symbols == 0 {
-		// Nothing decoded: the distance distribution is unobservable.
-		// Pin it to the worst bucket so any interpolation toward this
-		// cell degrades pessimistically; with SyncFail at 1 the symbol
-		// draw never actually reaches it.
-		cell.Dist[16] = 1
-		return cell, nil
-	}
-	for d, n := range hist {
-		cell.Dist[d] = float64(n) / float64(symbols)
-	}
-	return cell, nil
+	return tally, nil
 }
 
 // smoothProfile enforces physical monotonicity along the SNR axis for
@@ -319,27 +309,30 @@ func fitCell(opts Options, reg *obs.Registry, demodulate func(dsp.IQ) (*ieee8021
 // the distance distribution) may not fall. Finite per-cell sampling
 // occasionally violates both by a hair; clamping to the neighbouring
 // cell keeps interpolated success probabilities monotone, which the
-// fidelity tiers' shape tests pin.
-func smoothProfile(p *radio.CalProfile) {
-	cell := func(si, ci, wi int) *radio.CalCell {
-		return &p.Cells[cellIndex(p, si, ci, wi)]
+// fidelity tiers' shape tests pin. The rules compare the divided cells
+// (framesPerCell frames each) and act on the counts: a violating cell
+// takes its lower-SNR neighbour's fail count or distance histogram.
+func smoothProfile(p *radio.CalProfile, framesPerCell int) {
+	tally := func(si, ci, wi int) *radio.CalTally {
+		return &p.Tallies[cellIndex(p, si, ci, wi)]
 	}
-	symOK := func(c *radio.CalCell) float64 {
+	symOK := func(c radio.CalCell) float64 {
 		s := 0.0
 		for k, w := range c.Dist {
-			s += w * radio.SymbolCorrectProb(k)
+			s += float64(w * radio.SymbolCorrectProb(k)) // rounded: never a fused multiply-add
 		}
 		return s
 	}
 	for ci := range p.CFOHz {
 		for wi := range p.WiFi {
 			for si := 1; si < len(p.SNRdB); si++ {
-				prev, cur := cell(si-1, ci, wi), cell(si, ci, wi)
-				if cur.SyncFail > prev.SyncFail {
-					cur.SyncFail = prev.SyncFail
+				prev, cur := tally(si-1, ci, wi), tally(si, ci, wi)
+				pc, cc := prev.Cell(framesPerCell), cur.Cell(framesPerCell)
+				if cc.SyncFail > pc.SyncFail {
+					cur.Fails = prev.Fails
 				}
-				if symOK(cur) < symOK(prev) {
-					cur.Dist = prev.Dist
+				if symOK(cc) < symOK(pc) {
+					cur.Hist = prev.Hist
 				}
 			}
 		}

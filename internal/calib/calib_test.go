@@ -2,7 +2,6 @@ package calib
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -16,45 +15,58 @@ func distAt(k int) [17]float64 {
 	return d
 }
 
-// TestSmoothProfileClampsColumn hand-builds a profile whose first WiFi
-// column violates both monotonicity rules: SyncFail rises with SNR at
-// the middle cell, and its distance distribution decodes worse than the
-// cell below it. The second column is already monotone and must come
-// through untouched.
+// histAt is a distance histogram of 5 symbols, all at k chip errors.
+func histAt(k int) [17]uint64 {
+	var h [17]uint64
+	h[k] = 5
+	return h
+}
+
+// TestSmoothProfileClampsColumn hand-builds a profile of 10-frame cells
+// whose first WiFi column violates both monotonicity rules: the fail
+// count rises with SNR at the middle cell, and its distance histogram
+// decodes worse than the cell below it. The middle cell must take the
+// lower cell's fail count and histogram. The second column is already
+// monotone, and its lowest-SNR cell decoded nothing (an all-zero
+// histogram); it must come through untouched.
 func TestSmoothProfileClampsColumn(t *testing.T) {
+	const frames = 10
 	p := &radio.CalProfile{
-		SNRdB: []float64{0, 5, 10},
-		CFOHz: []float64{0},
-		WiFi:  []float64{0, 0.5},
-		Cells: make([]radio.CalCell, 6),
+		SNRdB:   []float64{0, 5, 10},
+		CFOHz:   []float64{0},
+		WiFi:    []float64{0, 0.5},
+		Tallies: make([]radio.CalTally, 6),
 	}
-	set := func(si, wi int, syncFail float64, k int) {
-		p.Cells[cellIndex(p, si, 0, wi)] = radio.CalCell{SyncFail: syncFail, Dist: distAt(k)}
+	set := func(si, wi int, fails uint64, hist [17]uint64) {
+		p.Tallies[cellIndex(p, si, 0, wi)] = radio.CalTally{Fails: fails, Hist: hist}
 	}
-	set(0, 0, 0.3, 6)
-	set(1, 0, 0.4, 10) // SyncFail rises, P[symbol correct] falls
-	set(2, 0, 0.1, 0)
-	set(0, 1, 0.9, 12)
-	set(1, 1, 0.5, 8)
-	set(2, 1, 0.0, 0)
-	monotone := append([]radio.CalCell(nil), p.Cells...)
+	set(0, 0, 3, histAt(6))
+	set(1, 0, 4, histAt(10)) // SyncFail rises, P[symbol correct] falls
+	set(2, 0, 1, histAt(0))
+	set(0, 1, 10, [17]uint64{})
+	set(1, 1, 5, histAt(8))
+	set(2, 1, 0, histAt(0))
+	monotone := append([]radio.CalTally(nil), p.Tallies...)
 
-	smoothProfile(p)
+	smoothProfile(p, frames)
 
-	mid := p.Cells[cellIndex(p, 1, 0, 0)]
-	if mid.SyncFail != 0.3 {
-		t.Errorf("rising SyncFail smoothed to %g, want the previous cell's 0.3", mid.SyncFail)
+	mid := p.Tallies[cellIndex(p, 1, 0, 0)]
+	if mid.Fails != 3 {
+		t.Errorf("rising fail count smoothed to %d, want the previous cell's 3", mid.Fails)
 	}
-	if mid.Dist != distAt(6) {
-		t.Errorf("falling decode probability kept Dist %v, want the previous cell's", mid.Dist)
+	if mid.Hist != histAt(6) {
+		t.Errorf("falling decode probability kept Hist %v, want the previous cell's", mid.Hist)
 	}
-	if top := p.Cells[cellIndex(p, 2, 0, 0)]; top.SyncFail != 0.1 || top.Dist != distAt(0) {
+	if cell := mid.Cell(frames); cell.SyncFail != 0.3 || cell.Dist != distAt(6) {
+		t.Errorf("smoothed cell divides to %+v, want SyncFail 0.3 and the previous cell's Dist", cell)
+	}
+	if top := p.Tallies[cellIndex(p, 2, 0, 0)]; top.Fails != 1 || top.Hist != histAt(0) {
 		t.Errorf("monotone step above the clamp changed to %+v", top)
 	}
 	for si := range p.SNRdB {
 		i := cellIndex(p, si, 0, 1)
-		if p.Cells[i] != monotone[i] {
-			t.Errorf("monotone column cell %d changed: %+v, was %+v", si, p.Cells[i], monotone[i])
+		if p.Tallies[i] != monotone[i] {
+			t.Errorf("monotone column cell %d changed: %+v, was %+v", si, p.Tallies[i], monotone[i])
 		}
 	}
 }
@@ -108,8 +120,8 @@ func TestFitRejectsBadOptions(t *testing.T) {
 
 // TestFitIdenticalAcrossWorkerCounts fits a one-frame-per-cell table on
 // one and on four runner workers (the runner's pool is GOMAXPROCS) and
-// requires identical JSON, with Progress reporting every profile once,
-// in order, on both.
+// requires identical encoded tables, with Progress reporting every
+// profile once, in order, on both.
 func TestFitIdenticalAcrossWorkerCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var fits [][]byte
@@ -134,7 +146,7 @@ func TestFitIdenticalAcrossWorkerCounts(t *testing.T) {
 		if !inOrder {
 			t.Errorf("GOMAXPROCS %d: Progress done sequence %v, want 1..%d", procs, done, len(profileSpecs()))
 		}
-		data, err := json.Marshal(table)
+		data, err := table.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}

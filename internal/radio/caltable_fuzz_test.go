@@ -1,49 +1,45 @@
 package radio
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
-	"reflect"
 	"testing"
 )
 
-// FuzzParseCalTable feeds the calibration table decoder arbitrary JSON.
-// It must never panic; any table it accepts must survive a json.Marshal
-// → ParseCalTable round trip unchanged; and every accepted profile's
-// Lookup, at and one unit either side of each axis end, must return a
-// SyncFail in [0,1] and a distance distribution summing to 1.
+// FuzzParseCalTable feeds the calibration table decoder arbitrary bytes.
+// It must never panic; any table it accepts must encode back to the
+// bytes it was given; and every accepted profile's Lookup, at and one
+// unit either side of each axis end, must return a SyncFail in [0,1] and
+// a distance distribution summing to 1.
 func FuzzParseCalTable(f *testing.F) {
-	f.Add(defaultCalJSON)
-	for _, n := range []int{0, 1, len(defaultCalJSON) / 2, len(defaultCalJSON) - 2} {
-		f.Add(defaultCalJSON[:n])
+	f.Add(defaultCalTallies)
+	for _, n := range []int{0, 1, len(defaultCalTallies) / 2, len(defaultCalTallies) - 2} {
+		f.Add(defaultCalTallies[:n])
 	}
-	table, err := ParseCalTable(defaultCalJSON)
+	table, err := ParseCalTable(defaultCalTallies)
 	if err != nil {
 		f.Fatal(err)
 	}
-	native := table.Profiles[ProfileOQPSK]
-	one := &CalTable{Version: table.Version, Profiles: map[string]*CalProfile{ProfileOQPSK: native}}
-	f.Add(mustMarshal(f, one))
-	dropped := *native
-	dropped.Cells = native.Cells[1:]
-	one.Profiles[ProfileOQPSK] = &dropped
-	f.Add(mustMarshal(f, one))
+	one := &CalTable{SamplesPerChip: table.SamplesPerChip, FramesPerCell: table.FramesPerCell,
+		Profiles: map[string]*CalProfile{ProfileOQPSK: table.Profiles[ProfileOQPSK]}}
+	native := mustEncode(f, one)
+	f.Add(native)
+	// The native profile with its last cell line cut off: one short of a
+	// complete grid.
+	f.Add(native[:bytes.LastIndexByte(native[:len(native)-1], '\n')+1])
+	f.Add(mustEncode(f, syncFailOneTable()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		table, err := ParseCalTable(data)
 		if err != nil {
 			return
 		}
-		out, err := json.Marshal(table)
+		out, err := table.Encode()
 		if err != nil {
-			t.Fatalf("accepted table does not marshal: %v", err)
+			t.Fatalf("accepted table does not encode: %v", err)
 		}
-		back, err := ParseCalTable(out)
-		if err != nil {
-			t.Fatalf("re-encoded table does not parse: %v", err)
-		}
-		if !reflect.DeepEqual(back, table) {
-			t.Fatalf("round trip diverged:\n%+v\n%+v", table, back)
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted table re-encodes to other bytes:\n%q\n%q", data, out)
 		}
 		for name, p := range table.Profiles {
 			for _, snr := range axisEndProbes(p.SNRdB) {
@@ -74,8 +70,8 @@ func axisEndProbes(axis []float64) []float64 {
 	return []float64{first - 1, first, first + 1, last - 1, last, last + 1}
 }
 
-func mustMarshal(f *testing.F, v any) []byte {
-	data, err := json.Marshal(v)
+func mustEncode(f *testing.F, t *CalTable) []byte {
+	data, err := t.Encode()
 	if err != nil {
 		f.Fatal(err)
 	}

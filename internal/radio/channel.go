@@ -173,8 +173,6 @@ type ChannelOptions struct {
 	// Profile names the calibration profile backing the symbol and frame
 	// tiers (e.g. "nRF52832/reception"); empty means ProfileOQPSK.
 	Profile string
-	// Cal overrides the calibration table; nil uses the embedded default.
-	Cal *CalTable
 	// Endpoints supplies the modem pair; required for FidelityIQ,
 	// ignored otherwise.
 	Endpoints *IQEndpoints
@@ -190,13 +188,9 @@ func (m *Medium) Channel(f Fidelity, opts ChannelOptions) (Channel, error) {
 		}
 		return &iqChannel{m: m, ep: *opts.Endpoints}, nil
 	case FidelitySymbol, FidelityFrame:
-		table := opts.Cal
-		if table == nil {
-			var err error
-			table, err = DefaultCalTable()
-			if err != nil {
-				return nil, err
-			}
+		table, err := DefaultCalTable()
+		if err != nil {
+			return nil, err
 		}
 		name := opts.Profile
 		if name == "" {
@@ -463,7 +457,7 @@ func (c *frameChannel) successProb(eff, cfo, wifi float64, psduLen int) float64 
 	cell := c.prof.Lookup(eff, cfo, wifi)
 	s := 0.0
 	for k, p := range cell.Dist {
-		s += p * symbolCorrectProb[k]
+		s += float64(p * symbolCorrectProb[k]) // rounded: never a fused multiply-add
 	}
 	symbols := 2 * (psduLen + 1)
 	prob := (1 - cell.SyncFail) * math.Pow(s, float64(symbols))
