@@ -1,7 +1,9 @@
 package ids
 
 import (
+	"bufio"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wazabee/internal/attack"
@@ -9,6 +11,7 @@ import (
 	"wazabee/internal/chip"
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
 )
 
@@ -136,18 +139,17 @@ func TestInspectFlagsWazaBeeTransmitter(t *testing.T) {
 	}
 }
 
-func TestInspectFlagsScenarioAInjection(t *testing.T) {
-	// The smartphone path wraps the Zigbee frame in a whitened
-	// AUX_ADV_IND; the IDS must spot the BLE framing around it.
-	m := testMonitor(t)
+// scenarioAFrame is the smartphone injection path: the Zigbee frame
+// wrapped in a whitened AUX_ADV_IND, sent on an event whose CSA#2 draw
+// hits BLE channel 8 so the forged data is dewhitened for the right
+// channel.
+func scenarioAFrame(t *testing.T) dsp.IQ {
+	t.Helper()
 	phone, err := attack.NewSmartphone(testSPS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ppdu := testPPDU(t, []byte{0x41, 0x88, 0x05, 0x34, 0x12, 0x42, 0x00, 0x63, 0x00, 0x07})
-
-	// Find an event whose CSA#2 draw hits BLE channel 8 so the forged
-	// data is dewhitened for the right channel.
 	for event := uint16(0); event < 500; event++ {
 		sig, bleChannel, err := phone.AdvertiseOnce(event, ppdu)
 		if err != nil {
@@ -160,22 +162,28 @@ func TestInspectFlagsScenarioAInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := m.Inspect(padded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !v.FrameSeen {
-			t.Fatal("embedded frame not decoded by the monitor")
-		}
-		if !v.Has(AlertBLEFraming) {
-			t.Error("BLE framing around the injected frame not detected")
-		}
-		if !v.Has(AlertModulationFingerprint) {
-			t.Error("GFSK fingerprint of the injected frame not detected")
-		}
-		return
+		return padded
 	}
 	t.Fatal("CSA#2 never selected channel 8")
+	return nil
+}
+
+func TestInspectFlagsScenarioAInjection(t *testing.T) {
+	// The IDS must spot the BLE framing around the injected frame.
+	m := testMonitor(t)
+	v, err := m.Inspect(scenarioAFrame(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.FrameSeen {
+		t.Fatal("embedded frame not decoded by the monitor")
+	}
+	if !v.Has(AlertBLEFraming) {
+		t.Error("BLE framing around the injected frame not detected")
+	}
+	if !v.Has(AlertModulationFingerprint) {
+		t.Error("GFSK fingerprint of the injected frame not detected")
+	}
 }
 
 func TestInspectUnexpectedTrafficPolicy(t *testing.T) {
@@ -302,5 +310,53 @@ func TestIDSOnVictimNetwork(t *testing.T) {
 	}
 	if !v2.Has(AlertModulationFingerprint) {
 		t.Errorf("attack traffic not fingerprinted (EVM %.3f)", v2.SoftEVM)
+	}
+}
+
+// TestMonitorPrometheusText pins the wazabee_ids_* series an IQ monitor
+// leaves behind after inspecting a legitimate frame, a WazaBee frame, a
+// scenario A frame and noise, first on an expected channel and then on
+// one where no traffic is expected: every detector and its counter
+// family, read off real captures.
+func TestMonitorPrometheusText(t *testing.T) {
+	noise, err := dsp.NoiseFloor(8192, 0.1, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	captures := []dsp.IQ{legitFrame(t), wazabeeFrame(t, chip.NRF52832()), scenarioAFrame(t), noise}
+	reg := obs.NewRegistry()
+	m := testMonitor(t)
+	m.Obs = reg
+	for _, expected := range []bool{true, false} {
+		m.ChannelExpected = expected
+		for _, c := range captures {
+			if _, err := m.Inspect(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	sc := bufio.NewScanner(strings.NewReader(b.String()))
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "wazabee_ids_") || strings.HasPrefix(line, "# TYPE wazabee_ids_") {
+			got.WriteString(line + "\n")
+		}
+	}
+	const want = `# TYPE wazabee_ids_detections_total counter
+wazabee_ids_detections_total{kind="ble-framing"} 2
+wazabee_ids_detections_total{kind="modulation-fingerprint"} 4
+wazabee_ids_detections_total{kind="unexpected-traffic"} 3
+# TYPE wazabee_ids_frames_seen_total counter
+wazabee_ids_frames_seen_total 6
+# TYPE wazabee_ids_inspections_total counter
+wazabee_ids_inspections_total 8
+`
+	if got.String() != want {
+		t.Errorf("wazabee_ids_* text:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
