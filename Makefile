@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: fmt-check build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
+.PHONY: fmt-check build vet test race racereceive racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,12 @@ bench:
 # calibration table, capture record, Zigbee NWK, APS, ZCL and
 # remote-AT, BLE advertising, AuxPtr, ESB and packet, and
 # association-response decoders must also re-encode whatever they
-# accept to the same bytes; the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture, the packed
-# sync scan must make the byte-wise FindPattern reference's decision,
-# and the lazily seeded math/rand source (internal/randsrc) must match
-# rand.NewSource bit for bit at any re-seed point. The calibration
+# accept to the same bytes; the WazaBee receiver must return a
+# consistent, repeatable verdict for any truncated or corrupted copy of
+# a capture, the packed sync scan must make the byte-wise FindPattern
+# reference's decision, and the lazily seeded math/rand source
+# (internal/randsrc) must match rand.NewSource bit for bit at any
+# re-seed point. The calibration
 # table fuzzer caps minimisation at 10 runs: its seed is the 25 KB
 # embedded table, which the default 60 s minimiser would spend the
 # whole run shrinking at 0 execs/s.
@@ -58,7 +59,7 @@ fuzz:
 	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzDecodeAuxPtr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzParseESBAirBits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzPacketParseAirBits -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReceiveStats -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsp/stream -run '^$$' -fuzz FuzzCorrelatorMatchesFindPattern -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
@@ -75,10 +76,11 @@ fuzz:
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseATResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzParseCalTable -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
-# The concurrent per-channel streaming test under the race detector:
-# many RxStreams plus whole-capture calls sharing one Receiver/registry.
-racestream:
-	$(GO) test -race -run TestStreamConcurrentChannels -count 4 ./internal/core
+# The WazaBee receiver under the race detector: plain and
+# origin-stamped receives from many goroutines sharing one Receiver and
+# one registry, with the PSDUs and the demod latency count checked.
+racereceive:
+	$(GO) test -race -run TestReceiveConcurrent -count 4 ./internal/core
 
 # The Monte-Carlo runner hammered under the race detector: worker-pool
 # churn and concurrent sweeps on one shared registry, with exact shard
@@ -150,4 +152,4 @@ perfbench-test:
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 
-ci: fmt-check vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test
+ci: fmt-check vet build test race racereceive racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test

@@ -250,6 +250,40 @@ func BenchmarkWazaBeeTX(b *testing.B) {
 	}
 }
 
+// BenchmarkWazaBeeRX measures the reception primitive: one
+// Receiver.ReceiveStats of a padded WazaBee frame, the call Table III's
+// IQ channel makes per frame, with the buffer pool warm.
+func BenchmarkWazaBeeRX(b *testing.B) {
+	tx, err := chip.NRF52832().NewWazaBeeTransmitter(benchSPS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rx, err := chip.CC1352R1().NewWazaBeeReceiver(benchSPS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rx.Obs = obs.NewRegistry()
+	ppdu := benchPPDU(b, []byte{0x41, 0x88, 0x01, 0x34, 0x12, 0x42, 0x00, 0x63, 0x00, 0x2a})
+	sig, err := tx.Modulate(ppdu)
+	if err != nil {
+		b.Fatal(err)
+	}
+	padded, err := sig.Pad(200, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := rx.ReceiveStats(padded); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := rx.ReceiveStats(padded); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSNRSweep measures the extension experiment: the sensitivity
 // knee of the reception primitive (PER at a mid-waterfall SNR).
 func BenchmarkSNRSweep(b *testing.B) {

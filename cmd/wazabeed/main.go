@@ -30,9 +30,7 @@ import (
 
 	"wazabee"
 	"wazabee/internal/capture"
-	"wazabee/internal/dsp"
 	"wazabee/internal/dsp/stream"
-	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/obs/link"
 	"wazabee/internal/zigbee"
@@ -44,7 +42,6 @@ type config struct {
 	snrDB        float64
 	interval     time.Duration
 	channel      int
-	chunk        int // 0 = whole-capture mode
 	periods      int // 0 = run until the context is cancelled
 	fidelity     string
 	pcapPath     string
@@ -105,7 +102,6 @@ func registerFlags(flag *flag.FlagSet, cfg *config) {
 	flag.Float64Var(&cfg.snrDB, "snr", 22, "attacker link SNR in dB")
 	flag.DurationVar(&cfg.interval, "interval", 250*time.Millisecond, "sensor reporting interval")
 	flag.IntVar(&cfg.channel, "channel", zigbee.DefaultChannel, "802.15.4 channel to sniff")
-	flag.IntVar(&cfg.chunk, "chunk", 0, "feed the receiver IQ slabs of this many samples via the streaming pipeline (0 = whole-capture mode)")
 	flag.StringVar(&cfg.fidelity, "fidelity", "iq", "victim-to-victim delivery tier: iq (full DSP), symbol or frame (calibrated draws; the attacker capture stays IQ)")
 	flag.IntVar(&cfg.periods, "periods", 0, "stop after this many reporting periods (0 = run until interrupted)")
 	flag.StringVar(&cfg.pcapPath, "pcap", "wazabee.pcap", "rotating pcap output path (empty disables)")
@@ -255,12 +251,7 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 			return err
 		}
 	}
-	var live *zigbee.LiveNetwork
-	if cfg.chunk > 0 {
-		live, err = zigbee.StartLiveChunked(network, cfg.interval, cfg.channel, cfg.chunk)
-	} else {
-		live, err = zigbee.StartLive(network, cfg.interval, cfg.channel)
-	}
+	live, err := zigbee.StartLive(network, cfg.interval, cfg.channel)
 	if err != nil {
 		return err
 	}
@@ -392,107 +383,52 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 	// Producer: decode live periods and publish them to the hub until
 	// the period budget, a stream end, or a signal stops the daemon.
 	d.log.Info("daemon", "pipeline started",
-		"channel", cfg.channel, "snr_db", cfg.snrDB, "interval", cfg.interval.String(),
-		"chunk", cfg.chunk)
+		"channel", cfg.channel, "snr_db", cfg.snrDB, "interval", cfg.interval.String())
 	published, decoded := 0, 0
 	reg := obs.Default()
 	pool := stream.Shared()
-	// finish publishes one concluded reporting period: link aggregation,
-	// the hub record, and the daemon/pool gauges.
-	finish := func(c zigbee.Capture, dem *ieee802154.Demodulated, st *link.Stats, err error) {
-		if err != nil {
-			dem = nil
-		} else {
-			decoded++
-		}
-		d.link.Observe(c.Channel, st)
-		d.log.Debug("daemon", "period received",
-			"seq", c.Seq, "result", st.Result(), "lqi", st.LQI,
-			"snr_db", st.SNRdB, "cfo_hz", st.CFOHz)
-		ev := obs.FlightEvent{
-			Kind: "frame", Component: "rx", Frame: int64(c.Seq), Detail: st.Result(),
-		}
-		if !c.Origin.IsZero() {
-			ev.Latency = time.Since(c.Origin)
-		}
-		d.flight.Record(ev)
-		rec := capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, c.LinkSNRdB)
-		rec.Origin = c.Origin
-		d.hub.Publish(rec)
-		published++
-		reg.Gauge("wazabee_capture_daemon_periods").Set(float64(published))
-		ps := pool.Stats()
-		reg.Gauge("wazabee_stream_pool_hits_total").Set(float64(ps.Hits))
-		reg.Gauge("wazabee_stream_pool_misses_total").Set(float64(ps.Misses))
-	}
-	streamEnded := func() {
-		if err := live.Err(); err != nil {
-			hcPipeline.SetDown(err.Error())
-			d.flight.Record(obs.FlightEvent{
-				Kind: "error", Component: "live", Frame: -1, Detail: err.Error(),
-			})
-			d.log.Error("daemon", "capture stream ended", "err", err.Error())
-			fmt.Fprintln(out, "wazabeed: capture stream ended:", err)
-		}
-	}
-
-	if cfg.chunk > 0 {
-		// Chunked mode: one long-lived streaming receiver per daemon, fed
-		// IQ slabs as they arrive and flushed at every capture boundary.
-		rxs := rx.Stream()
-		defer rxs.Close()
-		var cur zigbee.Capture
-		var captureIQ dsp.IQ
-	chunkProducer:
-		for cfg.periods == 0 || published < cfg.periods {
-			select {
-			case <-ctx.Done():
-				if rxs.Pending() > 0 {
-					// Drain the partially buffered capture so its verdict,
-					// stats and metrics are concluded rather than dropped.
-					_, st, _ := rxs.Flush()
-					d.link.Observe(cfg.channel, st)
-					d.log.Info("daemon", "drained partial capture on shutdown",
-						"result", st.Result())
+producer:
+	for cfg.periods == 0 || published < cfg.periods {
+		select {
+		case <-ctx.Done():
+			break producer
+		case c, ok := <-live.Captures():
+			if !ok {
+				if err := live.Err(); err != nil {
+					hcPipeline.SetDown(err.Error())
+					d.flight.Record(obs.FlightEvent{
+						Kind: "error", Component: "live", Frame: -1, Detail: err.Error(),
+					})
+					d.log.Error("daemon", "capture stream ended", "err", err.Error())
+					fmt.Fprintln(out, "wazabeed: capture stream ended:", err)
 				}
-				break chunkProducer
-			case cc, ok := <-live.Chunks():
-				if !ok {
-					streamEnded()
-					break chunkProducer
-				}
-				if cc.Offset == 0 {
-					cur = cc.Capture
-					captureIQ = captureIQ[:0]
-					rxs.SetOrigin(cc.Capture.Origin)
-				}
-				captureIQ = append(captureIQ, cc.IQ...)
-				rxs.Push(cc.IQ)
-				if !cc.Last {
-					continue
-				}
-				dem, st, err := rxs.Flush()
-				c := cur
-				// The record keeps the capture waveform; the accumulation
-				// buffer is reused next period, so hand it a copy.
-				c.IQ = captureIQ.Clone()
-				finish(c, dem, st, err)
-			}
-		}
-	} else {
-	producer:
-		for cfg.periods == 0 || published < cfg.periods {
-			select {
-			case <-ctx.Done():
 				break producer
-			case c, ok := <-live.Captures():
-				if !ok {
-					streamEnded()
-					break producer
-				}
-				dem, st, err := rx.ReceiveStatsAt(c.Origin, c.IQ)
-				finish(c, dem, st, err)
 			}
+			dem, st, err := rx.ReceiveStatsAt(c.Origin, c.IQ)
+			if err != nil {
+				dem = nil
+			} else {
+				decoded++
+			}
+			d.link.Observe(c.Channel, st)
+			d.log.Debug("daemon", "period received",
+				"seq", c.Seq, "result", st.Result(), "lqi", st.LQI,
+				"snr_db", st.SNRdB, "cfo_hz", st.CFOHz)
+			ev := obs.FlightEvent{
+				Kind: "frame", Component: "rx", Frame: int64(c.Seq), Detail: st.Result(),
+			}
+			if !c.Origin.IsZero() {
+				ev.Latency = time.Since(c.Origin)
+			}
+			d.flight.Record(ev)
+			rec := capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, c.LinkSNRdB)
+			rec.Origin = c.Origin
+			d.hub.Publish(rec)
+			published++
+			reg.Gauge("wazabee_capture_daemon_periods").Set(float64(published))
+			ps := pool.Stats()
+			reg.Gauge("wazabee_stream_pool_hits_total").Set(float64(ps.Hits))
+			reg.Gauge("wazabee_stream_pool_misses_total").Set(float64(ps.Misses))
 		}
 	}
 

@@ -17,8 +17,9 @@ import (
 )
 
 // TestDaemonSmoke runs the daemon end-to-end: it starts, serves one
-// TCP record subscriber and one ZEP/UDP subscriber, tees a non-empty
-// pcap file, and shuts down cleanly on context cancellation.
+// TCP record subscriber and one ZEP/UDP subscriber, publishes the
+// buffer pool gauges on /metrics, tees a non-empty pcap file, and shuts
+// down cleanly on context cancellation.
 func TestDaemonSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config{
@@ -32,6 +33,7 @@ func TestDaemonSmoke(t *testing.T) {
 		pcapMaxBytes: 0,
 		listenTCP:    "127.0.0.1:0",
 		listenZEP:    "127.0.0.1:0",
+		metricsAddr:  "127.0.0.1:0",
 		deviceID:     0x5742,
 		queueDepth:   64,
 	}
@@ -39,8 +41,8 @@ func TestDaemonSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.tcpAddr() == "" || d.zepAddr() == "" {
-		t.Fatalf("listeners not bound: tcp=%q zep=%q", d.tcpAddr(), d.zepAddr())
+	if d.tcpAddr() == "" || d.zepAddr() == "" || d.metricsAddr() == "" {
+		t.Fatalf("listeners not bound: tcp=%q zep=%q metrics=%q", d.tcpAddr(), d.zepAddr(), d.metricsAddr())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -96,6 +98,23 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if rec.Channel != zigbee.DefaultChannel || len(rec.PSDU) == 0 {
 		t.Errorf("zep record %+v lacks channel/frame", rec)
+	}
+
+	// The buffer pool gauges are published once periods have been
+	// received.
+	resp, err := http.Get("http://" + d.metricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"wazabee_stream_pool_hits_total", "wazabee_stream_pool_misses_total"} {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("/metrics missing %s", name)
+		}
 	}
 
 	// Clean shutdown.
@@ -236,92 +255,5 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "link quality by channel") {
 		t.Errorf("missing link-quality summary in shutdown output:\n%s", out.String())
-	}
-}
-
-// TestDaemonChunkedSmoke boots the daemon in streaming mode (-chunk):
-// captures arrive as IQ slabs that are pushed through one long-lived
-// RxStream, flushed per period. The subscribers must see the same
-// decoded records as whole-capture mode, and the pool gauges must show
-// the streaming pipeline recycling its buffers.
-func TestDaemonChunkedSmoke(t *testing.T) {
-	cfg := config{
-		seed:     7,
-		sps:      8,
-		snrDB:    25,
-		interval: 10 * time.Millisecond,
-		channel:  zigbee.DefaultChannel,
-		chunk:    1024,
-		periods:  0, // run until cancelled, so /metrics stays up
-
-		listenTCP:   "127.0.0.1:0",
-		metricsAddr: "127.0.0.1:0",
-		deviceID:    0x5742,
-		queueDepth:  64,
-		logLevel:    "info",
-	}
-	d, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out bytes.Buffer
-	runDone := make(chan error, 1)
-	go func() { runDone <- d.run(ctx, &out) }()
-
-	conn, err := net.Dial("tcp", d.tcpAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	decoded := 0
-	for i := 0; decoded < 2; i++ {
-		rec, err := capture.ReadRecord(conn)
-		if err != nil {
-			t.Fatalf("after %d records: %v", i, err)
-		}
-		if rec.Channel != zigbee.DefaultChannel {
-			t.Errorf("record on channel %d, want %d", rec.Channel, zigbee.DefaultChannel)
-		}
-		if len(rec.PSDU) > 0 {
-			if rec.Decoder != "wazabee" {
-				t.Errorf("decoded record tagged %q, want wazabee", rec.Decoder)
-			}
-			decoded++
-		}
-	}
-
-	// The streaming pool gauges must be published and show reuse after
-	// several periods through one long-lived stream.
-	resp, err := http.Get("http://" + d.metricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(body)
-	for _, name := range []string{"wazabee_stream_pool_hits_total", "wazabee_stream_pool_misses_total"} {
-		if !strings.Contains(metrics, name) {
-			t.Errorf("/metrics missing %s", name)
-		}
-	}
-
-	cancel()
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatalf("daemon exited with %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not shut down")
-	}
-	if !strings.Contains(out.String(), "periods published") {
-		t.Errorf("missing shutdown summary in output:\n%s", out.String())
 	}
 }

@@ -2,17 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"wazabee/internal/dsp"
 	"wazabee/internal/obs"
 )
 
 // latencySeries lists the wazabee_latency_seconds series a registry
-// holds with at least one observation (streams pre-resolve their
-// histograms, so empty series exist as soon as a stream is built),
-// each rendered as its sorted label set, with its observation count.
+// holds with at least one observation, each rendered as its sorted
+// label set, with its observation count.
 func latencySeries(reg *obs.Registry) map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, s := range reg.Snapshot() {
@@ -33,102 +34,50 @@ func latencySeries(reg *obs.Registry) map[string]uint64 {
 	return out
 }
 
-// TestLatencyStampIdentity proves the one-shot ReceiveStatsAt and a
-// chunked RxStream with SetOrigin stamp the identical latency stage
-// set with the identical observation counts, so whole-capture and
-// streaming deployments of the daemon export comparable
-// wazabee_latency_* families.
-func TestLatencyStampIdentity(t *testing.T) {
-	sig := goldenCapture(t)
-	origin := time.Now().Add(-time.Millisecond)
-
-	oneShot, regA := newStreamReceiver(t)
-	if _, _, err := oneShot.ReceiveStatsAt(origin, sig); err != nil {
-		t.Fatalf("one-shot decode failed: %v", err)
+// TestLatencyStampedVerdicts: a stamped ReceiveStatsAt observes exactly
+// one demod latency whatever its verdict — decoded, no sync or a
+// mid-frame abort — so the population is not biased toward clean
+// frames, and an unstamped call after it adds nothing: the Receiver
+// keeps no stamp between calls.
+func TestLatencyStampedVerdicts(t *testing.T) {
+	golden := goldenCapture(t)
+	noise, err := dsp.NoiseFloor(8000, 0.01, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	chunked, regB := newStreamReceiver(t)
-	s := chunked.Stream()
-	defer s.Close()
-	s.SetOrigin(origin)
-	const chunk = 257 // deliberately unaligned with symbols and samples-per-chip
-	for start := 0; start < len(sig); start += chunk {
-		end := start + chunk
-		if end > len(sig) {
-			end = len(sig)
+	for _, tc := range []struct {
+		name    string
+		sig     dsp.IQ
+		decodes bool
+	}{
+		{"decoded", golden, true},
+		{"no_sync", noise, false},
+		{"truncated", golden[:len(golden)-2000], false},
+	} {
+		rx, reg := newTestReceiver(t)
+		if _, _, err := rx.ReceiveStatsAt(time.Now().Add(-time.Millisecond), tc.sig); (err == nil) != tc.decodes {
+			t.Fatalf("%s: stamped receive error %v", tc.name, err)
 		}
-		s.Push(sig[start:end])
-	}
-	if _, _, err := s.Flush(); err != nil {
-		t.Fatalf("chunked decode failed: %v", err)
-	}
-
-	want := latencySeries(regA)
-	got := latencySeries(regB)
-	if len(want) == 0 {
-		t.Fatal("one-shot path observed no latency series at all")
-	}
-	if _, ok := want["decoder=wazabee;stage=demod;"]; !ok {
-		t.Fatalf("one-shot path missing the demod stage: %v", want)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stage sets differ:\n one-shot %v\n chunked  %v", want, got)
-	}
-	for id, count := range want {
-		if got[id] != count {
-			t.Errorf("series %q: chunked count %d, one-shot %d", id, got[id], count)
+		got := latencySeries(reg)
+		if len(got) != 1 || got["decoder=wazabee;stage=demod;"] != 1 {
+			t.Fatalf("%s: latency series %v, want one demod observation", tc.name, got)
+		}
+		rx.ReceiveStats(tc.sig)
+		if got := latencySeries(reg); got["decoder=wazabee;stage=demod;"] != 1 {
+			t.Fatalf("%s: unstamped call after a stamped one left %v", tc.name, got)
 		}
 	}
 }
 
-// TestLatencyUnstampedSkipped checks the zero-origin paths (plain
-// ReceiveStats, a stream never given SetOrigin) observe nothing into
-// the latency family, so replayed and test traffic cannot pollute the
-// live SLO histograms.
+// TestLatencyUnstampedSkipped checks plain ReceiveStats observes
+// nothing into the latency family, so replayed and test traffic cannot
+// pollute the live SLO histograms.
 func TestLatencyUnstampedSkipped(t *testing.T) {
-	sig := goldenCapture(t)
-
-	rx, reg := newStreamReceiver(t)
-	if _, _, err := rx.ReceiveStats(sig); err != nil {
+	rx, reg := newTestReceiver(t)
+	if _, _, err := rx.ReceiveStats(goldenCapture(t)); err != nil {
 		t.Fatalf("decode failed: %v", err)
 	}
 	if series := latencySeries(reg); len(series) != 0 {
-		t.Fatalf("unstamped one-shot observed latency series %v", series)
-	}
-
-	rx2, reg2 := newStreamReceiver(t)
-	if _, _, err := streamReceive(rx2, sig, len(sig)/2); err != nil {
-		t.Fatalf("stream decode failed: %v", err)
-	}
-	if series := latencySeries(reg2); len(series) != 0 {
-		t.Fatalf("unstamped stream observed latency series %v", series)
-	}
-}
-
-// TestLatencyOriginClearedByFlush checks the origin stamp does not leak
-// into the next capture: after a stamped Flush, an unstamped capture on
-// the same stream must not add demod observations.
-func TestLatencyOriginClearedByFlush(t *testing.T) {
-	sig := goldenCapture(t)
-	rx, reg := newStreamReceiver(t)
-	s := rx.Stream()
-	defer s.Close()
-
-	s.SetOrigin(time.Now())
-	s.Push(sig)
-	if _, _, err := s.Flush(); err != nil {
-		t.Fatalf("stamped decode failed: %v", err)
-	}
-	demod := obs.LatencyHistogram(reg, "demod", "decoder", "wazabee")
-	if got := demod.Count(); got != 1 {
-		t.Fatalf("stamped capture observed %d demod latencies, want 1", got)
-	}
-
-	s.Push(sig)
-	if _, _, err := s.Flush(); err != nil {
-		t.Fatalf("second decode failed: %v", err)
-	}
-	if got := demod.Count(); got != 1 {
-		t.Fatalf("origin stamp leaked into the next capture: %d observations, want 1", got)
+		t.Fatalf("unstamped receive observed latency series %v", series)
 	}
 }

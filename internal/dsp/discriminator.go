@@ -21,21 +21,12 @@ func Discriminate(s IQ) []float64 {
 
 // DiscriminateInto appends the phase increments of s to dst and returns
 // the extended slice, reusing dst's capacity. It is the allocation-free
-// form of Discriminate for pooled buffers and streaming chunks.
+// form of Discriminate for pooled buffers.
 func DiscriminateInto(dst []float64, s IQ) []float64 {
 	for i := 0; i+1 < len(s); i++ {
 		dst = append(dst, cmplx.Phase(s[i+1]*cmplx.Conj(s[i])))
 	}
 	return dst
-}
-
-// DiscriminateAcross appends the phase increment across a chunk
-// boundary — from carry (the last sample of the previous chunk) into
-// next (the first sample of the new chunk) — producing exactly the
-// value Discriminate would have computed at that position over the
-// joined buffer.
-func DiscriminateAcross(dst []float64, carry, next complex128) []float64 {
-	return append(dst, cmplx.Phase(next*cmplx.Conj(carry)))
 }
 
 // IntegrateSymbols sums phase increments over consecutive windows of sps

@@ -38,17 +38,16 @@ func referenceSync(incs []float64, pattern []byte, maxErrors, sps int) (Candidat
 // the byte-wise fallback for longer patterns) against the byte-wise
 // reference chain. The fuzzer picks the random increments (through the
 // seed), a pattern of 1 to 80 bits, the error budget, the samples per
-// symbol, where a noisy copy of the pattern sits, and the chunking: each
-// byte of cuts sets the next chunk length.
+// symbol and where a noisy copy of the pattern sits.
 func FuzzCorrelatorMatchesFindPattern(f *testing.F) {
-	f.Add(int64(1), uint8(31), 3, uint8(7), uint16(40), []byte{})          // 32-bit access address, sps 8
-	f.Add(int64(2), uint8(62), 6, uint8(7), uint16(90), []byte{200, 3})    // 63-bit preamble window
-	f.Add(int64(3), uint8(63), 2, uint8(3), uint16(10), []byte{1})         // exactly 64 bits
-	f.Add(int64(4), uint8(70), 4, uint8(1), uint16(5), []byte{17, 255})    // byte-wise fallback
-	f.Add(int64(5), uint8(0), 0, uint8(0), uint16(0), []byte{0})           // 1 bit, sps 1
-	f.Add(int64(6), uint8(15), -1, uint8(2), uint16(7), []byte{9})         // nothing qualifies
-	f.Add(int64(7), uint8(31), math.MaxInt, uint8(4), uint16(3), []byte{}) // budget wraps as in FindPattern
-	f.Fuzz(func(t *testing.T, seed int64, patLen uint8, maxErrors int, spsByte uint8, at uint16, cuts []byte) {
+	f.Add(int64(1), uint8(31), 3, uint8(7), uint16(40))          // 32-bit access address, sps 8
+	f.Add(int64(2), uint8(62), 6, uint8(7), uint16(90))          // 63-bit preamble window
+	f.Add(int64(3), uint8(63), 2, uint8(3), uint16(10))          // exactly 64 bits
+	f.Add(int64(4), uint8(70), 4, uint8(1), uint16(5))           // byte-wise fallback
+	f.Add(int64(5), uint8(0), 0, uint8(0), uint16(0))            // 1 bit, sps 1
+	f.Add(int64(6), uint8(15), -1, uint8(2), uint16(7))          // nothing qualifies
+	f.Add(int64(7), uint8(31), math.MaxInt, uint8(4), uint16(3)) // budget wraps as in FindPattern
+	f.Fuzz(func(t *testing.T, seed int64, patLen uint8, maxErrors int, spsByte uint8, at uint16) {
 		sps := 1 + int(spsByte%16)
 		rnd := rand.New(rand.NewSource(seed))
 		pattern := make([]byte, 1+int(patLen)%80)
@@ -75,16 +74,8 @@ func FuzzCorrelatorMatchesFindPattern(f *testing.F) {
 			}
 		}
 
-		c := NewCorrelator(nil, pattern, maxErrors, sps)
+		c := correlateIncs(incs, pattern, maxErrors, sps)
 		defer c.Close()
-		for start, i := 0, 0; start < len(incs); i++ {
-			end := len(incs)
-			if len(cuts) > 0 {
-				end = min(start+1+int(cuts[i%len(cuts)]), len(incs))
-			}
-			c.Process(incs[start:end])
-			start = end
-		}
 
 		got, ok := c.Best()
 		want, wantOK := referenceSync(incs, pattern, maxErrors, sps)

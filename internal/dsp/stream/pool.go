@@ -1,18 +1,16 @@
-// Package stream is the streaming substrate of the WazaBee signal path:
-// a sync.Pool-backed BufferPool for the three slab kinds the pipeline
-// moves (complex IQ samples, float64 phase increments / symbol sums,
-// hard-decision bits) and the composable Stage implementations — GFSK
-// discriminator, pattern correlator with carry-over state across chunk
-// boundaries — that let a receiver process a capture incrementally
-// instead of requiring it whole in memory.
+// Package stream holds the receive path's shared synchronisation
+// search and its scratch memory: Correlate, the one Access-Address /
+// preamble correlator every receiver runs over a whole capture, and a
+// sync.Pool-backed BufferPool for the three slab kinds it and the
+// receivers move (complex IQ samples, float64 phase increments / symbol
+// sums, hard-decision bits).
 //
 // Ownership contract (the pooling rules DESIGN.md §9 documents): a slab
 // obtained from a BufferPool belongs to the caller until it is returned
-// with the matching Put method. Stages never retain a caller's input
-// slab past Process; anything a stage must carry across chunk
-// boundaries it copies into state it owns. Returned/emitted buffers
-// (e.g. a decoded PSDU) transfer ownership to the consumer and are
-// never pooled.
+// with the matching Put method. The correlator never retains the
+// caller's capture; the sums and bits it exposes live in its own pooled
+// slabs until Close. Returned buffers (e.g. a decoded PSDU) transfer
+// ownership to the consumer and are never pooled.
 package stream
 
 import (

@@ -7,14 +7,13 @@ import (
 	"wazabee/internal/dsp"
 )
 
-// randomIQ builds a deterministic complex noise buffer.
-func randomIQ(seed int64, n int) dsp.IQ {
-	rnd := rand.New(rand.NewSource(seed))
-	out := make(dsp.IQ, n)
-	for i := range out {
-		out[i] = complex(rnd.NormFloat64(), rnd.NormFloat64())
-	}
-	return out
+// correlateIncs runs Correlate's search over phase increments given
+// directly, so a test can place a pattern symbol by symbol.
+func correlateIncs(incs []float64, pattern []byte, maxErrors, sps int) *Correlator {
+	c := newCorrelator(nil, pattern, maxErrors, sps, len(incs))
+	c.incs = append(c.incs, incs...)
+	c.search()
+	return c
 }
 
 func TestBufferPoolReuseAndStats(t *testing.T) {
@@ -81,40 +80,9 @@ func TestBufferPoolAllocsPerRun(t *testing.T) {
 	}
 }
 
-// TestDiscriminatorChunked: any chunking of a capture must produce the
-// exact increments of the one-shot discriminator, including the values
-// at chunk boundaries.
-func TestDiscriminatorChunked(t *testing.T) {
-	sig := randomIQ(1, 1024)
-	want := dsp.Discriminate(sig)
-
-	for _, chunk := range []int{1, 2, 3, 7, 16, 255, 1024} {
-		var d Discriminator
-		var got []float64
-		for start := 0; start < len(sig); start += chunk {
-			end := start + chunk
-			if end > len(sig) {
-				end = len(sig)
-			}
-			got = d.Process(sig[start:end], got)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk=%d: %d increments, want %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk=%d: increment %d = %v, want %v (not bit-identical)", chunk, i, got[i], want[i])
-			}
-		}
-		if d.Name() != "discriminate" {
-			t.Fatal("wrong stage name")
-		}
-	}
-}
-
-// TestCorrelatorMatchesFindPattern: the streaming correlator must make
-// the exact candidate decision of the one-shot IntegrateSymbols →
-// SliceBits → FindPattern → SoftScore chain, for any chunking.
+// TestCorrelatorMatchesFindPattern: the correlator must make the exact
+// candidate decision of the IntegrateSymbols → SliceBits → FindPattern
+// → SoftScore chain.
 func TestCorrelatorMatchesFindPattern(t *testing.T) {
 	const sps = 4
 	const maxErrors = 3
@@ -138,7 +106,7 @@ func TestCorrelatorMatchesFindPattern(t *testing.T) {
 		}
 	}
 
-	// One-shot reference decision.
+	// Reference decision.
 	wantPhase, wantPos, wantErrs := -1, 0, 0
 	var wantScore float64
 	for phase := 0; phase < sps; phase++ {
@@ -160,78 +128,26 @@ func TestCorrelatorMatchesFindPattern(t *testing.T) {
 		t.Fatal("reference correlator found no candidate; test signal broken")
 	}
 
-	for _, chunk := range []int{1, 3, 5, 32, 500, len(incs)} {
-		c := NewCorrelator(nil, pattern, maxErrors, sps)
-		for start := 0; start < len(incs); start += chunk {
-			end := start + chunk
-			if end > len(incs) {
-				end = len(incs)
-			}
-			c.Process(incs[start:end])
-		}
-		got, ok := c.Best()
-		if !ok {
-			t.Fatalf("chunk=%d: no candidate", chunk)
-		}
-		if got.Phase != wantPhase || got.Pos != wantPos || got.Errors != wantErrs || got.Score != wantScore {
-			t.Errorf("chunk=%d: candidate %+v, want phase=%d pos=%d errs=%d score=%v",
-				chunk, got, wantPhase, wantPos, wantErrs, wantScore)
-		}
-		// The retained symbol sums must be bit-identical to the one-shot
-		// integration at the winning phase.
-		wantSums := dsp.IntegrateSymbols(incs, wantPhase, sps)
-		gotSums := c.Sums(wantPhase)
-		if len(gotSums) != len(wantSums) {
-			t.Fatalf("chunk=%d: %d sums, want %d", chunk, len(gotSums), len(wantSums))
-		}
-		for i := range gotSums {
-			if gotSums[i] != wantSums[i] {
-				t.Fatalf("chunk=%d: sum %d differs (not bit-identical)", chunk, i)
-			}
-		}
-		c.Close()
-	}
-}
-
-// TestCorrelatorCompact: dropping a consumed prefix must re-anchor the
-// scan so a later pattern is still found at its new offset.
-func TestCorrelatorCompact(t *testing.T) {
-	const sps = 2
-	pattern := []byte{1, 1, 0, 1, 0, 0, 1, 1}
-	mk := func(b byte) float64 {
-		if b == 1 {
-			return 0.5
-		}
-		return -0.5
-	}
-	var incs []float64
-	emit := func(bits ...byte) {
-		for _, b := range bits {
-			for j := 0; j < sps; j++ {
-				incs = append(incs, mk(b))
-			}
-		}
-	}
-	emit(0, 1, 0) // filler
-	emit(pattern...)
-	c := NewCorrelator(nil, pattern, 0, sps)
+	c := correlateIncs(incs, pattern, maxErrors, sps)
 	defer c.Close()
-	c.Process(incs)
-	best, ok := c.Best()
-	if !ok || best.Pos != 3 {
-		t.Fatalf("pre-compact candidate %+v ok=%v, want pos 3", best, ok)
+	got, ok := c.Best()
+	if !ok {
+		t.Fatal("no candidate")
 	}
-
-	c.Compact(c.Len())
-	if _, ok := c.Best(); ok {
-		t.Fatal("candidate survived a full compact")
+	if got.Phase != wantPhase || got.Pos != wantPos || got.Errors != wantErrs || got.Score != wantScore {
+		t.Errorf("candidate %+v, want phase=%d pos=%d errs=%d score=%v",
+			got, wantPhase, wantPos, wantErrs, wantScore)
 	}
-	incs = incs[:0]
-	emit(1, 0)
-	emit(pattern...)
-	c.Process(incs)
-	best, ok = c.Best()
-	if !ok || best.Pos != 2 {
-		t.Fatalf("post-compact candidate %+v ok=%v, want pos 2", best, ok)
+	// The symbol sums must be bit-identical to the reference integration
+	// at the winning phase.
+	wantSums := dsp.IntegrateSymbols(incs, wantPhase, sps)
+	gotSums := c.Sums(wantPhase)
+	if len(gotSums) != len(wantSums) {
+		t.Fatalf("%d sums, want %d", len(gotSums), len(wantSums))
+	}
+	for i := range gotSums {
+		if gotSums[i] != wantSums[i] {
+			t.Fatalf("sum %d differs (not bit-identical)", i)
+		}
 	}
 }

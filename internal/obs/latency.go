@@ -11,7 +11,7 @@ import "time"
 // into one shared histogram family, labelled by stage:
 //
 //	stage="medium"   radio.Medium.Deliver wall time (channel simulation)
-//	stage="demod"    emission → RxStream verdict (per decoder)
+//	stage="demod"    emission → receiver verdict (per decoder)
 //	stage="publish"  emission → capture.Hub.Publish accepted
 //	stage="queue"    per-subscriber queue residency (offer → pop)
 //	stage="deliver"  emission → subscriber pop (end-to-end, per subscriber)
@@ -58,9 +58,9 @@ func DurationSeconds(d time.Duration) float64 {
 
 // ObserveLatency records the distance from origin to now into the
 // stage's histogram. A zero origin (an unstamped record) is a no-op, so
-// callers on the hot path can call it unconditionally. The helper is
-// for cold paths; hot paths (Hub.Publish, Subscription.pop,
-// RxStream.Flush) pre-resolve their histogram once and observe
+// callers can call it unconditionally; core.Receiver.ReceiveStatsAt
+// does, once per receive. Paths that observe per record (Hub.Publish,
+// Subscription.pop) pre-resolve their histogram once and observe
 // directly.
 func ObserveLatency(reg *Registry, stage string, origin time.Time, labelPairs ...string) {
 	if origin.IsZero() {

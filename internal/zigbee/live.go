@@ -37,18 +37,6 @@ type Capture struct {
 	LinkSNRdB float64
 }
 
-// CaptureChunk is one slab of a capture in chunked delivery mode: the
-// embedded Capture's IQ holds only the slab, Offset locates it within
-// the reporting period's capture and Last marks the capture boundary —
-// the point where a streaming receiver flushes its partial state.
-type CaptureChunk struct {
-	Capture
-	// Offset is the slab's sample offset within its capture.
-	Offset int
-	// Last reports that this slab ends the capture.
-	Last bool
-}
-
 // LiveNetwork runs the victim network in real time. It is a thin
 // real-time pacer over the discrete-event core in internal/zigbee/sim:
 // the reporting loop is a recurring scheduler event (tick → emit →
@@ -62,7 +50,6 @@ type LiveNetwork struct {
 	sim            *Simulation
 	interval       time.Duration
 	captureChannel int
-	chunk          int
 
 	sched *vsim.Scheduler
 	seq   uint64
@@ -74,7 +61,6 @@ type LiveNetwork struct {
 	schedStats atomic.Pointer[SchedulerStats]
 
 	captures chan Capture
-	chunks   chan CaptureChunk
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -87,25 +73,13 @@ type LiveNetwork struct {
 // where the observer's radio is tuned. The returned LiveNetwork must be
 // stopped with Shutdown.
 func StartLive(sim *Simulation, interval time.Duration, captureChannel int) (*LiveNetwork, error) {
-	return startLive(sim, interval, captureChannel, 0, nil)
-}
-
-// StartLiveChunked is the chunked delivery mode for streaming
-// receivers: instead of one whole-period capture per tick, the network
-// emits consecutive slabs of at most chunk samples on Chunks(), the
-// final slab of each capture flagged Last. Captures() stays empty in
-// this mode.
-func StartLiveChunked(sim *Simulation, interval time.Duration, captureChannel, chunk int) (*LiveNetwork, error) {
-	if chunk <= 0 {
-		return nil, fmt.Errorf("zigbee: chunk size %d <= 0", chunk)
-	}
-	return startLive(sim, interval, captureChannel, chunk, nil)
+	return startLive(sim, interval, captureChannel, nil)
 }
 
 // startLive validates and launches the paced event loop. clock nil uses
 // the system wall clock; tests inject a sim.ManualClock to drive the
 // pacing deterministically.
-func startLive(s *Simulation, interval time.Duration, captureChannel, chunk int, clock vsim.WallClock) (*LiveNetwork, error) {
+func startLive(s *Simulation, interval time.Duration, captureChannel int, clock vsim.WallClock) (*LiveNetwork, error) {
 	if s == nil {
 		return nil, fmt.Errorf("zigbee: nil simulation")
 	}
@@ -119,10 +93,8 @@ func startLive(s *Simulation, interval time.Duration, captureChannel, chunk int,
 		sim:            s,
 		interval:       interval,
 		captureChannel: captureChannel,
-		chunk:          chunk,
 		sched:          vsim.NewScheduler(),
 		captures:       make(chan Capture, 1),
-		chunks:         make(chan CaptureChunk, 1),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 		heapGauges:     vsim.NewHeapGauges(nil, "live"),
@@ -138,12 +110,6 @@ func startLive(s *Simulation, interval time.Duration, captureChannel, chunk int,
 // check Err).
 func (l *LiveNetwork) Captures() <-chan Capture {
 	return l.captures
-}
-
-// Chunks streams capture slabs when the network was started with
-// StartLiveChunked; it stays empty (and closes on shutdown) otherwise.
-func (l *LiveNetwork) Chunks() <-chan CaptureChunk {
-	return l.chunks
 }
 
 // Err returns the first error the reporting loop encountered, if any.
@@ -166,7 +132,6 @@ func (l *LiveNetwork) Shutdown() {
 func (l *LiveNetwork) run(clock vsim.WallClock) {
 	defer close(l.done)
 	defer close(l.captures)
-	defer close(l.chunks)
 	p := &vsim.Pacer{Sched: l.sched, Clock: clock}
 	p.Run(l.stop)
 }
@@ -198,16 +163,10 @@ func (l *LiveNetwork) tick() {
 	}
 	l.seq++
 	l.publishSchedStats()
-	if l.chunk > 0 {
-		if !l.emitChunks(capture) {
-			return
-		}
-	} else {
-		select {
-		case l.captures <- capture:
-		case <-l.stop:
-			return
-		}
+	select {
+	case l.captures <- capture:
+	case <-l.stop:
+		return
 	}
 	l.sched.After(l.interval, l.tick)
 }
@@ -252,29 +211,4 @@ func (l *LiveNetwork) DebugHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(l.SchedulerStats())
 	})
-}
-
-// emitChunks slices one capture into chunk-sized slabs and streams them
-// on the chunks channel; it reports false when shutdown interrupted the
-// walk.
-func (l *LiveNetwork) emitChunks(capture Capture) bool {
-	sig := capture.IQ
-	for start := 0; start == 0 || start < len(sig); start += l.chunk {
-		end := start + l.chunk
-		if end > len(sig) {
-			end = len(sig)
-		}
-		cc := CaptureChunk{
-			Capture: capture,
-			Offset:  start,
-			Last:    end == len(sig),
-		}
-		cc.IQ = sig[start:end]
-		select {
-		case l.chunks <- cc:
-		case <-l.stop:
-			return false
-		}
-	}
-	return true
 }

@@ -135,7 +135,7 @@ func TestLiveNetworkStopWhileBlocked(t *testing.T) {
 	// one reporting tick, so the producer's position is known at every
 	// step of the test.
 	clock := vsim.NewManualClock()
-	live, err := startLive(sim, time.Millisecond, DefaultChannel, 0, clock)
+	live, err := startLive(sim, time.Millisecond, DefaultChannel, clock)
 	if err != nil {
 		t.Fatal(err)
 	}

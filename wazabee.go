@@ -25,7 +25,6 @@ import (
 	"wazabee/internal/chip"
 	"wazabee/internal/core"
 	"wazabee/internal/dsp"
-	"wazabee/internal/dsp/stream"
 	"wazabee/internal/experiment"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ids"
@@ -46,16 +45,6 @@ type (
 	// Receiver is the WazaBee reception primitive: a diverted BLE
 	// receiver despreading 802.15.4 frames by Hamming distance.
 	Receiver = core.Receiver
-	// RxStream is the streaming form of the receiver: the same pipeline
-	// fed IQ chunks incrementally via Push, concluded per capture with
-	// Flush. Build one with Receiver.Stream().
-	RxStream = core.RxStream
-	// StreamPool is the sync.Pool-backed buffer pool behind the
-	// streaming pipeline; StreamPoolStats snapshots its reuse counters.
-	StreamPool = stream.BufferPool
-	// StreamPoolStats is a point-in-time hit/miss snapshot of a
-	// StreamPool.
-	StreamPoolStats = stream.PoolStats
 	// Chip models a radio front end (nRF52832, CC1352-R1, nRF51822,
 	// RZUSBStick) with its capabilities and analog quality.
 	Chip = chip.Model
