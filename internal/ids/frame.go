@@ -27,11 +27,11 @@ type FrameFeatures struct {
 }
 
 // FrameMonitor is the frame-tier counterpart of Monitor: it applies the
-// same detector policy to pre-extracted frame features instead of IQ
-// captures, so campaign-scale simulations can exercise the IDS decision
-// logic without synthesising a waveform per frame. Thresholds and alert
-// kinds are shared with the IQ tier — a threshold sweep over either
-// tier explores the same operating curve.
+// same detector policy (detect) to pre-extracted frame features instead
+// of IQ captures, so campaign-scale simulations can exercise the IDS
+// decision logic without synthesising a waveform per frame. Thresholds
+// and alert kinds are shared with the IQ tier — a threshold sweep over
+// either tier explores the same operating curve.
 type FrameMonitor struct {
 	// FingerprintThreshold is the soft-EVM value above which a frame is
 	// flagged as GFSK-originated (see Monitor.FingerprintThreshold).
@@ -67,12 +67,12 @@ func NewFrameMonitor() *FrameMonitor {
 	}
 }
 
-// Judge runs the detector policy over one frame's features. The verdict
-// mirrors Inspect's: alerts appear in the same order (band policy,
-// fingerprint, framing) with the same kinds, so downstream consumers
-// need not know which tier produced them. Judge is small enough to
-// inline, so a caller that does not keep the verdict holds it on its
-// stack: a clean frame costs no allocation.
+// Judge runs the detector policy over one frame's features. Inspect
+// runs the same policy, so its verdicts carry the same alerts in the
+// same order (band policy, fingerprint, framing), and downstream
+// consumers need not know which tier produced them. Judge is small
+// enough to inline, so a caller that does not keep the verdict holds it
+// on its stack: a clean frame costs no allocation.
 func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 	verdict := &Verdict{FrameSeen: true, SoftEVM: f.SoftEVM}
 	m.judge(f, verdict)
@@ -83,17 +83,28 @@ func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 func (m *FrameMonitor) judge(f FrameFeatures, verdict *Verdict) {
 	reg := obs.Or(m.Obs)
 	m.ctrs.Counter(reg, frameCounterSeries, 0).Inc()
-	if !m.ChannelExpected {
+	detect(f, m.FingerprintThreshold, m.ChannelExpected, verdict)
+	for _, a := range verdict.Alerts {
+		m.ctrs.Counter(reg, frameCounterSeries, int(a.Kind)).Inc()
+	}
+}
+
+// detect is the detector policy both monitors apply to a seen frame's
+// features: band policy, modulation fingerprint, then BLE framing, each
+// appending its alert to verdict. Counting the alerts is the caller's,
+// since each monitor keeps its own metric family.
+func detect(f FrameFeatures, threshold float64, channelExpected bool, verdict *Verdict) {
+	if !channelExpected {
 		verdict.Alerts = append(verdict.Alerts, Alert{
 			Kind:   AlertUnexpectedTraffic,
 			Detail: "802.15.4 frame on a channel with no deployed network",
 		})
 	}
-	if f.SoftEVM > m.FingerprintThreshold {
+	if f.SoftEVM > threshold {
 		verdict.Alerts = append(verdict.Alerts, Alert{
 			Kind: AlertModulationFingerprint,
 			Detail: fmt.Sprintf("soft EVM %.2f rad above threshold %.2f",
-				f.SoftEVM, m.FingerprintThreshold),
+				f.SoftEVM, threshold),
 		})
 	}
 	if f.BLEFraming {
@@ -101,8 +112,5 @@ func (m *FrameMonitor) judge(f FrameFeatures, verdict *Verdict) {
 			Kind:   AlertBLEFraming,
 			Detail: "BLE advertising preamble and Access Address precede the 802.15.4 frame",
 		})
-	}
-	for _, a := range verdict.Alerts {
-		m.ctrs.Counter(reg, frameCounterSeries, int(a.Kind)).Inc()
 	}
 }

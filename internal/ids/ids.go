@@ -142,7 +142,10 @@ func bleAdvPattern() bitstream.Bits {
 	return append(pre, bitstream.Uint32ToBits(ble.AdvAccessAddress)...)
 }
 
-// Inspect runs all detectors over one capture.
+// Inspect runs all detectors over one capture. It extracts the frame's
+// features from the waveform — the soft EVM of the O-QPSK decode and a
+// search for BLE advertising framing — and judges them with the same
+// policy as FrameMonitor.Judge.
 func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 	if len(capture) == 0 {
 		return nil, fmt.Errorf("ids: empty capture")
@@ -163,32 +166,12 @@ func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 	verdict.Frame = dem
 	verdict.SoftEVM = dem.SoftEVM
 
-	if !m.ChannelExpected {
-		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind:   AlertUnexpectedTraffic,
-			Detail: "802.15.4 frame on a channel with no deployed network",
-		})
-	}
-
-	if verdict.SoftEVM > m.FingerprintThreshold {
-		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind: AlertModulationFingerprint,
-			Detail: fmt.Sprintf("soft EVM %.2f rad above threshold %.2f",
-				verdict.SoftEVM, m.FingerprintThreshold),
-		})
-	}
-
 	// Scenario A leaves BLE advertising framing on the air around the
 	// embedded frame: search the raw 2 Mbit/s bit stream for it.
-	if cap2, err := m.blePHY.DemodulateFrame(capture, bleAdvPattern(), 3); err == nil && cap2 != nil {
-		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind:   AlertBLEFraming,
-			Detail: "BLE advertising preamble and Access Address precede the 802.15.4 frame",
-		})
-	}
-	if verdict.FrameSeen {
-		reg.Counter("wazabee_ids_frames_seen_total").Inc()
-	}
+	framing, err := m.blePHY.DemodulateFrame(capture, bleAdvPattern(), 3)
+	detect(FrameFeatures{SoftEVM: dem.SoftEVM, BLEFraming: err == nil && framing != nil},
+		m.FingerprintThreshold, m.ChannelExpected, verdict)
+	reg.Counter("wazabee_ids_frames_seen_total").Inc()
 	for _, a := range verdict.Alerts {
 		reg.Counter("wazabee_ids_detections_total", "kind", a.Kind.String()).Inc()
 	}
