@@ -14,8 +14,10 @@ import (
 
 // Receiver is the WazaBee reception primitive: a BLE radio configured with
 // the MSK preamble pattern as its Access Address, CRC checking disabled
-// and whitening bypassed, whose demodulated bit stream is despread by
-// Hamming distance into 802.15.4 symbols.
+// and whitening bypassed (ble.PHY.DemodulateFrame), whose demodulated bit
+// stream is despread by Hamming distance into 802.15.4 symbols by
+// ieee802154.DecodePPDUFromTransitions, the decoder a native O-QPSK
+// receiver runs.
 type Receiver struct {
 	phy *ble.PHY
 
@@ -88,11 +90,6 @@ func (r *Receiver) ReceiveStats(sig dsp.IQ) (*ieee802154.Demodulated, *link.Stat
 // wazabee_latency_seconds{stage="demod"} histogram for every verdict,
 // decoded or not, so the latency population is not survivorship-biased
 // toward clean frames. A zero origin degrades to plain ReceiveStats.
-//
-// The receiver is the paper's diverted BLE radio: ble.PHY.DemodulateFrame
-// with the MSK-encoded preamble as its Access Address, whose bits go to
-// ieee802154.DecodePPDUFromTransitions, the despreader a native O-QPSK
-// receiver runs.
 func (r *Receiver) ReceiveStatsAt(origin time.Time, sig dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error) {
 	reg := obs.Or(r.Obs)
 	st := &link.Stats{RSSIdBFS: link.RSSIdBFS(sig)}

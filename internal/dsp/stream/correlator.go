@@ -188,7 +188,7 @@ func (c *Correlator) scanBytes(ps *phaseState) {
 // take records the window at off as the phase's best candidate when its
 // mismatch count strictly beats the best so far, and reports whether it
 // is a perfect match, which ends the scan.
-func (ps *phaseState) take(off, errs int) (frozen bool) {
+func (ps *phaseState) take(off, errs int) (perfect bool) {
 	// bestErrs-1 rather than errs < bestErrs: FindPattern's limit
 	// arithmetic, which wraps the same way for maxErrors = MaxInt.
 	if errs > ps.bestErrs-1 {
