@@ -20,10 +20,10 @@ func frameTransitions(t *testing.T, psdu []byte) bitstream.Bits {
 	return ChipTransitions(Spread(ppdu.Bytes()))
 }
 
-// TestDecodePPDUFromTransitionsTruncation: the full transition stream
-// of a frame decodes, and every shorter prefix of it is a truncated
-// capture, reported as ErrNoSync.
-func TestDecodePPDUFromTransitionsTruncation(t *testing.T) {
+// TestDecodePPDUFromTransitionsCleanFrame: the full transition stream
+// of a frame decodes to its PSDU at chip distance 0, spanning every
+// transition.
+func TestDecodePPDUFromTransitionsCleanFrame(t *testing.T) {
 	psdu := []byte{0x41, 0x88, 0x2a, 0x34, 0x12, 0xff, 0x0f, 0x42, 0x99}
 	bits := frameTransitions(t, psdu)
 	dem, err := DecodePPDUFromTransitions(bits, 0)
@@ -34,6 +34,14 @@ func TestDecodePPDUFromTransitionsTruncation(t *testing.T) {
 	if !bytes.Equal(dem.PPDU.PSDU, psdu) || dem.WorstChipDistance != 0 || dem.TransitionSpan != len(bits)+1 {
 		t.Fatalf("clean decode %+v, want PSDU % x at distance 0 spanning %d", dem, psdu, len(bits)+1)
 	}
+}
+
+// TestDecodePPDUFromTransitionsTruncation: every prefix shorter than a
+// frame's transition stream is a truncated capture, reported as
+// ErrNoSync.
+func TestDecodePPDUFromTransitionsTruncation(t *testing.T) {
+	psdu := []byte{0x41, 0x88, 0x2a, 0x34, 0x12, 0xff, 0x0f, 0x42, 0x99}
+	bits := frameTransitions(t, psdu)
 	for n := 0; n < len(bits); n++ {
 		dem, err := DecodePPDUFromTransitions(bits[:n], 0)
 		if dem != nil || !errors.Is(err, ErrNoSync) {
