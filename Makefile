@@ -89,10 +89,10 @@ racerunner:
 	$(GO) test -race -run 'TestRunnerHammer' -count 2 ./internal/experiment/runner
 
 # The discrete-event simulator's concurrency surface under the race
-# detector: multiple observers draining blocking capture channels while
-# the event loop runs and the health registry is polled.
+# detector: the DebugHandler snapshot and the registry polled from one
+# goroutine while another advances the event loop in batches.
 racesim:
-	$(GO) test -race -run 'TestSimConcurrentObservers' -count 4 ./internal/zigbee/sim
+	$(GO) test -race -run 'TestSimConcurrentSnapshots' -count 4 ./internal/zigbee/sim
 
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume

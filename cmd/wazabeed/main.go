@@ -356,7 +356,6 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 		mux := d.healthMux()
 		mux.Handle("/metrics", obs.Default())
 		mux.Handle("/debug/link", d.link)
-		mux.Handle("/debug/sim", live.DebugHandler())
 		mux.Handle("/logz", d.log)
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		srv := &http.Server{Handler: mux}
@@ -366,7 +365,7 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 			}
 		}()
 		defer srv.Close()
-		fmt.Fprintf(out, "wazabeed: serving /metrics, /healthz, /readyz, /debug/flight, /debug/link, /debug/sim, /logz and /debug/pprof on %s\n", d.metricsAddr())
+		fmt.Fprintf(out, "wazabeed: serving /metrics, /healthz, /readyz, /debug/flight, /debug/link, /logz and /debug/pprof on %s\n", d.metricsAddr())
 	}
 
 	if d.healthLn != nil {

@@ -148,7 +148,8 @@ func TestDaemonSmoke(t *testing.T) {
 
 // TestDaemonDebugEndpoints boots the daemon with the metrics server on an
 // ephemeral port and checks the link-quality and log endpoints serve the
-// pipeline's diagnostics while it runs.
+// pipeline's diagnostics while it runs, and that the live scheduler is
+// visible only as its heap gauges on /metrics.
 func TestDaemonDebugEndpoints(t *testing.T) {
 	cfg := config{
 		seed:        7,
@@ -220,6 +221,18 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	}
 	if linkPayload.Channels[0].Frames == 0 {
 		t.Error("/debug/link reports zero frames after a record was published")
+	}
+
+	if !strings.Contains(string(get("/metrics")), `wazabee_sim_heap_executed{driver="live"}`) {
+		t.Error("/metrics lacks the live driver's heap gauges")
+	}
+	if resp, err := http.Get("http://" + d.metricsAddr() + "/debug/sim"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /debug/sim: status %d, want 404", resp.StatusCode)
+		}
 	}
 
 	var logPayload struct {

@@ -200,7 +200,6 @@ func run(args []string, out, errOut io.Writer) error {
 
 	reg := obs.NewRegistry()
 	flight := obs.NewFlight(256)
-	health := obs.NewHealth(reg)
 	fid, err := radio.ParseFidelity(cfg.fidelity)
 	if err != nil {
 		return err
@@ -227,7 +226,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	nw.RegisterHealth(health)
 
 	if cfg.metricsAddr != "" {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -240,7 +238,7 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg)
-		mux.Handle("/healthz", health.Healthz())
+		mux.Handle("/healthz", obs.NewHealth(reg).Healthz()) // liveness only: no components
 		mux.Handle("/debug/sim", nw.DebugHandler())
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		srv := &http.Server{Handler: mux}
@@ -359,9 +357,6 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	if rec != nil {
 		fmt.Fprintf(out, "digest sha256:%s over %d captures\n", rec.Sum(), rec.Frames())
-	}
-	if snap := health.Check(); snap.Status != "ok" {
-		fmt.Fprintf(out, "health: %s\n", snap.Status)
 	}
 	if evs := flight.Snapshot(); len(evs) > 0 {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })

@@ -162,11 +162,11 @@ func run() error {
 			streamErr = live.Err()
 			break
 		}
-		dem, err := rx.Receive(c.IQ)
+		dem, st, err := rx.ReceiveStats(c.IQ)
 		if err != nil {
 			dem = nil
 		}
-		rec := capture.NewLiveRecord(c.At, c.Channel, c.IQ, dem, snrDB)
+		rec := capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, snrDB)
 		if dem != nil {
 			captured++
 		}

@@ -212,11 +212,11 @@ func streamingDemo(monitor *ids.Monitor) error {
 			fmt.Printf("watchdog: capture stream ended early: %v\n", live.Err())
 			break
 		}
-		dem, err := rx.Receive(c.IQ)
+		dem, st, err := rx.ReceiveStats(c.IQ)
 		if err != nil {
 			dem = nil
 		}
-		hub.Publish(capture.NewLiveRecord(c.At, c.Channel, c.IQ, dem, 25))
+		hub.Publish(capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, 25))
 	}
 	hub.Close()
 	consumers.Wait()

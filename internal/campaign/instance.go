@@ -229,7 +229,12 @@ func (it *instance) Run() error {
 // Score folds the completed run into its Outcome.
 func (it *instance) Score() Outcome {
 	stats := it.nw.Stats()
-	snap := it.nw.Snapshot()
+	nodes := it.nw.NodeStats()
+	// Sum in node order from zero, the float additions Snapshot makes.
+	var energy float64
+	for _, ns := range nodes {
+		energy += ns.EnergyMicrojoules
+	}
 	out := Outcome{
 		Scenario:          it.sc.name,
 		Seed:              it.opts.Seed,
@@ -239,7 +244,7 @@ func (it *instance) Score() Outcome {
 		FramesAccepted:    stats.InjectedDelivered,
 		ChannelMigrations: stats.ChannelMigrations,
 		Readings:          stats.Readings,
-		EnergyMicrojoules: snap.EnergyMicrojoules,
+		EnergyMicrojoules: energy,
 	}
 	if len(it.alerts) > 0 {
 		out.Alerts = make(map[string]int, len(it.alerts))
@@ -262,8 +267,8 @@ func (it *instance) Score() Outcome {
 		out.NodesDisrupted = disrupted
 	}
 	if it.base != nil {
-		out.EnergyDrainedMicrojoules = activeMicrojoules(it.nw, it.opts.Chip) -
-			activeMicrojoules(it.base, it.opts.Chip)
+		out.EnergyDrainedMicrojoules = activeMicrojoules(nodes, it.opts.Chip) -
+			activeMicrojoules(it.base.NodeStats(), it.opts.Chip)
 	}
 	return out
 }
@@ -273,14 +278,14 @@ func (it *instance) Score() Outcome {
 // device would otherwise have slept through. This is the quantity a
 // depletion flood inflates; total energy cannot exceed the always-on
 // baseline in this MAC (idle and RX draw the same current).
-func activeMicrojoules(nw *sim.Network, chip string) float64 {
+func activeMicrojoules(nodes []sim.NodeStats, chip string) float64 {
 	profile, err := sim.ProfileByName(chip)
 	if err != nil {
 		// Options.fill and sim.New validated the chip already.
 		panic(err)
 	}
 	var uj float64
-	for _, ns := range nw.NodeStats() {
+	for _, ns := range nodes {
 		dur := ns.RadioTime
 		dur[sim.RadioIdle] = 0
 		uj += profile.Microjoules(dur)

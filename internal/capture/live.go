@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"math"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -9,57 +8,31 @@ import (
 	"wazabee/internal/obs/link"
 )
 
-// RSSIFromIQ estimates a received signal strength indication from a
-// baseband capture: the mean power in dB. The simulation has no
-// absolute calibration, so treat it as a relative level (like the
-// uncalibrated RSSI registers of real BLE chips).
-func RSSIFromIQ(sig dsp.IQ) float64 {
-	return 10 * math.Log10(sig.Power()+1e-12)
-}
-
-// LQIFromDistance maps the despreader's worst per-symbol chip distance
-// (0–16 of 31 chips; 15 is the receiver's default quality gate) onto
-// the 802.15.4 LQI scale, 255 = perfect correlation.
-func LQIFromDistance(worst int) uint8 {
-	lqi := 255 - 16*worst
-	if lqi < 0 {
-		lqi = 0
-	}
-	return uint8(lqi)
-}
-
-// NewLiveRecord builds the record for one live capture period: decoder
-// tag "wazabee" with the recovered PSDU when the receiver decoded the
-// burst (dem non-nil), or a PSDU-less "raw" record when it did not —
-// so below-frame consumers such as the IDS still see every period. The
-// waveform rides along in the in-memory IQ field either way.
-func NewLiveRecord(at time.Time, channel int, sig dsp.IQ, dem *ieee802154.Demodulated, snrDB float64) Record {
+// NewStatsRecord builds the record for one live capture period from the
+// receiver's per-frame link diagnostics (core.Receiver.ReceiveStats):
+// decoder tag "wazabee" with the recovered PSDU when the receiver
+// decoded the burst (dem non-nil), or a PSDU-less "raw" record when it
+// did not — so below-frame consumers such as the IDS still see every
+// period. The record carries the measured RSSI/SNR/CFO, the computed
+// 802.15.4 LQI and the despreader's chip-error evidence, plus the
+// capture loop's sequence number so downstream encoders (ZEP, TCP
+// subscribers) stay sequence-linked to the source; the waveform rides
+// along in the in-memory IQ field. fallbackSNRdB fills the SNR field
+// when the frame carried no valid in-band estimate (e.g. a sync
+// failure); pass the configured link SNR, or zero when unknown.
+func NewStatsRecord(at time.Time, channel int, seq uint64, sig dsp.IQ, dem *ieee802154.Demodulated, st *link.Stats, fallbackSNRdB float64) Record {
 	rec := Record{
 		At:      at,
 		Channel: channel,
-		RSSIdBm: RSSIFromIQ(sig),
-		SNRdB:   snrDB,
+		Seq:     uint32(seq),
+		SNRdB:   fallbackSNRdB,
 		Decoder: "raw",
 		IQ:      sig,
 	}
 	if dem != nil {
 		rec.Decoder = "wazabee"
 		rec.PSDU = append([]byte(nil), dem.PPDU.PSDU...)
-		rec.LQI = LQIFromDistance(dem.WorstChipDistance)
 	}
-	return rec
-}
-
-// NewStatsRecord builds the record for one live capture period from the
-// receiver's per-frame link diagnostics: the measured RSSI/SNR/CFO, the
-// computed 802.15.4 LQI and the despreader's chip-error evidence, plus
-// the capture loop's sequence number so downstream encoders (ZEP, TCP
-// subscribers) stay sequence-linked to the source. fallbackSNRdB fills
-// the SNR field when the frame carried no valid in-band estimate (e.g.
-// a sync failure); pass the configured link SNR, or zero when unknown.
-func NewStatsRecord(at time.Time, channel int, seq uint64, sig dsp.IQ, dem *ieee802154.Demodulated, st *link.Stats, fallbackSNRdB float64) Record {
-	rec := NewLiveRecord(at, channel, sig, dem, fallbackSNRdB)
-	rec.Seq = uint32(seq)
 	if st == nil {
 		return rec
 	}

@@ -36,7 +36,7 @@ func TestReplayLivePCAPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dem, err := rx.Receive(sig)
+	dem, st, err := rx.ReceiveStats(sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestReplayLivePCAPRoundTrip(t *testing.T) {
 
 	// Persist and recover.
 	path := filepath.Join(t.TempDir(), "live.pcap")
-	rec := NewLiveRecord(time.Unix(1700000000, 0), zigbee.DefaultChannel, sig, dem, 25)
+	rec := NewStatsRecord(time.Unix(1700000000, 0), zigbee.DefaultChannel, 0, sig, dem, st, 25)
 	if err := WritePCAP(path, []Record{rec}); err != nil {
 		t.Fatal(err)
 	}

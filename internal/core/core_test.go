@@ -9,6 +9,7 @@ import (
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/ble"
+	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
@@ -330,18 +331,27 @@ func TestReceiverErrorCauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Quality gate: an absurdly strict gate may drop even a clean frame;
-	// when it does, the chain must still match ErrNoSync.
-	rx.MaxChipDistance = 1
+	// Quality gate: a clean frame decodes at chip distance 0 and passes
+	// any gate, so gate a noisy copy that decodes at distance 4.
+	noisy := padded.Clone()
+	if err := dsp.AddAWGN(noisy, 4, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
 	rx.Obs = obs.NewRegistry()
-	if _, err := rx.Receive(padded); err != nil && !errors.Is(err, ieee802154.ErrNoSync) {
-		t.Errorf("gate drop error = %v, want ErrNoSync in chain", err)
+	if _, st, err := rx.ReceiveStats(noisy); err != nil || st.WorstChipDistance != 4 {
+		t.Fatalf("noisy copy under gate %d: worst chip distance %d, error %v; want 4, nil",
+			rx.MaxChipDistance, st.WorstChipDistance, err)
+	}
+	rx.MaxChipDistance = 1
+	const gated = "core: worst chip distance 4 exceeds gate 1: ieee802154: no preamble synchronisation"
+	if _, err := rx.Receive(noisy); err == nil || err.Error() != gated || !errors.Is(err, ieee802154.ErrNoSync) {
+		t.Errorf("gate drop error = %v, want %q with ErrNoSync in chain", err, gated)
 	}
 	// Truncated capture after a good preamble: mid-frame abort is still
 	// ErrNoSync but the message differs from the correlation failure.
 	rx.MaxChipDistance = 15
 	cut := padded[:len(padded)*2/3]
-	if _, err := rx.Receive(cut); err != nil && !errors.Is(err, ieee802154.ErrNoSync) {
+	if _, err := rx.Receive(cut); err == nil || !errors.Is(err, ieee802154.ErrNoSync) {
 		t.Errorf("truncated frame error = %v, want ErrNoSync in chain", err)
 	}
 }

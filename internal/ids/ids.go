@@ -88,7 +88,9 @@ func (v *Verdict) Has(kind AlertKind) bool {
 	return false
 }
 
-// Monitor is a passive multi-protocol watcher for one channel.
+// Monitor is a passive multi-protocol watcher for one channel. Inspect
+// is safe for concurrent use; set the exported fields before the first
+// call.
 type Monitor struct {
 	zigbeePHY *ieee802154.PHY
 	blePHY    *ble.PHY
@@ -153,11 +155,14 @@ func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 	reg := obs.Or(m.Obs)
 	reg.Counter("wazabee_ids_inspections_total").Inc()
 	// The inner O-QPSK decoder reports to the same registry as the
-	// monitor that owns it.
-	m.zigbeePHY.Obs = m.Obs
+	// monitor that owns it. The PHY holds only configuration and a
+	// read-only pulse, so a per-call copy carries the registry without
+	// writing to the shared one.
+	zphy := *m.zigbeePHY
+	zphy.Obs = m.Obs
 	verdict := &Verdict{}
 
-	dem, err := m.zigbeePHY.Demodulate(capture)
+	dem, err := zphy.Demodulate(capture)
 	if err != nil {
 		// No 802.15.4 frame; nothing further to fingerprint.
 		return verdict, nil

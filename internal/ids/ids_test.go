@@ -2,8 +2,10 @@ package ids
 
 import (
 	"bufio"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"wazabee/internal/attack"
@@ -359,4 +361,67 @@ wazabee_ids_inspections_total 8
 	if got.String() != want {
 		t.Errorf("wazabee_ids_* text:\n%s\nwant:\n%s", got.String(), want)
 	}
+}
+
+// TestMonitorConcurrentInspect inspects captures from several goroutines
+// on one Monitor and one registry: every verdict must equal the
+// sequential one, and the counters must add up.
+func TestMonitorConcurrentInspect(t *testing.T) {
+	captures := []dsp.IQ{legitFrame(t), wazabeeFrame(t, chip.NRF52832()), scenarioAFrame(t)}
+	ref := testMonitor(t)
+	ref.Obs = obs.NewRegistry()
+	want := make([]*Verdict, len(captures))
+	for i, c := range captures {
+		v, err := ref.Inspect(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+	}
+
+	const workers, rounds = 4, 2
+	reg := obs.NewRegistry()
+	m := testMonitor(t)
+	m.Obs = reg
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*rounds*len(captures))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, c := range captures {
+					v, err := m.Inspect(c)
+					if err != nil {
+						errs <- err.Error()
+						continue
+					}
+					if v.FrameSeen != want[i].FrameSeen || v.SoftEVM != want[i].SoftEVM || !sameAlerts(v.Alerts, want[i].Alerts) {
+						errs <- fmt.Sprintf("capture %d: verdict %+v, want %+v", i, *v, *want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got, want := reg.Counter("wazabee_ids_inspections_total").Value(), uint64(workers*rounds*len(captures)); got != want {
+		t.Errorf("wazabee_ids_inspections_total = %d, want %d", got, want)
+	}
+}
+
+// sameAlerts reports whether two alert lists match kind for kind.
+func sameAlerts(a, b []Alert) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind {
+			return false
+		}
+	}
+	return true
 }

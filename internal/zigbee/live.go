@@ -1,11 +1,8 @@
 package zigbee
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -55,10 +52,8 @@ type LiveNetwork struct {
 	seq   uint64
 
 	// Pacer-path observability: the same wazabee_sim_heap_* gauges the
-	// virtual-time driver publishes, labelled driver="live", plus an
-	// atomically published queue snapshot for the /debug/sim endpoint.
+	// virtual-time driver publishes, labelled driver="live".
 	heapGauges *vsim.HeapGauges
-	schedStats atomic.Pointer[SchedulerStats]
 
 	captures chan Capture
 	stop     chan struct{}
@@ -99,7 +94,6 @@ func startLive(s *Simulation, interval time.Duration, captureChannel int, clock 
 		done:           make(chan struct{}),
 		heapGauges:     vsim.NewHeapGauges(nil, "live"),
 	}
-	l.schedStats.Store(&SchedulerStats{})
 	l.sched.After(interval, l.tick)
 	go l.run(clock)
 	return l, nil
@@ -162,53 +156,11 @@ func (l *LiveNetwork) tick() {
 		LinkSNRdB: l.sim.AttackerLink.SNRdB,
 	}
 	l.seq++
-	l.publishSchedStats()
+	l.heapGauges.Publish(l.sched)
 	select {
 	case l.captures <- capture:
 	case <-l.stop:
 		return
 	}
 	l.sched.After(l.interval, l.tick)
-}
-
-// SchedulerStats is a point-in-time snapshot of the pacer's event
-// queue — the live-path counterpart of the virtual driver's heap
-// telemetry.
-type SchedulerStats struct {
-	Pending  int           `json:"pending"`
-	MaxDepth int           `json:"max_depth"`
-	Executed uint64        `json:"executed"`
-	MaxLag   time.Duration `json:"max_lag_ns"`
-	Periods  uint64        `json:"periods"`
-}
-
-// publishSchedStats refreshes the heap gauges and the snapshot from the
-// event-loop goroutine, once per reporting period.
-func (l *LiveNetwork) publishSchedStats() {
-	l.heapGauges.Publish(l.sched)
-	l.schedStats.Store(&SchedulerStats{
-		Pending:  l.sched.Len(),
-		MaxDepth: l.sched.MaxDepth(),
-		Executed: l.sched.Executed(),
-		MaxLag:   l.sched.MaxLag(),
-		Periods:  l.seq,
-	})
-}
-
-// SchedulerStats returns the queue snapshot published at the last
-// reporting period. Safe to call from any goroutine.
-func (l *LiveNetwork) SchedulerStats() SchedulerStats {
-	return *l.schedStats.Load()
-}
-
-// DebugHandler serves the scheduler snapshot as JSON — wazabeed mounts
-// it at /debug/sim so a live run exposes the same observability surface
-// as the virtual-time simulator.
-func (l *LiveNetwork) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(l.SchedulerStats())
-	})
 }

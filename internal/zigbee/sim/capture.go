@@ -27,7 +27,9 @@ type FrameCapture struct {
 	// Collided reports that the transmission overlapped another in one
 	// of its collision domains; collided frames are never delivered.
 	Collided bool
-	// PSDU is the encoded MAC frame.
+	// PSDU is the encoded MAC frame. It is valid only for the duration
+	// of the tap call: a tap that keeps it must copy it, so the network
+	// is free to reuse the buffer.
 	PSDU []byte
 }
 
@@ -38,52 +40,11 @@ func (nw *Network) Tap(channel int, fn func(FrameCapture)) {
 	nw.taps[channel] = append(nw.taps[channel], fn)
 }
 
-// Observer is an asynchronous capture consumer: a buffered channel fed
-// by the event loop. Sends block when the buffer fills, pausing virtual
-// time until the consumer drains — deliberately, so a slow consumer
-// produces backpressure (and eventually a degraded health probe) instead
-// of silent loss.
-type Observer struct {
-	ch     chan FrameCapture
-	closed bool
-}
-
-// C returns the capture stream. It is closed by CloseObservers.
-func (o *Observer) C() <-chan FrameCapture { return o.ch }
-
-// Observe registers a buffered observer on one channel. Register before
-// Run; the returned channel is safe to consume from other goroutines
-// while the event loop executes.
-func (nw *Network) Observe(channel, buffer int) *Observer {
-	if buffer < 1 {
-		buffer = 1
-	}
-	o := &Observer{ch: make(chan FrameCapture, buffer)}
-	nw.observers[channel] = append(nw.observers[channel], o)
-	return o
-}
-
-// CloseObservers closes every observer channel. Call after the final
-// Run, from the driving goroutine.
-func (nw *Network) CloseObservers() {
-	for _, obsList := range nw.observers {
-		for _, o := range obsList {
-			if !o.closed {
-				o.closed = true
-				close(o.ch)
-			}
-		}
-	}
-}
-
-// publishCapture fans a finished transmission out to the channel's taps
-// and observers. Observer sends may block on a full buffer; the wall
-// clock around the send is stamped so the health probe can tell a
-// stalled consumer from an idle loop.
+// publishCapture fans a finished transmission out to the channel's
+// taps.
 func (nw *Network) publishCapture(tx *transmission) {
 	taps := nw.taps[tx.channel]
-	observers := nw.observers[tx.channel]
-	if len(taps) == 0 && len(observers) == 0 {
+	if len(taps) == 0 {
 		return
 	}
 	fc := FrameCapture{
@@ -97,15 +58,6 @@ func (nw *Network) publishCapture(tx *transmission) {
 	}
 	for _, fn := range taps {
 		fn(fc)
-	}
-	for _, o := range observers {
-		select {
-		case o.ch <- fc:
-		default:
-			nw.sendBlockedSince.Store(time.Now().UnixNano())
-			o.ch <- fc
-			nw.sendBlockedSince.Store(0)
-		}
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
-	"wazabee/internal/radio"
 )
 
 // IntruderSrc is the capture Src of attacker transmissions: an
-// out-of-topology index no node ever occupies, so taps and observers can
+// out-of-topology index no node ever occupies, so taps can
 // separate injected traffic from the mesh's own without deep-parsing
 // every PSDU.
 const IntruderSrc = -1
@@ -39,7 +38,7 @@ type Intruder struct {
 }
 
 // NewIntruder attaches an attacker radio to the network on the given
-// 802.15.4 channel. Create before Run, like taps and observers.
+// 802.15.4 channel. Create before Run, like taps.
 func (nw *Network) NewIntruder(channel int) (*Intruder, error) {
 	if _, err := ieee802154.ChannelFrequencyMHz(channel); err != nil {
 		return nil, err
@@ -95,69 +94,28 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	nw.cell(destOwner).add(destOwner, tx)
 	nw.noteFrame(tx)
 	nw.stats.Injected++
-	nw.cInjected.Inc()
 	nw.sched.post(tx.end, action{op: opIntruderTxEnd, tx: tx})
 	return nil
 }
 
 // intruderTxEnd is the intruder's counterpart of the node transmit-end
-// path: take the frame off the air, publish the capture, and deliver it
-// when it survived collision, deafness and the erasure draw. The
-// attacker has no radio-state ledger, so only receiver-side telemetry
-// is charged.
+// path: take the frame off the air, publish the capture, and hand a
+// frame that survived collision to the target's receive path when the
+// target is tuned to the intruder's channel. The attacker has no
+// radio-state ledger, so only receiver-side telemetry is charged.
 func (nw *Network) intruderTxEnd(tx *transmission) {
 	nw.cell(tx.destOwner).remove(tx)
-	now := nw.sched.Now()
 	if tx.collided {
 		nw.stats.Collisions++
-		nw.cCollisions.Inc()
 	}
 	nw.publishCapture(tx)
-	if tx.collided {
-		return
+	if tx.collided || nw.nodes[tx.to].spec.Channel != tx.channel {
+		return // a target tuned elsewhere hears nothing of the forgery
 	}
-	rxID := tx.to
-	rx := nw.nodes[rxID]
-	if rx.spec.Channel != tx.channel {
-		return // target tuned elsewhere; nothing hears the forgery
+	if nw.receive(tx.to, tx, nw.sched.Now()) {
+		nw.stats.InjectedDelivered++
+		nw.handleFrame(nw.nodes[tx.to], tx)
 	}
-	if rx.radioBusyUntil > tx.start {
-		nw.stats.DeafMisses++
-		nw.cDeaf.Inc()
-		if t := nw.tel; t != nil {
-			t.nodes[rxID].deaf++
-			t.link(IntruderSrc, rxID).deaf++
-		}
-		return
-	}
-	f := channelMHz(tx.channel)
-	outcome, err := nw.ch.Deliver(radio.FrameSpec{
-		PSDULen:   len(tx.psdu),
-		TxFreqMHz: f,
-		RxFreqMHz: f,
-		Link:      radio.Link{SNRdB: nw.cfg.SNRdB},
-		Seed:      deliverySeed(nw.cfg.Seed, tx.seq, rxID),
-	})
-	if err != nil {
-		panic(err) // the channel was validated at New; a Deliver error is a bug
-	}
-	if !outcome.Delivered() {
-		nw.stats.Erasures++
-		nw.cErasures.Inc()
-		if t := nw.tel; t != nil {
-			t.nodes[rxID].erasures++
-			t.link(IntruderSrc, rxID).erasures++
-		}
-		return
-	}
-	if t := nw.tel; t != nil {
-		t.nodes[rxID].rx++
-		t.link(IntruderSrc, rxID).delivered++
-		t.radioCharge(rxID, now, tx.end-tx.start, RadioRX)
-	}
-	nw.stats.InjectedDelivered++
-	nw.cInjectedDelivered.Inc()
-	nw.handleFrame(rx, tx)
 }
 
 // intruderKind classifies a forged frame for metrics and capture
@@ -223,8 +181,6 @@ func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
 	r.state = stateIdle
 	nw.stats.Joined--
 	nw.stats.ChannelMigrations++
-	nw.cMigrations.Inc()
-	nw.noteJoinedGauge()
 	nw.flight.Record(obs.FlightEvent{
 		Kind: "state", Component: "sim", Frame: -1,
 		Detail: fmt.Sprintf("channel migration: node %d retuned %d -> %d by remote AT", r.id, r.spec.Channel, newChannel),

@@ -135,11 +135,9 @@ func (nw *Network) completeJoin(n *node, assigned uint16) {
 	n.scanRetries = 0
 	nw.stats.Joins++
 	nw.stats.Joined++
-	nw.cJoins.Inc()
 	if t := nw.tel; t != nil {
 		t.noteJoin(n, nw.sched.Now())
 	}
-	nw.noteJoinedGauge()
 	nw.after(nw.jitter(n, nw.cfg.DataInterval), action{op: opData, node: n})
 	if n.spec.Role == RoleRouter {
 		n.permitJoin = true
@@ -173,7 +171,7 @@ func (nw *Network) enqueueTx(n *node, out *outgoing) {
 	if err != nil {
 		// Frames are built by this package; an encode failure is a bug,
 		// not a runtime condition. Drop loudly via the failure counter.
-		nw.cCCAFail.Inc()
+		nw.stats.CCAFailures++
 		return
 	}
 	out.psdu = psdu
@@ -202,7 +200,6 @@ func (nw *Network) processQueue(n *node) {
 func (nw *Network) csmaBackoff(n *node, out *outgoing) {
 	slots := n.rng.Intn(1 << out.be)
 	nw.stats.Backoffs++
-	nw.cBackoffs.Inc()
 	if t := nw.tel; t != nil {
 		t.nodes[n.id].backoffs++
 	}
@@ -235,7 +232,6 @@ func (nw *Network) cca(n *node, out *outgoing) {
 		out.ncb++
 		if out.ncb > ieee802154.MaxCSMABackoffs {
 			nw.stats.CCAFailures++
-			nw.cCCAFail.Inc()
 			if t := nw.tel; t != nil {
 				t.nodes[n.id].ccaFailures++
 			}
@@ -298,27 +294,16 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 
 // noteFrame accounts one transmission.
 func (nw *Network) noteFrame(tx *transmission) {
-	nw.stats.Frames++
-	nw.cFrames[tx.kind].Inc()
+	nw.frames[tx.kind]++
 	if t := nw.tel; t != nil && tx.src >= 0 {
 		// Intruder transmissions (src < 0) have no node ledger; the
 		// attacker's cost is out of scope, the victims' is not.
 		t.nodes[tx.src].tx++
 	}
-	switch tx.kind {
-	case kindBeacon:
-		nw.stats.Beacons++
-	case kindData:
-		nw.stats.DataFrames++
-	case kindAck:
-		nw.stats.Acks++
-	default:
-		nw.stats.Commands++
-	}
 }
 
-// txEnd takes the frame off the air, reports it to the channel's
-// observers and delivers it to its recipients. The transmission record
+// txEnd takes the frame off the air, reports it to the channel's taps
+// and delivers it to its recipients. The transmission record
 // is recycled once nothing refers to it any more.
 func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate bool) {
 	offAir := true
@@ -336,7 +321,6 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 	}
 	if tx.collided {
 		nw.stats.Collisions++
-		nw.cCollisions.Inc()
 		if t := nw.tel; t != nil {
 			t.nodes[tx.src].collisions++
 			for _, rxID := range nw.recipients(tx) {
@@ -350,57 +334,10 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 	nw.publishCapture(tx)
 
 	if !tx.collided {
-		link := radio.Link{SNRdB: nw.cfg.SNRdB}
-		f := channelMHz(tx.channel)
 		for _, rxID := range nw.recipients(tx) {
-			rx := nw.nodes[rxID]
-			if rx.radioBusyUntil > tx.start {
-				// Half-duplex: the receiver was transmitting during some
-				// of the frame and never demodulated it.
-				nw.stats.DeafMisses++
-				nw.cDeaf.Inc()
-				if t := nw.tel; t != nil {
-					t.nodes[rxID].deaf++
-					t.link(tx.src, rxID).deaf++
-					if t.trace != nil {
-						t.trace.instant(rxID, "deaf", now, tx.seq)
-					}
-				}
-				continue
+			if nw.receive(rxID, tx, now) {
+				nw.handleFrame(nw.nodes[rxID], tx)
 			}
-			outcome, err := nw.ch.Deliver(radio.FrameSpec{
-				PSDULen:   len(tx.psdu),
-				TxFreqMHz: f,
-				RxFreqMHz: f,
-				Link:      link,
-				Seed:      deliverySeed(nw.cfg.Seed, tx.seq, rxID),
-			})
-			if err != nil {
-				// The channel was validated at New and the spec is
-				// well-formed by construction; a Deliver error is a bug.
-				panic(err)
-			}
-			if !outcome.Delivered() {
-				nw.stats.Erasures++
-				nw.cErasures.Inc()
-				if t := nw.tel; t != nil {
-					t.nodes[rxID].erasures++
-					t.link(tx.src, rxID).erasures++
-					if t.trace != nil {
-						t.trace.instant(rxID, "erasure", now, tx.seq)
-					}
-				}
-				continue
-			}
-			if t := nw.tel; t != nil {
-				t.nodes[rxID].rx++
-				t.link(tx.src, rxID).delivered++
-				// The receiver's radio demodulated the whole frame: charge
-				// its airtime to RX before the handler commits the radio to
-				// anything else (an acknowledgement turnaround).
-				t.radioCharge(rxID, now, tx.end-tx.start, RadioRX)
-			}
-			nw.handleFrame(rx, tx)
 		}
 	}
 
@@ -427,7 +364,7 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 // order. Interest-filtered propagation: the simulator delivers a frame
 // only to nodes whose MAC would act on it (the addressed node, the
 // scan neighborhood, beacon audiences), while the per-cell airs keep
-// contention physical. Observers still see every frame. The result
+// contention physical. Taps still see every frame. The result
 // lives in a scratch buffer the next call overwrites; no receive path
 // resolves recipients, so a caller may deliver while ranging over it.
 func (nw *Network) recipients(tx *transmission) []int {
@@ -460,6 +397,60 @@ func (nw *Network) recipients(tx *transmission) []int {
 
 // ---------------------------------------------------------------------
 // Receive paths
+
+// receive is one frame's arrival at node rxID, for node and intruder
+// frames alike: a receiver whose radio was transmitting during the frame
+// misses it, otherwise the calibrated channel draws whether it survives.
+// It reports whether the frame was delivered; the caller hands a
+// delivered frame to the MAC.
+func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
+	t := nw.tel
+	if nw.nodes[rxID].radioBusyUntil > tx.start {
+		// Half-duplex: the receiver never demodulated the frame.
+		nw.stats.DeafMisses++
+		if t != nil {
+			t.nodes[rxID].deaf++
+			t.link(tx.src, rxID).deaf++
+			if t.trace != nil {
+				t.trace.instant(rxID, "deaf", now, tx.seq)
+			}
+		}
+		return false
+	}
+	f := channelMHz(tx.channel)
+	outcome, err := nw.ch.Deliver(radio.FrameSpec{
+		PSDULen:   len(tx.psdu),
+		TxFreqMHz: f,
+		RxFreqMHz: f,
+		Link:      radio.Link{SNRdB: nw.cfg.SNRdB},
+		Seed:      deliverySeed(nw.cfg.Seed, tx.seq, rxID),
+	})
+	if err != nil {
+		// The channel was validated at New and the spec is well-formed
+		// by construction; a Deliver error is a bug.
+		panic(err)
+	}
+	if !outcome.Delivered() {
+		nw.stats.Erasures++
+		if t != nil {
+			t.nodes[rxID].erasures++
+			t.link(tx.src, rxID).erasures++
+			if t.trace != nil {
+				t.trace.instant(rxID, "erasure", now, tx.seq)
+			}
+		}
+		return false
+	}
+	if t != nil {
+		t.nodes[rxID].rx++
+		t.link(tx.src, rxID).delivered++
+		// The receiver's radio demodulated the whole frame: charge its
+		// airtime to RX before the handler commits the radio to anything
+		// else (an acknowledgement turnaround).
+		t.radioCharge(rxID, now, tx.end-tx.start, RadioRX)
+	}
+	return true
+}
 
 // handleFrame dispatches one delivered frame on the receiving node.
 func (nw *Network) handleFrame(r *node, tx *transmission) {
@@ -530,7 +521,6 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 	out.retries++
 	if out.retries <= ieee802154.MaxFrameRetries {
 		nw.stats.Retries++
-		nw.cRetries.Inc()
 		if t := nw.tel; t != nil {
 			t.nodes[n.id].retries++
 		}
@@ -540,7 +530,6 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 		return
 	}
 	nw.stats.AckFailures++
-	nw.cAckFail.Inc()
 	if t := nw.tel; t != nil {
 		t.nodes[n.id].ackFailures++
 	}
@@ -634,7 +623,6 @@ func (nw *Network) panConflict(c *node) {
 	}
 	c.pan = next
 	nw.stats.PANConflicts++
-	nw.cConflicts.Inc()
 	nw.flight.Record(obs.FlightEvent{
 		Kind: "state", Component: "sim", Frame: -1,
 		Detail: fmt.Sprintf("PAN conflict: coordinator %d rebind %#04x -> %#04x", c.id, old, next),

@@ -106,9 +106,6 @@ type Config struct {
 	// JoinSpread is the window over which unjoined nodes begin their
 	// first scan, bounding the association storm. Default 2s.
 	JoinSpread time.Duration
-	// StallAfter is how long a blocked observer send may last before
-	// the health component degrades. Default 2s of wall time.
-	StallAfter time.Duration
 
 	// Fidelity selects the frame-delivery tier of the victim links
 	// (radio.FidelitySymbol or radio.FidelityFrame; zero selects
@@ -156,9 +153,6 @@ func (c *Config) fill() {
 	if c.JoinSpread <= 0 {
 		c.JoinSpread = 2 * time.Second
 	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 2 * time.Second
-	}
 	if c.Fidelity == 0 {
 		c.Fidelity = radio.FidelityFrame
 	}
@@ -167,8 +161,10 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats is a snapshot of the network's counters. Read it between Run
-// calls — it is not synchronised against a running event loop.
+// Stats is a snapshot of the network's counters, the event loop's only
+// tally: the wazabee_sim_* counters are advanced from it at batch
+// boundaries. Read it between Run calls — it is not synchronised against
+// a running event loop.
 type Stats struct {
 	Nodes, Joined int
 
@@ -201,9 +197,9 @@ type Stats struct {
 
 // Network is a virtual-time Zigbee mesh: topology-instantiated node
 // actors, per-cell collision domains and a frame-level radio medium,
-// all driven by one Scheduler. The event loop is single-threaded;
-// concurrency happens at the observer boundary (Observe channels are
-// safe to consume from other goroutines while Run executes).
+// all driven by one Scheduler. The event loop is single-threaded; other
+// goroutines see it only through what each batch boundary publishes,
+// the registry series and DebugHandler's snapshot.
 type Network struct {
 	cfg   Config
 	topo  Topology
@@ -223,36 +219,23 @@ type Network struct {
 	frameSeq  uint64
 	allocNext map[int]uint16 // per-root short-address allocator
 
-	taps      map[int][]func(FrameCapture)
-	observers map[int][]*Observer
+	taps map[int][]func(FrameCapture)
 
-	stats Stats
+	// stats is the event loop's tally. Its frame totals stay zero here:
+	// frames counts transmissions by kind, and Stats derives the totals.
+	stats  Stats
+	frames [numFrameKinds]uint64
 
 	// telemetry, pre-resolved so the event loop never does registry
-	// lookups.
-	reg         *obs.Registry
-	trace       *obs.Trace
-	flight      *obs.Flight
-	cFrames     [numFrameKinds]*obs.Counter
-	cCollisions *obs.Counter
-	cBackoffs   *obs.Counter
-	cCCAFail    *obs.Counter
-	cRetries    *obs.Counter
-	cAckFail    *obs.Counter
-	cErasures   *obs.Counter
-	cDeaf       *obs.Counter
-	cJoins      *obs.Counter
-	cConflicts  *obs.Counter
-	cEvents     *obs.Counter
+	// lookups; counters mirror the tallies and move at batch boundaries.
+	reg        *obs.Registry
+	trace      *obs.Trace
+	flight     *obs.Flight
+	counters   []tallyCounter
+	gVirtual   *obs.Gauge
+	gHeapDepth *obs.Gauge
+	gJoined    *obs.Gauge
 
-	cInjected          *obs.Counter
-	cInjectedDelivered *obs.Counter
-	cMigrations        *obs.Counter
-	gVirtual           *obs.Gauge
-	gHeapDepth         *obs.Gauge
-	gJoined            *obs.Gauge
-
-	lastEvents     uint64
 	depthThreshold int
 
 	// tel is the simulation observatory (nil when Config.Telemetry is
@@ -265,11 +248,14 @@ type Network struct {
 	// boundaries once a handler exists.
 	wantSnapshot atomic.Bool
 	snap         atomic.Pointer[Snapshot]
+}
 
-	// observer-stall bookkeeping, read by the health probe from any
-	// goroutine.
-	sendBlockedSince atomic.Int64 // wall unix nanos; 0 = not blocked
-	running          atomic.Bool
+// tallyCounter is one wazabee_sim_* counter series and the tally it
+// mirrors.
+type tallyCounter struct {
+	c         *obs.Counter
+	tally     *uint64
+	published uint64 // tally value already added to c
 }
 
 // New instantiates a topology into a virtual network at time zero:
@@ -307,7 +293,6 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		airs:      make([]air, len(topo.Nodes)),
 		allocNext: make(map[int]uint16),
 		taps:      make(map[int][]func(FrameCapture)),
-		observers: make(map[int][]*Observer),
 
 		reg:            obs.Or(cfg.Registry),
 		trace:          cfg.Trace,
@@ -315,22 +300,7 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		depthThreshold: 64,
 	}
 	nw.sched.dispatch = nw.dispatch
-	for k := range nw.cFrames {
-		nw.cFrames[k] = nw.reg.Counter("wazabee_sim_frames_total", "kind", frameKind(k).String())
-	}
-	nw.cCollisions = nw.reg.Counter("wazabee_sim_collisions_total")
-	nw.cBackoffs = nw.reg.Counter("wazabee_sim_backoffs_total")
-	nw.cCCAFail = nw.reg.Counter("wazabee_sim_cca_failures_total")
-	nw.cRetries = nw.reg.Counter("wazabee_sim_retries_total")
-	nw.cAckFail = nw.reg.Counter("wazabee_sim_ack_failures_total")
-	nw.cErasures = nw.reg.Counter("wazabee_sim_erasures_total")
-	nw.cDeaf = nw.reg.Counter("wazabee_sim_deaf_misses_total")
-	nw.cJoins = nw.reg.Counter("wazabee_sim_joins_total")
-	nw.cConflicts = nw.reg.Counter("wazabee_sim_pan_conflicts_total")
-	nw.cInjected = nw.reg.Counter("wazabee_sim_injected_total", "result", "offered")
-	nw.cInjectedDelivered = nw.reg.Counter("wazabee_sim_injected_total", "result", "delivered")
-	nw.cMigrations = nw.reg.Counter("wazabee_sim_channel_migrations_total")
-	nw.cEvents = nw.reg.Counter("wazabee_sim_events_total")
+	nw.registerCounters()
 	nw.gVirtual = nw.reg.Gauge("wazabee_sim_virtual_seconds")
 	nw.gHeapDepth = nw.reg.Gauge("wazabee_sim_heap_depth")
 	nw.gJoined = nw.reg.Gauge("wazabee_sim_nodes", "state", "joined")
@@ -349,7 +319,47 @@ func New(topo Topology, cfg Config) (*Network, error) {
 	}
 
 	nw.build()
+	nw.publishCounters()
 	return nw, nil
+}
+
+// registerCounters pairs every wazabee_sim_* counter series with the
+// tally it mirrors: the one table publishCounters advances. Every series
+// is registered here, so zero-valued ones still print.
+func (nw *Network) registerCounters() {
+	add := func(tally *uint64, name string, labels ...string) {
+		nw.counters = append(nw.counters, tallyCounter{c: nw.reg.Counter(name, labels...), tally: tally})
+	}
+	for k := range nw.frames {
+		add(&nw.frames[k], "wazabee_sim_frames_total", "kind", frameKind(k).String())
+	}
+	s := &nw.stats
+	add(&s.Collisions, "wazabee_sim_collisions_total")
+	add(&s.Backoffs, "wazabee_sim_backoffs_total")
+	add(&s.CCAFailures, "wazabee_sim_cca_failures_total")
+	add(&s.Retries, "wazabee_sim_retries_total")
+	add(&s.AckFailures, "wazabee_sim_ack_failures_total")
+	add(&s.Erasures, "wazabee_sim_erasures_total")
+	add(&s.DeafMisses, "wazabee_sim_deaf_misses_total")
+	add(&s.Joins, "wazabee_sim_joins_total")
+	add(&s.PANConflicts, "wazabee_sim_pan_conflicts_total")
+	add(&s.Injected, "wazabee_sim_injected_total", "result", "offered")
+	add(&s.InjectedDelivered, "wazabee_sim_injected_total", "result", "delivered")
+	add(&s.ChannelMigrations, "wazabee_sim_channel_migrations_total")
+	add(&s.Events, "wazabee_sim_events_total")
+}
+
+// publishCounters advances every counter series by its tally's growth
+// since the last call and refreshes the joined-nodes gauge.
+func (nw *Network) publishCounters() {
+	for i := range nw.counters {
+		c := &nw.counters[i]
+		if d := *c.tally - c.published; d > 0 {
+			c.c.Add(d)
+			c.published = *c.tally
+		}
+	}
+	nw.gJoined.Set(float64(nw.stats.Joined))
 }
 
 // build creates node actors and schedules their opening moves.
@@ -401,7 +411,6 @@ func (nw *Network) build() {
 		}
 		nw.sched.post(nw.jitter(n, nw.cfg.JoinSpread), action{op: opScan, node: n})
 	}
-	nw.noteJoinedGauge()
 }
 
 // jitter draws a uniform delay in [0, d) from the node's private stream.
@@ -582,31 +591,16 @@ func (nw *Network) Scheduler() *Scheduler { return nw.sched }
 func (nw *Network) Run(t time.Duration) {
 	end := obs.Stage(nw.reg, nw.trace, "sim_run")
 	defer end()
-	nw.running.Store(true)
-	defer nw.running.Store(false)
 	nw.sched.RunUntil(t)
 	nw.afterBatch()
 }
 
-// Step executes a single event, returning false when the queue is empty.
-func (nw *Network) Step() bool {
-	ok := nw.sched.Step()
-	nw.afterBatch()
-	return ok
-}
-
-// afterBatch refreshes the batch-cadence telemetry: event counters,
-// clock and heap gauges, and flight-recorder entries when the heap depth
+// afterBatch refreshes the batch-cadence telemetry: the counters, clock
+// and heap gauges, and flight-recorder entries when the heap depth
 // crosses a new doubling threshold.
 func (nw *Network) afterBatch() {
-	executed := nw.sched.Executed()
-	if delta := executed - nw.lastEvents; delta > 0 {
-		nw.cEvents.Add(delta)
-		nw.lastEvents = executed
-	}
-	nw.stats.Events = executed
-	nw.stats.VirtualTime = nw.sched.Now()
-	nw.stats.HeapDepth = nw.sched.MaxDepth()
+	nw.stats.Events = nw.sched.Executed()
+	nw.publishCounters()
 	nw.gVirtual.Set(nw.sched.Now().Seconds())
 	nw.gHeapDepth.Set(float64(nw.sched.MaxDepth()))
 	nw.heapGauges.Publish(nw.sched)
@@ -625,11 +619,6 @@ func (nw *Network) afterBatch() {
 			Detail: fmt.Sprintf("event heap high-water %d (pending %d)", d, nw.sched.Len()),
 		})
 	}
-}
-
-// noteJoinedGauge refreshes the joined-nodes gauge.
-func (nw *Network) noteJoinedGauge() {
-	nw.gJoined.Set(float64(nw.stats.Joined))
 }
 
 // CloseTrace finishes the virtual-time trace: it closes every node's
@@ -655,6 +644,10 @@ func (nw *Network) Stats() Stats {
 	s.Events = nw.sched.Executed()
 	s.VirtualTime = nw.sched.Now()
 	s.HeapDepth = nw.sched.MaxDepth()
+	f := &nw.frames
+	s.Beacons, s.DataFrames, s.Acks = f[kindBeacon], f[kindData], f[kindAck]
+	s.Commands = f[kindBeaconRequest] + f[kindAssocRequest] + f[kindAssocResponse]
+	s.Frames = s.Beacons + s.DataFrames + s.Acks + s.Commands
 	return s
 }
 
@@ -676,26 +669,4 @@ func (nw *Network) Node(i int) NodeInfo {
 		ID: i, Role: n.spec.Role, Ext: n.ext, Short: n.short,
 		PAN: n.pan, Channel: n.spec.Channel, Joined: n.state == stateJoined,
 	}
-}
-
-// RegisterHealth registers the simulator with a health registry: the
-// component degrades when an observer send has been blocked for longer
-// than Config.StallAfter — the signature a stalled consumer leaves on a
-// virtual-time loop, where "the event loop makes no progress" and "an
-// observer stopped draining" are the same condition.
-func (nw *Network) RegisterHealth(h *obs.Health) *obs.HealthComponent {
-	var c *obs.HealthComponent
-	c = h.Register("sim", false, func() error {
-		since := nw.sendBlockedSince.Load()
-		if since != 0 {
-			blocked := time.Since(time.Unix(0, since))
-			if blocked > nw.cfg.StallAfter {
-				c.SetDegraded(fmt.Sprintf("event loop stalled %v on an observer send", blocked.Round(time.Millisecond)))
-				return nil
-			}
-		}
-		c.SetOK()
-		return nil
-	})
-	return c
 }

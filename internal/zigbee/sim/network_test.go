@@ -2,11 +2,8 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
-
-	"wazabee/internal/obs"
 )
 
 func TestStarNetworkForms(t *testing.T) {
@@ -162,97 +159,5 @@ func TestNewRejectsInvalidSNR(t *testing.T) {
 	nw.Run(10 * time.Second)
 	if s := nw.Stats(); s.Joined != s.Nodes || s.Erasures != 0 {
 		t.Errorf("noise-free star: joined %d/%d, %d erasures", s.Joined, s.Nodes, s.Erasures)
-	}
-}
-
-func TestObserverStreamsCaptures(t *testing.T) {
-	nw, err := New(Star(3), Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := nw.Observe(DefaultChannel, 4096)
-	done := make(chan uint64)
-	go func() {
-		var count uint64
-		var lastSeq uint64
-		for fc := range o.C() {
-			count++
-			if fc.Seq <= lastSeq {
-				t.Errorf("capture seq %d not strictly increasing after %d", fc.Seq, lastSeq)
-				break
-			}
-			lastSeq = fc.Seq
-		}
-		done <- count
-	}()
-	nw.Run(20 * time.Second)
-	nw.CloseObservers()
-	count := <-done
-	if count != nw.Stats().Frames {
-		t.Fatalf("observer saw %d captures, network sent %d frames", count, nw.Stats().Frames)
-	}
-}
-
-func TestRegisterHealthDegradesOnStalledObserver(t *testing.T) {
-	nw, err := New(Star(3), Config{Seed: 1, StallAfter: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	h := obs.NewHealth(reg)
-	nw.RegisterHealth(h)
-
-	if snap := h.Check(); snap.Status != "ok" {
-		t.Fatalf("initial status = %s, want ok", snap.Status)
-	}
-
-	// One-slot observer nobody drains: the event loop blocks on the
-	// second capture send.
-	nw.Observe(DefaultChannel, 1)
-	ran := make(chan struct{})
-	go func() {
-		nw.Run(20 * time.Second)
-		close(ran)
-	}()
-	deadline := time.After(5 * time.Second)
-	for {
-		time.Sleep(2 * time.Millisecond)
-		snap := h.Check()
-		snap = h.Check() // probe pushes; pushed state lands next evaluation
-		var sim obs.ComponentHealth
-		for _, c := range snap.Components {
-			if c.Name == "sim" {
-				sim = c
-			}
-		}
-		if sim.Status == "degraded" {
-			if !strings.Contains(sim.Detail, "stalled") {
-				t.Fatalf("degraded detail = %q, want mention of a stall", sim.Detail)
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("health never degraded while an observer send was blocked")
-		default:
-		}
-	}
-
-	// Drain the stuck observer so the run can finish.
-	go func() {
-		for _, list := range nw.observers {
-			for _, o := range list {
-				for range o.C() {
-				}
-			}
-		}
-	}()
-	<-ran
-	nw.CloseObservers() // lets the draining goroutine exit
-	if snap := h.Check(); snap.Status != "ok" {
-		snap = h.Check()
-		if snap.Status != "ok" {
-			t.Fatalf("status after drain = %s, want ok", snap.Status)
-		}
 	}
 }

@@ -1,19 +1,20 @@
 package sim
 
 import (
-	"sync"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"wazabee/internal/obs"
 )
 
-// TestSimConcurrentObservers is the `make racesim` workload: several
-// observers on multiple channels drain concurrently with the event loop
-// while another goroutine polls the health registry and a stats reader
-// snapshots between batches — the full concurrency surface of the
-// simulator under the race detector.
-func TestSimConcurrentObservers(t *testing.T) {
+// TestSimConcurrentSnapshots is the `make racesim` workload: one
+// goroutine advances a two-PAN mesh in batches while the test goroutine
+// polls what the batch boundaries publish — the DebugHandler snapshot
+// and the registry's Prometheus text, as wazabeesim -metrics-addr serves
+// them — under the race detector.
+func TestSimConcurrentSnapshots(t *testing.T) {
 	topo := Topology{Nodes: []NodeSpec{
 		{Role: RoleCoordinator, Parent: -1, Channel: 14, PAN: 0x1111},
 		{Role: RoleCoordinator, Parent: -1, Channel: 20, PAN: 0x2222},
@@ -26,68 +27,54 @@ func TestSimConcurrentObservers(t *testing.T) {
 		topo.Nodes = append(topo.Nodes, NodeSpec{Role: RoleEndDevice, Parent: parent, Channel: channel, PAN: pan})
 	}
 	reg := obs.NewRegistry()
-	h := obs.NewHealth(reg)
-	nw, err := New(topo, Config{Seed: 5, Registry: reg})
+	nw, err := New(topo, Config{Seed: 5, Registry: reg, Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.RegisterHealth(h)
-
-	// Small buffers on purpose: the event loop must block on sends and
-	// resume, repeatedly, while consumers run on other goroutines.
-	var consumers sync.WaitGroup
-	counts := make([]uint64, 4)
-	for i, ch := range []int{14, 14, 20, 20} {
-		i := i
-		o := nw.Observe(ch, 2)
-		consumers.Add(1)
-		go func() {
-			defer consumers.Done()
-			for range o.C() {
-				counts[i]++
-			}
-		}()
+	h := nw.DebugHandler()
+	poll := func() Snapshot {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/sim", nil))
+		var snap Snapshot
+		if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("snapshot JSON: %v", err)
+		}
+		_ = reg.PrometheusText()
+		return snap
 	}
 
-	healthDone := make(chan struct{})
 	runDone := make(chan struct{})
-	go func() {
-		defer close(healthDone)
-		for {
-			select {
-			case <-runDone:
-				return
-			default:
-				h.Check()
-			}
-		}
-	}()
-
 	go func() {
 		defer close(runDone)
 		for at := time.Second; at <= 30*time.Second; at += time.Second {
 			nw.Run(at)
-			_ = nw.Stats()
 		}
 	}()
-	<-runDone
-	<-healthDone
-	nw.CloseObservers()
-	consumers.Wait()
-
-	frames := nw.Stats().Frames
-	if frames == 0 {
-		t.Fatal("no frames simulated")
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("observer %d saw no captures", i)
+	var last Snapshot
+	for running := true; running; {
+		select {
+		case <-runDone:
+			running = false
+		default:
 		}
+		snap := poll()
+		if snap.VirtualTime < last.VirtualTime || snap.Stats.Frames < last.Stats.Frames {
+			t.Fatalf("snapshot went back: t=%v frames=%d after t=%v frames=%d",
+				snap.VirtualTime, snap.Stats.Frames, last.VirtualTime, last.Stats.Frames)
+		}
+		last = snap
 	}
-	if counts[0] != counts[1] || counts[2] != counts[3] {
-		t.Fatalf("same-channel observers diverged: %v", counts)
+
+	final := nw.Stats()
+	if final.Frames == 0 || final.Joined != final.Nodes {
+		t.Fatalf("degenerate run: %d frames, %d/%d joined", final.Frames, final.Joined, final.Nodes)
 	}
-	if counts[0]+counts[2] != frames {
-		t.Fatalf("per-channel observer totals %d+%d != frames %d", counts[0], counts[2], frames)
+	snap := poll()
+	if snap.Stats != final || len(snap.Nodes) != len(topo.Nodes) {
+		t.Fatalf("snapshot after the last batch = %+v (%d nodes), want stats %+v", snap.Stats, len(snap.Nodes), final)
+	}
+	if got := reg.Counter("wazabee_sim_events_total").Value(); got != final.Events {
+		t.Fatalf("wazabee_sim_events_total = %d, want %d", got, final.Events)
 	}
 }

@@ -15,16 +15,18 @@
 // byte-identical capture sequences at any event-batch size, which is
 // what lets capture digests act as regression oracles.
 //
+// The loop keeps one tally, Stats. The registry's wazabee_sim_* series
+// and the DebugHandler snapshot are refreshed from it at batch
+// boundaries, the only points at which other goroutines see the
+// simulation; captures reach synchronous taps only.
+//
 // zigbee.LiveNetwork rides the same event core: its real-time reporting
 // loop is a Scheduler driven by a Pacer that sleeps until each event's
 // wall deadline, making real-time operation a pacing policy rather than
 // a separate code path.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // entry is one heap slot: the ordering key plus the slab index of the
 // action to run. seq is the insertion sequence number: events at the
@@ -52,9 +54,9 @@ func (e entry) before(o entry) bool {
 // forward to the timestamp of the event being executed. The actions the
 // entries point at live in a slab whose slots are reused through a free
 // list, so a steady-state event loop allocates nothing to schedule. It
-// is not safe for concurrent use — the simulation is single-threaded by
-// design and concurrency lives at the observer boundary (see
-// Network.Observe).
+// is not safe for concurrent use: the simulation is single-threaded by
+// design, and its driver publishes the scheduler's marks (HeapGauges) at
+// the points where other goroutines may read them.
 type Scheduler struct {
 	heap []entry
 	slab []action // pending actions, indexed by entry.slot
@@ -202,12 +204,6 @@ func (s *Scheduler) Drain() {
 	clear(s.slab)
 	s.slab = s.slab[:0]
 	s.free = s.free[:0]
-}
-
-// String summarises the scheduler state for diagnostics.
-func (s *Scheduler) String() string {
-	return fmt.Sprintf("sim: t=%v pending=%d executed=%d depth_max=%d",
-		s.now, len(s.heap), s.executed, s.maxDepth)
 }
 
 // up restores the heap property from index i towards the root, moving

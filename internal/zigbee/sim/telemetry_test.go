@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
 
@@ -409,5 +411,110 @@ func TestTraceAcceptanceScale(t *testing.T) {
 		if sum != elapsed {
 			t.Fatalf("node %d: conservation violated at scale: %v != %v", ns.ID, sum, elapsed)
 		}
+	}
+}
+
+// TestSimCountersMatchStats checks every wazabee_sim_* counter against
+// the Stats field it mirrors, on a star under attack so that the
+// intruder series are nonzero and distinct: spoofed readings at the
+// coordinator, one forgery on a channel nobody listens to (offered,
+// never delivered) and a forged remote AT retune of one device.
+func TestSimCountersMatchStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	nw, err := New(Star(4), Config{Seed: 3, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr, err := nw.NewIntruder(DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offChannel, err := nw.NewIntruder(DefaultChannel + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(10 * time.Second)
+	coord, victim := nw.Node(0), nw.Node(2)
+	for i := 0; i < 3; i++ {
+		frame := ieee802154.NewDataFrame(uint8(i), coord.PAN, coord.Short, 0x7777, []byte{0x77, 0, byte(i), 0}, true)
+		if err := intr.Transmit(0, frame, true); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(10*time.Second + time.Duration(i+1)*100*time.Millisecond)
+	}
+	retune := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
+		[]byte{remoteATRequest, 9, 'C', 'H', 26}, true)
+	if err := intr.Transmit(2, retune, true); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(12 * time.Second)
+	unheard := ieee802154.NewDataFrame(7, coord.PAN, coord.Short, 0x7777, []byte{0x77, 0, 7, 0}, false)
+	if err := offChannel.Transmit(0, unheard, false); err != nil {
+		t.Fatal(err)
+	}
+	for at := 13 * time.Second; at <= 20*time.Second; at += time.Second {
+		nw.Run(at)
+	}
+
+	s := nw.Stats()
+	if s.Injected != 5 || s.InjectedDelivered != 4 || s.ChannelMigrations != 1 {
+		t.Fatalf("attack did not land: injected %d, delivered %d, migrations %d",
+			s.Injected, s.InjectedDelivered, s.ChannelMigrations)
+	}
+	want := map[string]uint64{
+		`wazabee_sim_frames_total{kind="beacon"}`:        s.Beacons,
+		`wazabee_sim_frames_total{kind="data"}`:          s.DataFrames,
+		`wazabee_sim_frames_total{kind="ack"}`:           s.Acks,
+		`wazabee_sim_collisions_total`:                   s.Collisions,
+		`wazabee_sim_backoffs_total`:                     s.Backoffs,
+		`wazabee_sim_cca_failures_total`:                 s.CCAFailures,
+		`wazabee_sim_retries_total`:                      s.Retries,
+		`wazabee_sim_ack_failures_total`:                 s.AckFailures,
+		`wazabee_sim_erasures_total`:                     s.Erasures,
+		`wazabee_sim_deaf_misses_total`:                  s.DeafMisses,
+		`wazabee_sim_joins_total`:                        s.Joins,
+		`wazabee_sim_pan_conflicts_total`:                s.PANConflicts,
+		`wazabee_sim_injected_total{result="offered"}`:   s.Injected,
+		`wazabee_sim_injected_total{result="delivered"}`: s.InjectedDelivered,
+		`wazabee_sim_channel_migrations_total`:           s.ChannelMigrations,
+		`wazabee_sim_events_total`:                       s.Events,
+	}
+	commandKinds := map[string]bool{"beacon_request": true, "assoc_request": true, "assoc_response": true}
+	var frames, commands uint64
+	seen := 0
+	for _, series := range reg.Snapshot() {
+		if series.Kind != "counter" || !strings.HasPrefix(series.Name, "wazabee_sim_") {
+			continue
+		}
+		key := series.Name
+		for k, v := range series.Labels {
+			key += fmt.Sprintf("{%s=%q}", k, v)
+		}
+		got := uint64(series.Value)
+		if series.Name == "wazabee_sim_frames_total" {
+			frames += got
+			if commandKinds[series.Labels["kind"]] {
+				commands += got
+				continue
+			}
+		}
+		v, ok := want[key]
+		if !ok {
+			t.Errorf("counter %s has no Stats field in this test", key)
+			continue
+		}
+		seen++
+		if got != v {
+			t.Errorf("%s = %d, Stats says %d", key, got, v)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("registry holds %d of the %d expected counter series", seen, len(want))
+	}
+	if frames != s.Frames || commands != s.Commands {
+		t.Errorf("wazabee_sim_frames_total sums to %d (commands %d), Stats says %d (%d)", frames, commands, s.Frames, s.Commands)
+	}
+	if got := reg.Gauge("wazabee_sim_nodes", "state", "joined").Value(); got != float64(s.Joined) {
+		t.Errorf(`wazabee_sim_nodes{state="joined"} = %v, Stats says %d`, got, s.Joined)
 	}
 }
