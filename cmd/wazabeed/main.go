@@ -33,6 +33,7 @@ import (
 	"wazabee/internal/dsp/stream"
 	"wazabee/internal/obs"
 	"wazabee/internal/obs/link"
+	"wazabee/internal/radio"
 	"wazabee/internal/zigbee"
 )
 
@@ -43,7 +44,6 @@ type config struct {
 	interval     time.Duration
 	channel      int
 	periods      int // 0 = run until the context is cancelled
-	fidelity     string
 	pcapPath     string
 	pcapMaxBytes int64
 	listenTCP    string
@@ -66,7 +66,8 @@ func main() {
 // shutdown (signal handler, listeners, pcap flush) runs on the way out.
 func run(args []string, out, errOut io.Writer) error {
 	cfg := config{}
-	fs := flag.NewFlagSet("wazabeed", flag.ExitOnError)
+	fs := flag.NewFlagSet("wazabeed", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	registerFlags(fs, &cfg)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +103,6 @@ func registerFlags(flag *flag.FlagSet, cfg *config) {
 	flag.Float64Var(&cfg.snrDB, "snr", 22, "attacker link SNR in dB")
 	flag.DurationVar(&cfg.interval, "interval", 250*time.Millisecond, "sensor reporting interval")
 	flag.IntVar(&cfg.channel, "channel", zigbee.DefaultChannel, "802.15.4 channel to sniff")
-	flag.StringVar(&cfg.fidelity, "fidelity", "iq", "victim-to-victim delivery tier: iq (full DSP), symbol or frame (calibrated draws; the attacker capture stays IQ)")
 	flag.IntVar(&cfg.periods, "periods", 0, "stop after this many reporting periods (0 = run until interrupted)")
 	flag.StringVar(&cfg.pcapPath, "pcap", "wazabee.pcap", "rotating pcap output path (empty disables)")
 	flag.Int64Var(&cfg.pcapMaxBytes, "pcap-max-bytes", 16<<20, "rotate the pcap file beyond this size (0 = never)")
@@ -141,6 +141,18 @@ type daemon struct {
 func newDaemon(cfg config) (*daemon, error) {
 	if cfg.queueDepth < 1 {
 		return nil, fmt.Errorf("wazabeed: queue depth %d < 1", cfg.queueDepth)
+	}
+	if err := (radio.Link{SNRdB: cfg.snrDB}).Validate(); err != nil {
+		return nil, fmt.Errorf("wazabeed: -snr: %w", err)
+	}
+	if cfg.periods < 0 {
+		return nil, fmt.Errorf("wazabeed: -periods %d < 0", cfg.periods)
+	}
+	if cfg.deviceID > 0xFFFF {
+		return nil, fmt.Errorf("wazabeed: -zep-device %d does not fit ZEP's 16-bit field", cfg.deviceID)
+	}
+	if cfg.pcapMaxBytes < 0 {
+		return nil, fmt.Errorf("wazabeed: -pcap-max-bytes %d < 0", cfg.pcapMaxBytes)
 	}
 	d := &daemon{
 		cfg:        cfg,
@@ -242,16 +254,7 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if cfg.fidelity != "" { // empty = the zero-value config's IQ default
-		fid, err := wazabee.ParseFidelity(cfg.fidelity)
-		if err != nil {
-			return err
-		}
-		if err := network.SetFidelity(fid); err != nil {
-			return err
-		}
-	}
-	live, err := zigbee.StartLive(network, cfg.interval, cfg.channel)
+	live, err := wazabee.StartLiveNetwork(network, cfg.interval, cfg.channel)
 	if err != nil {
 		return err
 	}
@@ -386,6 +389,7 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 	published, decoded := 0, 0
 	reg := obs.Default()
 	pool := stream.Shared()
+	var streamErr error
 producer:
 	for cfg.periods == 0 || published < cfg.periods {
 		select {
@@ -393,17 +397,16 @@ producer:
 			break producer
 		case c, ok := <-live.Captures():
 			if !ok {
-				if err := live.Err(); err != nil {
-					hcPipeline.SetDown(err.Error())
+				if streamErr = live.Err(); streamErr != nil {
+					hcPipeline.SetDown(streamErr.Error())
 					d.flight.Record(obs.FlightEvent{
-						Kind: "error", Component: "live", Frame: -1, Detail: err.Error(),
+						Kind: "error", Component: "live", Frame: -1, Detail: streamErr.Error(),
 					})
-					d.log.Error("daemon", "capture stream ended", "err", err.Error())
-					fmt.Fprintln(out, "wazabeed: capture stream ended:", err)
+					fmt.Fprintln(out, "wazabeed: capture stream ended:", streamErr)
 				}
 				break producer
 			}
-			dem, st, err := rx.ReceiveStatsAt(c.Origin, c.IQ)
+			dem, st, err := rx.ReceiveStatsAt(c.At, c.IQ)
 			if err != nil {
 				dem = nil
 			} else {
@@ -413,15 +416,12 @@ producer:
 			d.log.Debug("daemon", "period received",
 				"seq", c.Seq, "result", st.Result(), "lqi", st.LQI,
 				"snr_db", st.SNRdB, "cfo_hz", st.CFOHz)
-			ev := obs.FlightEvent{
+			d.flight.Record(obs.FlightEvent{
 				Kind: "frame", Component: "rx", Frame: int64(c.Seq), Detail: st.Result(),
-			}
-			if !c.Origin.IsZero() {
-				ev.Latency = time.Since(c.Origin)
-			}
-			d.flight.Record(ev)
+				Latency: time.Since(c.At),
+			})
 			rec := capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, c.LinkSNRdB)
-			rec.Origin = c.Origin
+			rec.Origin = c.At
 			d.hub.Publish(rec)
 			published++
 			reg.Gauge("wazabee_capture_daemon_periods").Set(float64(published))
@@ -463,7 +463,7 @@ producer:
 		fmt.Fprintf(out, "wazabeed: pcap capture at %s (%d packets) — open with: wireshark %s\n",
 			cfg.pcapPath, d.pcap.Packets(), cfg.pcapPath)
 	}
-	return nil
+	return streamErr
 }
 
 // serveTCP accepts subscribers and streams them length-prefixed

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"wazabee/internal/capture"
+	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
 )
 
@@ -142,6 +143,36 @@ func TestDaemonSmoke(t *testing.T) {
 	for i, rec := range records {
 		if len(rec.PSDU) == 0 {
 			t.Errorf("pcap packet %d is empty", i)
+		}
+	}
+}
+
+// TestRunRejectsBadFlags: bad input makes run return an error before
+// the daemon binds a listener, with nothing on stdout. Each case runs on
+// top of a one-period, listener-free configuration, so input wrongly
+// accepted ends the run instead of serving forever.
+func TestRunRejectsBadFlags(t *testing.T) {
+	// run points the process logger at its errOut; later tests' daemons
+	// log from many goroutines, which a bytes.Buffer cannot take.
+	t.Cleanup(func() { obs.DefaultLogger().SetSink(nil) })
+	base := []string{"-listen", "", "-pcap", "", "-interval", "1ms", "-periods", "1"}
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-fidelity", "frame"},
+		{"-snr", "NaN"},
+		{"-snr", "-Inf"},
+		{"-periods", "-1"},
+		{"-zep-device", "70000"},
+		{"-pcap-max-bytes", "-5"},
+		{"-queue", "0"},
+		{"-log-level", "loud"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(append(base, args...), &out, &errOut); err == nil {
+			t.Errorf("run(%v) accepted invalid input", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("run(%v) wrote to stdout:\n%s", args, out.String())
 		}
 	}
 }

@@ -51,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	live, err := zigbee.StartLive(network, interval, zigbee.DefaultChannel)
+	live, err := wazabee.StartLiveNetwork(network, interval, zigbee.DefaultChannel)
 	if err != nil {
 		return err
 	}

@@ -149,7 +149,7 @@ func streamingDemo(monitor *ids.Monitor) error {
 	if err != nil {
 		return err
 	}
-	live, err := zigbee.StartLive(network, 20*time.Millisecond, zigbee.DefaultChannel)
+	live, err := wazabee.StartLiveNetwork(network, 20*time.Millisecond, zigbee.DefaultChannel)
 	if err != nil {
 		return err
 	}

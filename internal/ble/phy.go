@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
@@ -119,28 +118,16 @@ func NewPHYWithShaping(mode Mode, samplesPerSymbol int, modIndex, bt float64) (*
 // bit sequence: NRZ mapping, frequency-pulse shaping (Gaussian filtered
 // rectangle) and phase integration. Each bit advances the phase by
 // ±π·ModulationIndex; with the nominal index 0.5 that is the ±π/2 per
-// symbol of MSK.
+// symbol of MSK. The frequency-trace scratch is borrowed from the shared
+// buffer pool, so a warmed-up transmit path allocates only the waveform.
 func (p *PHY) ModulateBits(bits bitstream.Bits) (dsp.IQ, error) {
-	out, err := p.AppendModulateBits(nil, bits)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendModulateBits is the allocation-free form of ModulateBits: it
-// appends the waveform to dst (which may be a pooled slab) and returns
-// the extended slice. The frequency-trace scratch is borrowed from the
-// shared buffer pool, so a warmed-up transmit path performs no heap
-// allocation beyond growing dst, which it does at most once.
-func (p *PHY) AppendModulateBits(dst dsp.IQ, bits bitstream.Bits) (dsp.IQ, error) {
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("ble: empty bit stream")
 	}
 	sps := p.SamplesPerSymbol
 	// Frequency trace: superpose one shaped pulse per symbol.
 	n := len(bits)*sps + len(p.pulse) - sps
-	dst = slices.Grow(dst, n+1)
+	dst := make(dsp.IQ, 0, n+1)
 	pool := stream.Shared()
 	freq := pool.F64(n)[:n]
 	for i := range freq {

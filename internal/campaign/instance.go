@@ -9,6 +9,7 @@ import (
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/randsrc"
+	"wazabee/internal/zigbee"
 	"wazabee/internal/zigbee/sim"
 )
 
@@ -146,10 +147,10 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 		ChannelExpected:      true,
 		Obs:                  cfg.Registry,
 	}
-	nw.Tap(sim.DefaultChannel, it.inspect)
+	nw.Tap(zigbee.DefaultChannel, it.inspect)
 
 	if sc.attack {
-		intr, err := nw.NewIntruder(sim.DefaultChannel)
+		intr, err := nw.NewIntruder(zigbee.DefaultChannel)
 		if err != nil {
 			return nil, err
 		}

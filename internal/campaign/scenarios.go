@@ -5,6 +5,7 @@ import (
 
 	"wazabee/internal/attack"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/zigbee"
 	"wazabee/internal/zigbee/sim"
 )
 
@@ -77,7 +78,7 @@ var catalogue = []scenario{
 				seq++
 				reading++
 				frame := ieee802154.NewDataFrame(seq, coord.PAN, coord.Short, victim.Short,
-					[]byte{0x77, byte(reading >> 8), byte(reading), 0}, true)
+					sim.ReadingPayload(reading, 0), true)
 				it.transmit(0, frame, true)
 			})
 		},
@@ -105,8 +106,9 @@ var catalogue = []scenario{
 					attempts++
 					frameID++
 					coord := it.nw.Node(0)
-					frame := ieee802154.NewDataFrame(frameID, ni.PAN, ni.Short, coord.Short,
-						[]byte{0x17, frameID, 'C', 'H', 26}, true)
+					// A two-letter command always encodes.
+					retune, _ := (&zigbee.ATCommand{FrameID: frameID, Command: "CH", Param: []byte{26}}).Encode()
+					frame := ieee802154.NewDataFrame(frameID, ni.PAN, ni.Short, coord.Short, retune, true)
 					it.transmit(dev, frame, true)
 					sched.After(400*time.Millisecond, fire)
 				}
@@ -169,7 +171,7 @@ var catalogue = []scenario{
 				// and forwards it to its parent, which acknowledges in
 				// turn — each poll costs the victims three transmissions.
 				frame := ieee802154.NewDataFrame(seq, ni.PAN, ni.Short, coord.Short,
-					[]byte{0x77, 0, byte(seq), 0}, true)
+					sim.ReadingPayload(uint16(seq), 0), true)
 				it.transmit(dev, frame, true)
 			})
 		},
@@ -183,7 +185,7 @@ var catalogue = []scenario{
 			// The capture side: remember the first clean data frame a
 			// real device sent (the tap below runs alongside the
 			// monitor's).
-			it.nw.Tap(sim.DefaultChannel, func(fc sim.FrameCapture) {
+			it.nw.Tap(zigbee.DefaultChannel, func(fc sim.FrameCapture) {
 				if it.replayPSDU == nil && !fc.Collided && fc.Src > 0 && fc.Kind == "data" {
 					it.replayPSDU = append([]byte(nil), fc.PSDU...)
 				}

@@ -75,7 +75,7 @@ type Record struct {
 	IQ dsp.IQ
 
 	// Origin is the monotonic emission stamp of the capture this record
-	// came from (zigbee.Capture.Origin), anchoring the per-stage
+	// came from (sim.LiveCapture.At), anchoring the per-stage
 	// wazabee_latency_* histograms the hub and its subscriptions
 	// observe. In-memory only — never serialised by any encoder — and
 	// zero for records that were not produced live (file reads, replay),

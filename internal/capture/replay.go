@@ -2,13 +2,13 @@ package capture
 
 import (
 	"fmt"
-	"time"
 
 	"wazabee/internal/core"
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/radio"
+	"wazabee/internal/zigbee"
 )
 
 // ReplayConfig parameterises playing a recorded capture back through
@@ -26,22 +26,14 @@ type ReplayConfig struct {
 	// and the listening receiver.
 	CFOHz float64
 	// Channel tunes the listening receiver. Zero listens on each
-	// record's own channel (falling back to channel 14, the repo-wide
-	// default victim channel, for records whose channel is unknown —
+	// record's own channel (falling back to zigbee.DefaultChannel, the
+	// victim network's channel, for records whose channel is unknown —
 	// e.g. recovered from a bare pcap).
 	Channel int
-	// TimeScale paces the playback against the records' timestamps:
-	// 1 replays in real time, 0.5 at double speed, 0 (the default) as
-	// fast as possible.
-	TimeScale float64
 	// Obs receives the replay counters and the medium's metrics; nil
 	// falls back to the process default registry.
 	Obs *obs.Registry
 }
-
-// replayFallbackChannel is where records with no channel metadata are
-// replayed: the default victim network channel of the whole repo.
-const replayFallbackChannel = 14
 
 // Replay re-modulates each record's PSDU with the legitimate O-QPSK
 // PHY, propagates it through a seeded radio.Medium and hands the
@@ -64,19 +56,13 @@ func Replay(records []Record, cfg ReplayConfig, sink func(Record, dsp.IQ) error)
 	medium.Obs = reg
 	link := radio.Link{SNRdB: cfg.SNRdB, CFOHz: cfg.CFOHz, LeadSamples: 200, LagSamples: 120}
 
-	var prev time.Time
 	for _, rec := range records {
 		if len(rec.PSDU) == 0 {
 			continue
 		}
-		if cfg.TimeScale > 0 && !prev.IsZero() && rec.At.After(prev) {
-			time.Sleep(time.Duration(float64(rec.At.Sub(prev)) * cfg.TimeScale))
-		}
-		prev = rec.At
-
 		txChannel := rec.Channel
 		if txChannel == 0 {
-			txChannel = replayFallbackChannel
+			txChannel = zigbee.DefaultChannel
 		}
 		rxChannel := cfg.Channel
 		if rxChannel == 0 {

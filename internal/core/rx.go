@@ -85,7 +85,7 @@ func (r *Receiver) ReceiveStats(sig dsp.IQ) (*ieee802154.Demodulated, *link.Stat
 }
 
 // ReceiveStatsAt is ReceiveStats for an origin-stamped capture: origin
-// is the capture's monotonic emission time (zigbee.Capture.Origin), and
+// is the capture's monotonic emission time (sim.LiveCapture.At), and
 // the call observes the emission→verdict distance into the
 // wazabee_latency_seconds{stage="demod"} histogram for every verdict,
 // decoded or not, so the latency population is not survivorship-biased

@@ -37,45 +37,29 @@ func IntegrateSymbols(increments []float64, offset, sps int) []float64 {
 		return nil
 	}
 	n := (len(increments) - offset) / sps
-	return IntegrateSymbolsInto(make([]float64, 0, n), increments, offset, sps)
-}
-
-// IntegrateSymbolsInto is the appending, allocation-free form of
-// IntegrateSymbols: it sums complete sps-sample windows of increments
-// starting at offset and appends one value per window to dst.
-func IntegrateSymbolsInto(dst []float64, increments []float64, offset, sps int) []float64 {
-	if sps < 1 || offset < 0 || offset >= len(increments) {
-		return dst
-	}
-	n := (len(increments) - offset) / sps
-	for k := 0; k < n; k++ {
+	sums := make([]float64, n)
+	for k := range sums {
 		var sum float64
 		base := offset + k*sps
 		for i := 0; i < sps; i++ {
 			sum += increments[base+i]
 		}
-		dst = append(dst, sum)
+		sums[k] = sum
 	}
-	return dst
+	return sums
 }
 
 // SliceBits converts accumulated per-symbol phase changes into hard bit
 // decisions: positive rotation (counter-clockwise) decodes as 1, negative as
 // 0, matching the FSK convention in the paper.
 func SliceBits(phases []float64) []byte {
-	return SliceBitsInto(make([]byte, 0, len(phases)), phases)
-}
-
-// SliceBitsInto is the appending, allocation-free form of SliceBits.
-func SliceBitsInto(dst []byte, phases []float64) []byte {
-	for _, p := range phases {
+	bits := make([]byte, len(phases))
+	for i, p := range phases {
 		if p > 0 {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+			bits[i] = 1
 		}
 	}
-	return dst
+	return bits
 }
 
 // MeanFrequency estimates the average phase increment per sample, used for

@@ -103,9 +103,6 @@ type Spec struct {
 	// shards are persisted there and a compatible existing file seeds the
 	// run. The file is removed when the run completes.
 	Checkpoint string
-	// CheckpointEvery batches checkpoint writes to every Nth completed
-	// shard; <= 0 means every shard.
-	CheckpointEvery int
 	// Obs receives the run's telemetry; nil falls back to the process
 	// default registry.
 	Obs *obs.Registry
@@ -216,14 +213,13 @@ type run struct {
 	spec  *Spec
 	trial Trial
 
-	mu        sync.Mutex
-	points    []*pointState
-	shards    []shardRef
-	state     []uint8 // disposition per shard, indexed like shards
-	next      int     // dispatch cursor
-	sinceSave int
-	firstErr  error
-	cancel    context.CancelFunc
+	mu       sync.Mutex
+	points   []*pointState
+	shards   []shardRef
+	state    []uint8 // disposition per shard, indexed like shards
+	next     int     // dispatch cursor
+	firstErr error
+	cancel   context.CancelFunc
 
 	countedTrials   int
 	scheduledTrials int
@@ -498,15 +494,7 @@ func (r *run) execute(ctx context.Context, i int, sh shardRef) {
 		r.advanceLocked(st)
 		r.updateProgressLocked()
 	}
-	r.sinceSave++
-	every := r.spec.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	if r.spec.Checkpoint != "" && r.sinceSave >= every {
-		r.checkpointLocked()
-		r.sinceSave = 0
-	}
+	r.checkpointLocked()
 }
 
 // fail records the run's first error and cancels the siblings.

@@ -39,18 +39,9 @@ func NewPPDU(psdu []byte) (*PPDU, error) {
 // Bytes serialises the PPDU into the exact octet sequence handed to the
 // spreader: preamble, SFD, PHR (frame length) and PSDU.
 func (p *PPDU) Bytes() []byte {
-	return p.AppendBytes(make([]byte, 0, PreambleLength+2+len(p.PSDU)))
-}
-
-// AppendBytes is the appending form of Bytes for pooled scratch
-// buffers.
-func (p *PPDU) AppendBytes(dst []byte) []byte {
-	for i := 0; i < PreambleLength; i++ {
-		dst = append(dst, 0)
-	}
-	dst = append(dst, SFD, byte(len(p.PSDU)))
-	dst = append(dst, p.PSDU...)
-	return dst
+	out := make([]byte, PreambleLength, PreambleLength+2+len(p.PSDU))
+	out = append(out, SFD, byte(len(p.PSDU)))
+	return append(out, p.PSDU...)
 }
 
 // ParsePPDU decodes an octet sequence starting at the preamble back into a

@@ -10,18 +10,12 @@ import (
 // octet is split into two 4-bit symbols (least significant nibble first)
 // and every symbol is substituted by its 32-chip PN sequence.
 func Spread(data []byte) bitstream.Bits {
-	return AppendSpread(make(bitstream.Bits, 0, len(data)*SymbolsPerByte*ChipsPerSymbol), data)
-}
-
-// AppendSpread appends the DSSS chip expansion of data to dst and
-// returns the extended slice — the allocation-free form of Spread for
-// pooled transmit scratch buffers.
-func AppendSpread(dst bitstream.Bits, data []byte) bitstream.Bits {
+	chips := make(bitstream.Bits, 0, len(data)*SymbolsPerByte*ChipsPerSymbol)
 	for _, b := range data {
-		dst = append(dst, pnTable[b&0x0f]...)
-		dst = append(dst, pnTable[b>>4]...)
+		chips = append(chips, pnTable[b&0x0f]...)
+		chips = append(chips, pnTable[b>>4]...)
 	}
-	return dst
+	return chips
 }
 
 // SpreadSymbols expands a symbol sequence (values 0..15) into chips.

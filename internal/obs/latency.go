@@ -5,7 +5,7 @@ import "time"
 // Pipeline latency instrumentation (§7 catalogue: wazabee_latency_*).
 //
 // Every live capture is stamped with a monotonic origin time the moment
-// the victim network emits it (zigbee.Capture.Origin). The stamp rides
+// the victim network emits it (sim.LiveCapture.At). The stamp rides
 // the in-memory side of capture.Record — it is never serialised — and
 // each stage of the delivery path observes its distance from the origin
 // into one shared histogram family, labelled by stage:

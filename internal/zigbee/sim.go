@@ -6,7 +6,6 @@ import (
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/radio"
-	"wazabee/internal/randsrc"
 )
 
 // Simulation couples the victim network (sensor + coordinator) to a
@@ -26,17 +25,6 @@ type Simulation struct {
 	// noiseFloorPower is returned power when the attacker listens to an
 	// idle channel.
 	noiseFloorPower float64
-
-	// vch, when non-nil, replaces the victim-to-victim IQ path with a
-	// calibrated fidelity tier (SetFidelity). The attacker's capture is
-	// always synthesised at IQ fidelity — WazaBee receivers need real
-	// waveforms.
-	vch radio.Channel
-	// vSeq numbers victim deliveries so each draws from its own seed
-	// stream, independent of the medium's shared Rand.
-	vSeq uint64
-	// seed is the medium's seed, retained for victim delivery seeds.
-	seed int64
 }
 
 // NewSimulation builds the default experimental network over a fresh
@@ -61,38 +49,7 @@ func NewSimulation(seed int64, samplesPerChip int, snrDB float64) (*Simulation, 
 		AttackerLink:    link,
 		VictimLink:      link,
 		noiseFloorPower: 1e-3,
-		seed:            seed,
 	}, nil
-}
-
-// SetFidelity selects the delivery tier of the sensor→coordinator path.
-// FidelityIQ (the default) synthesises and demodulates the waveform;
-// FidelitySymbol and FidelityFrame replace that with a draw from the
-// calibrated channel model, which skips one demodulation per reporting
-// period. The attacker-facing capture keeps IQ fidelity regardless — the
-// tiers only ever shortcut traffic no attacker observes directly.
-func (s *Simulation) SetFidelity(f radio.Fidelity) error {
-	if f == 0 || f == radio.FidelityIQ {
-		s.vch = nil
-		return nil
-	}
-	ch, err := s.Medium.Channel(f, radio.ChannelOptions{Profile: radio.ProfileOQPSK})
-	if err != nil {
-		return err
-	}
-	s.vch = ch
-	return nil
-}
-
-// victimSeed derives the private seed of one victim-to-victim delivery
-// from the simulation seed and the delivery's sequence number, following
-// the SplitMix64 discipline of internal/zigbee/sim.
-func victimSeed(seed int64, n uint64) uint64 {
-	return randsrc.SplitMix64(randsrc.SplitMix64(uint64(seed)^0x71c7) ^ n)
-}
-
-func channelFreq(channel int) (float64, error) {
-	return ieee802154.ChannelFrequencyMHz(channel)
 }
 
 // idle returns a noise-only capture of n samples.
@@ -133,11 +90,11 @@ func (s *Simulation) receiveFrame(capture dsp.IQ) *ieee802154.MACFrame {
 // acknowledges it. The returned capture is what an attacker listening on
 // captureChannel hears during the period.
 func (s *Simulation) Step(captureChannel int) (dsp.IQ, error) {
-	capFreq, err := channelFreq(captureChannel)
+	capFreq, err := ieee802154.ChannelFrequencyMHz(captureChannel)
 	if err != nil {
 		return nil, err
 	}
-	sensorFreq, err := channelFreq(s.Sensor.Channel)
+	sensorFreq, err := ieee802154.ChannelFrequencyMHz(s.Sensor.Channel)
 	if err != nil {
 		return nil, err
 	}
@@ -151,39 +108,13 @@ func (s *Simulation) Step(captureChannel int) (dsp.IQ, error) {
 		return nil, err
 	}
 
-	// Victim-to-victim delivery: through the full IQ path by default, or
-	// through the calibrated tier selected by SetFidelity.
+	// Victim-to-victim delivery through the full IQ path.
 	if s.Coordinator.Channel == s.Sensor.Channel {
-		var rx *ieee802154.MACFrame
-		if s.vch != nil {
-			psdu, err := frame.Encode()
-			if err != nil {
-				return nil, err
-			}
-			s.vSeq++
-			out, err := s.vch.Deliver(radio.FrameSpec{
-				PSDU:      psdu,
-				TxFreqMHz: sensorFreq,
-				RxFreqMHz: sensorFreq,
-				Link:      s.VictimLink,
-				Seed:      victimSeed(s.seed, s.vSeq),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if out.Delivered() {
-				if f, err := ieee802154.ParseMACFrame(out.PSDU); err == nil {
-					rx = f
-				}
-			}
-		} else {
-			coordCapture, err := s.Medium.Deliver(sig, sensorFreq, sensorFreq, s.VictimLink)
-			if err != nil {
-				return nil, err
-			}
-			rx = s.receiveFrame(coordCapture)
+		coordCapture, err := s.Medium.Deliver(sig, sensorFreq, sensorFreq, s.VictimLink)
+		if err != nil {
+			return nil, err
 		}
-		if rx != nil {
+		if rx := s.receiveFrame(coordCapture); rx != nil {
 			if _, err := s.Coordinator.Handle(rx); err != nil {
 				return nil, err
 			}
@@ -232,7 +163,7 @@ func (s *Simulation) Exchange(sig dsp.IQ, channel int) (dsp.IQ, error) {
 	if len(sig) == 0 {
 		return nil, fmt.Errorf("zigbee: empty attacker transmission")
 	}
-	freq, err := channelFreq(channel)
+	freq, err := ieee802154.ChannelFrequencyMHz(channel)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"wazabee/internal/zigbee"
 )
 
 // digestRun simulates topo for virtualFor, advancing the clock in
@@ -98,7 +100,7 @@ func TestSimThousandNodeAcceptance(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := NewDigestRecorder()
-		nw.Tap(DefaultChannel, rec.Record)
+		nw.Tap(zigbee.DefaultChannel, rec.Record)
 		start := time.Now()
 		nw.Run(60 * time.Second)
 		return rec.Sum(), rec.Frames(), nw.Stats(), time.Since(start)

@@ -6,6 +6,7 @@ import (
 
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/zigbee"
 )
 
 // IntruderSrc is the capture Src of attacker transmissions: an
@@ -17,10 +18,11 @@ const IntruderSrc = -1
 // Intruder is an out-of-topology attacker radio bolted onto a running
 // mesh: it forges MAC frames and puts them on the victim's air without
 // being a node — no CSMA, no queue, no energy ledger of its own. Its
-// transmissions occupy the destination's collision domain (they corrupt
-// concurrent victim frames and defer victim CCA like any carrier), pass
-// through the same calibrated delivery channel, and surface in the
-// capture stream with Src = IntruderSrc. Everything the victims do in
+// transmissions on the target's channel occupy the destination's
+// collision domain (they corrupt concurrent victim frames and defer
+// victim CCA like any carrier) and pass through the same calibrated
+// delivery channel; every transmission surfaces in the capture stream
+// with Src = IntruderSrc. Everything the victims do in
 // response — acknowledgements, association responses, AT responses,
 // retries against injected interference — runs on the ordinary MAC path
 // and is charged to the victims' energy accountant, which is exactly
@@ -53,10 +55,11 @@ func (in *Intruder) Rand() *rand.Rand { return in.rng }
 // Transmit puts a forged frame on the air now, addressed to the node
 // with simulator index to. The transmission starts immediately — a real
 // attacker gains nothing from listen-before-talk — and lasts the
-// frame's on-air duration. It collides with any concurrent transmission
-// whose receiver shares the destination cell, and is delivered through
-// the network's fidelity tier when the target is tuned to the
-// intruder's channel, idle, and the erasure draw passes. Set needAck to
+// frame's on-air duration. When the target is tuned to the intruder's
+// channel, the frame collides with any concurrent transmission whose
+// receiver shares the destination cell, and it is delivered through the
+// network's fidelity tier when the target is idle and the erasure draw
+// passes; on any other channel it only reaches the capture stream. Set needAck to
 // make the victim spend a transmission acknowledging the forgery.
 //
 // Call only from the goroutine driving the event loop (between Run
@@ -91,7 +94,11 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 		needAck:   needAck,
 		destOwner: destOwner,
 	}
-	nw.cell(destOwner).add(destOwner, tx)
+	// A cell is one channel's neighbourhood: a forgery on another
+	// channel neither corrupts nor defers the target's traffic.
+	if rx.spec.Channel == in.channel {
+		nw.cell(destOwner).add(destOwner, tx)
+	}
 	nw.noteFrame(tx)
 	nw.stats.Injected++
 	nw.sched.post(tx.end, action{op: opIntruderTxEnd, tx: tx})
@@ -104,12 +111,15 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 // target is tuned to the intruder's channel. The attacker has no
 // radio-state ledger, so only receiver-side telemetry is charged.
 func (nw *Network) intruderTxEnd(tx *transmission) {
-	nw.cell(tx.destOwner).remove(tx)
+	onChannel := nw.nodes[tx.to].spec.Channel == tx.channel
+	if onChannel {
+		nw.cell(tx.destOwner).remove(tx)
+	}
 	if tx.collided {
 		nw.stats.Collisions++
 	}
 	nw.publishCapture(tx)
-	if tx.collided || nw.nodes[tx.to].spec.Channel != tx.channel {
+	if tx.collided || !onChannel {
 		return // a target tuned elsewhere hears nothing of the forgery
 	}
 	if nw.receive(tx.to, tx, nw.sched.Now()) {
@@ -141,24 +151,15 @@ func intruderKind(frame *ieee802154.MACFrame) frameKind {
 	return kindData
 }
 
-// The XBee remote AT command wire format (internal/zigbee's ATCommand;
-// that package builds on this one, so the constants are mirrored here).
-const (
-	remoteATRequest  = 0x17
-	remoteATResponse = 0x97
-)
-
-// remoteChannelChange decodes the remote AT "CH" payload the scenario B
-// attack forges: frame type, frame ID, the two command letters and the
+// remoteChannelChange recognises the remote AT "CH" command the
+// scenario B attack forges: a zigbee.ATCommand whose parameter is the
 // one-octet new channel.
 func remoteChannelChange(payload []byte) (newChannel int, frameID byte, ok bool) {
-	if len(payload) != 5 || payload[0] != remoteATRequest {
+	cmd, err := zigbee.ParseATCommand(payload)
+	if err != nil || cmd.Command != "CH" || len(cmd.Param) != 1 {
 		return 0, 0, false
 	}
-	if payload[2] != 'C' || payload[3] != 'H' {
-		return 0, 0, false
-	}
-	return int(payload[4]), payload[1], true
+	return int(cmd.Param[0]), cmd.FrameID, true
 }
 
 // applyChannelChange executes a remote AT channel-change on the
@@ -175,7 +176,8 @@ func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
 		return
 	}
 	r.seq++
-	resp := []byte{remoteATResponse, frameID, 'C', 'H', 0x00}
+	// A two-letter command always encodes.
+	resp, _ := (&zigbee.ATResponse{FrameID: frameID, Command: "CH"}).Encode()
 	frame := ieee802154.NewDataFrame(r.seq, r.pan, r.parentShort, r.short, resp, false)
 	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID})
 	r.state = stateIdle

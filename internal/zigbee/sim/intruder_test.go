@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/zigbee"
 )
 
 func TestNewIntruderValidation(t *testing.T) {
@@ -18,7 +19,7 @@ func TestNewIntruderValidation(t *testing.T) {
 	if _, err := nw.NewIntruder(27); err == nil {
 		t.Error("channel 27 (above the 802.15.4 band) accepted")
 	}
-	if _, err := nw.NewIntruder(DefaultChannel); err != nil {
+	if _, err := nw.NewIntruder(zigbee.DefaultChannel); err != nil {
 		t.Errorf("valid channel rejected: %v", err)
 	}
 }
@@ -28,7 +29,7 @@ func TestIntruderInjectionCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intr, err := nw.NewIntruder(DefaultChannel)
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +52,52 @@ func TestIntruderInjectionCounted(t *testing.T) {
 	}
 }
 
+// TestIntruderOffChannelDoesNotCollide: a forgery on a channel the
+// target is not tuned to must neither corrupt nor defer on-channel
+// traffic. Two intruders, on and off the star's channel, hit the
+// coordinator at the same instant; only the on-channel frame counts.
+func TestIntruderOffChannelDoesNotCollide(t *testing.T) {
+	nw, err := New(Star(4), Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, err := nw.NewIntruder(zigbee.DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := nw.NewIntruder(zigbee.DefaultChannel + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(10 * time.Second)
+	before := nw.Stats()
+	coord := nw.Node(0)
+	for i, intr := range []*Intruder{on, off} {
+		frame := ieee802154.NewDataFrame(uint8(i), coord.PAN, coord.Short, 0x7777,
+			[]byte{0x77, 0, byte(i), 0}, true)
+		if err := intr.Transmit(0, frame, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Run(11 * time.Second)
+	after := nw.Stats()
+	if got := after.Injected - before.Injected; got != 2 {
+		t.Errorf("injected %d, want 2", got)
+	}
+	if got := after.InjectedDelivered - before.InjectedDelivered; got != 1 {
+		t.Errorf("delivered %d, want the on-channel forgery only", got)
+	}
+	if got := after.Collisions - before.Collisions; got != 0 {
+		t.Errorf("%d new collisions, want none from an off-channel forgery", got)
+	}
+}
+
 func TestIntruderChannelMigrationDetaches(t *testing.T) {
 	nw, err := New(Star(2), Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	intr, err := nw.NewIntruder(DefaultChannel)
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +109,7 @@ func TestIntruderChannelMigrationDetaches(t *testing.T) {
 	coord := nw.Node(0)
 	// The forged remote AT retune, spoofing the coordinator as source.
 	frame := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
-		[]byte{remoteATRequest, 9, 'C', 'H', 26}, true)
+		[]byte{zigbee.FrameRemoteAT, 9, 'C', 'H', 26}, true)
 	if err := intr.Transmit(1, frame, true); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +129,11 @@ func TestRemoteChannelChangeParsing(t *testing.T) {
 		ok      bool
 		channel int
 	}{
-		{"valid", []byte{remoteATRequest, 3, 'C', 'H', 20}, true, 20},
+		{"valid", []byte{zigbee.FrameRemoteAT, 3, 'C', 'H', 20}, true, 20},
 		{"wrong frame type", []byte{0x10, 3, 'C', 'H', 20}, false, 0},
-		{"wrong command", []byte{remoteATRequest, 3, 'I', 'D', 20}, false, 0},
-		{"short", []byte{remoteATRequest, 3, 'C', 'H'}, false, 0},
-		{"long", []byte{remoteATRequest, 3, 'C', 'H', 20, 0}, false, 0},
+		{"wrong command", []byte{zigbee.FrameRemoteAT, 3, 'I', 'D', 20}, false, 0},
+		{"short", []byte{zigbee.FrameRemoteAT, 3, 'C', 'H'}, false, 0},
+		{"long", []byte{zigbee.FrameRemoteAT, 3, 'C', 'H', 20, 0}, false, 0},
 		{"empty", nil, false, 0},
 	}
 	for _, tc := range cases {
@@ -118,9 +159,9 @@ func TestIntruderDoesNotPerturbCleanRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := NewDigestRecorder()
-		nw.Tap(DefaultChannel, rec.Record)
+		nw.Tap(zigbee.DefaultChannel, rec.Record)
 		if withIntruder {
-			if _, err := nw.NewIntruder(DefaultChannel); err != nil {
+			if _, err := nw.NewIntruder(zigbee.DefaultChannel); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,6 +18,13 @@ const (
 	// assocRespWait approximates macResponseWaitTime: how long a joiner
 	// waits for the association response before rescanning.
 	assocRespWait = 500 * time.Millisecond
+	// scanDuration is how long an active scan collects beacons. 140ms
+	// approximates the standard's ScanDuration=3 active scan and rides
+	// out CSMA queueing on a loaded parent.
+	scanDuration = 140 * time.Millisecond
+	// joinSpread is the window over which unjoined nodes begin their
+	// first scan, bounding the association storm.
+	joinSpread = 2 * time.Second
 	// scanRetryBase is the first rescan backoff; it doubles per failed
 	// scan up to scanRetryCap.
 	scanRetryBase = 100 * time.Millisecond
@@ -45,16 +52,17 @@ func (nw *Network) dataLoop(n *node) {
 	if n.state == stateJoined {
 		n.reading++
 		n.seq++
-		frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, sensorPayload(n.reading, 0), true)
+		frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, ReadingPayload(n.reading, 0), true)
 		nw.enqueueTx(n, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: n.parentID, needAck: true})
 	}
 	nw.after(nw.cfg.DataInterval, action{op: opData, node: n})
 }
 
-// sensorPayload encodes a reading the way the live sensor does: a tag
-// octet, the big-endian value and a hop count routers increment while
-// forwarding.
-func sensorPayload(reading uint16, hops uint8) []byte {
+// ReadingPayload encodes a mesh sensor reading: a tag octet, the
+// big-endian value and a hop count routers increment while forwarding.
+// It is the mesh's own 4-byte format, not the paper network's 3-byte
+// zigbee.SensorPayload.
+func ReadingPayload(reading uint16, hops uint8) []byte {
 	return []byte{0x77, byte(reading >> 8), byte(reading), hops}
 }
 
@@ -73,7 +81,7 @@ func (nw *Network) startScan(n *node) {
 	n.seq++
 	frame := ieee802154.NewBeaconRequest(n.seq)
 	nw.enqueueTx(n, &outgoing{kind: kindBeaconRequest, frame: frame, mode: targetParent})
-	nw.after(nw.cfg.ScanDuration, action{op: opScanEnd, node: n, gen: n.joinGen})
+	nw.after(scanDuration, action{op: opScanEnd, node: n, gen: n.joinGen})
 }
 
 // scanEnd closes the scan window: pick a parent from the collected

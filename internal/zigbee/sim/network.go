@@ -99,13 +99,6 @@ type Config struct {
 	// DataInterval is the end-device (and router) reporting cadence.
 	// Default 2s.
 	DataInterval time.Duration
-	// ScanDuration is how long an active scan collects beacons. The
-	// default 140ms approximates the standard's ScanDuration=3 active
-	// scan and rides out CSMA queueing on a loaded parent.
-	ScanDuration time.Duration
-	// JoinSpread is the window over which unjoined nodes begin their
-	// first scan, bounding the association storm. Default 2s.
-	JoinSpread time.Duration
 
 	// Fidelity selects the frame-delivery tier of the victim links
 	// (radio.FidelitySymbol or radio.FidelityFrame; zero selects
@@ -146,12 +139,6 @@ func (c *Config) fill() {
 	}
 	if c.DataInterval <= 0 {
 		c.DataInterval = 2 * time.Second
-	}
-	if c.ScanDuration <= 0 {
-		c.ScanDuration = 140 * time.Millisecond
-	}
-	if c.JoinSpread <= 0 {
-		c.JoinSpread = 2 * time.Second
 	}
 	if c.Fidelity == 0 {
 		c.Fidelity = radio.FidelityFrame
@@ -242,7 +229,7 @@ type Network struct {
 	// off — every hook in the MAC path nil-checks it, keeping the
 	// uninstrumented loop free of observatory work).
 	tel        *telemetry
-	heapGauges *HeapGauges
+	heapGauges *heapGauges
 
 	// snapshot published for the /debug/sim handler; refreshed at batch
 	// boundaries once a handler exists.
@@ -260,7 +247,7 @@ type tallyCounter struct {
 
 // New instantiates a topology into a virtual network at time zero:
 // coordinators come up joined and beaconing, everything else starts its
-// first active scan within cfg.JoinSpread.
+// first active scan within joinSpread.
 func New(topo Topology, cfg Config) (*Network, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -304,7 +291,7 @@ func New(topo Topology, cfg Config) (*Network, error) {
 	nw.gVirtual = nw.reg.Gauge("wazabee_sim_virtual_seconds")
 	nw.gHeapDepth = nw.reg.Gauge("wazabee_sim_heap_depth")
 	nw.gJoined = nw.reg.Gauge("wazabee_sim_nodes", "state", "joined")
-	nw.heapGauges = NewHeapGauges(nw.reg, "virtual")
+	nw.heapGauges = newHeapGauges(nw.reg, "virtual")
 
 	if cfg.Telemetry {
 		profile, err := ProfileByName(cfg.Chip)
@@ -409,7 +396,7 @@ func (nw *Network) build() {
 			nw.sched.post(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
 			continue
 		}
-		nw.sched.post(nw.jitter(n, nw.cfg.JoinSpread), action{op: opScan, node: n})
+		nw.sched.post(nw.jitter(n, joinSpread), action{op: opScan, node: n})
 	}
 }
 
@@ -603,7 +590,7 @@ func (nw *Network) afterBatch() {
 	nw.publishCounters()
 	nw.gVirtual.Set(nw.sched.Now().Seconds())
 	nw.gHeapDepth.Set(float64(nw.sched.MaxDepth()))
-	nw.heapGauges.Publish(nw.sched)
+	nw.heapGauges.publish(nw.sched)
 	if nw.tel != nil {
 		nw.tel.publish(nw.sched.Now())
 	}

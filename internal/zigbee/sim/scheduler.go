@@ -20,10 +20,10 @@
 // boundaries, the only points at which other goroutines see the
 // simulation; captures reach synchronous taps only.
 //
-// zigbee.LiveNetwork rides the same event core: its real-time reporting
-// loop is a Scheduler driven by a Pacer that sleeps until each event's
-// wall deadline, making real-time operation a pacing policy rather than
-// a separate code path.
+// LiveNetwork rides the same event core: its real-time reporting loop is
+// a Scheduler driven by a pacer that sleeps until each event's wall
+// deadline, making real-time operation a pacing policy rather than a
+// separate code path.
 package sim
 
 import "time"
@@ -55,7 +55,7 @@ func (e entry) before(o entry) bool {
 // entries point at live in a slab whose slots are reused through a free
 // list, so a steady-state event loop allocates nothing to schedule. It
 // is not safe for concurrent use: the simulation is single-threaded by
-// design, and its driver publishes the scheduler's marks (HeapGauges) at
+// design, and its driver publishes the scheduler's marks (heapGauges) at
 // the points where other goroutines may read them.
 type Scheduler struct {
 	heap []entry
@@ -74,7 +74,7 @@ type Scheduler struct {
 
 	// maxLag is the high-water mark of how far behind its deadline an
 	// event executed, in wall time. The virtual driver never lags (the
-	// clock jumps to each event); the Pacer records real lateness here.
+	// clock jumps to each event); the pacer records real lateness here.
 	maxLag time.Duration
 }
 
@@ -99,14 +99,11 @@ func (s *Scheduler) MaxDepth() int { return s.maxDepth }
 // (always zero under the virtual driver).
 func (s *Scheduler) MaxLag() time.Duration { return s.maxLag }
 
-// noteLag records a wall-time execution lateness (called by the Pacer).
-// It reports whether the lag is a new high-water mark.
-func (s *Scheduler) noteLag(lag time.Duration) bool {
+// noteLag records a wall-time execution lateness (called by the pacer).
+func (s *Scheduler) noteLag(lag time.Duration) {
 	if lag > s.maxLag {
 		s.maxLag = lag
-		return true
 	}
-	return false
 }
 
 // At schedules fn at virtual time t. Scheduling in the past is clamped

@@ -13,6 +13,7 @@ import (
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/radio"
+	"wazabee/internal/zigbee"
 )
 
 // The golden tests pin the mesh loop's observable output as literals:
@@ -157,7 +158,7 @@ func TestSimGoldenIntruder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intr, err := nw.NewIntruder(DefaultChannel)
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSimGoldenIntruder(t *testing.T) {
 		dev := nw.Node(4)
 		coord := nw.Node(0)
 		frame := ieee802154.NewDataFrame(0xAA, coord.PAN, dev.Short, coord.Short,
-			[]byte{remoteATRequest, 0x01, 'C', 'H', 20}, true)
+			[]byte{zigbee.FrameRemoteAT, 0x01, 'C', 'H', 20}, true)
 		if err := intr.Transmit(4, frame, true); err != nil {
 			t.Error(err)
 		}

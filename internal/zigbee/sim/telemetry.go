@@ -462,18 +462,18 @@ func WriteSnapshotText(w io.Writer, snap *Snapshot) {
 // ---------------------------------------------------------------------
 // Scheduler heap gauges
 
-// HeapGauges exports a Scheduler's high-water marks as
+// heapGauges exports a Scheduler's high-water marks as
 // wazabee_sim_heap_* gauges. The driver label separates the virtual
 // batch driver from the wall-clock pacer when both run in one process.
-type HeapGauges struct {
+type heapGauges struct {
 	maxDepth, pending, executed, maxLag *obs.Gauge
 }
 
-// NewHeapGauges pre-resolves the gauge series on reg (nil falls back to
+// newHeapGauges pre-resolves the gauge series on reg (nil falls back to
 // the process default registry).
-func NewHeapGauges(reg *obs.Registry, driver string) *HeapGauges {
+func newHeapGauges(reg *obs.Registry, driver string) *heapGauges {
 	r := obs.Or(reg)
-	return &HeapGauges{
+	return &heapGauges{
 		maxDepth: r.Gauge("wazabee_sim_heap_max_depth", "driver", driver),
 		pending:  r.Gauge("wazabee_sim_heap_pending", "driver", driver),
 		executed: r.Gauge("wazabee_sim_heap_executed", "driver", driver),
@@ -481,9 +481,9 @@ func NewHeapGauges(reg *obs.Registry, driver string) *HeapGauges {
 	}
 }
 
-// Publish refreshes the gauges from the scheduler's current marks. Call
+// publish refreshes the gauges from the scheduler's current marks. Call
 // it from the goroutine driving the scheduler.
-func (g *HeapGauges) Publish(s *Scheduler) {
+func (g *heapGauges) publish(s *Scheduler) {
 	g.maxDepth.Set(float64(s.MaxDepth()))
 	g.pending.Set(float64(s.Len()))
 	g.executed.Set(float64(s.Executed()))

@@ -13,6 +13,7 @@ import (
 
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/zigbee"
 )
 
 // traceRun simulates topo with the observatory and trace enabled,
@@ -51,7 +52,7 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewDigestRecorder()
-	nw.Tap(DefaultChannel, rec.Record)
+	nw.Tap(zigbee.DefaultChannel, rec.Record)
 	nw.Run(30 * time.Second)
 	if err := nw.CloseTrace(); err != nil {
 		t.Fatal(err)
@@ -425,11 +426,11 @@ func TestSimCountersMatchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intr, err := nw.NewIntruder(DefaultChannel)
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offChannel, err := nw.NewIntruder(DefaultChannel + 1)
+	offChannel, err := nw.NewIntruder(zigbee.DefaultChannel + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +444,7 @@ func TestSimCountersMatchStats(t *testing.T) {
 		nw.Run(10*time.Second + time.Duration(i+1)*100*time.Millisecond)
 	}
 	retune := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
-		[]byte{remoteATRequest, 9, 'C', 'H', 26}, true)
+		[]byte{zigbee.FrameRemoteAT, 9, 'C', 'H', 26}, true)
 	if err := intr.Transmit(2, retune, true); err != nil {
 		t.Fatal(err)
 	}

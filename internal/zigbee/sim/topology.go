@@ -6,6 +6,7 @@ import (
 
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/randsrc"
+	"wazabee/internal/zigbee"
 )
 
 // Role is a node's 802.15.4 device role.
@@ -36,15 +37,6 @@ func (r Role) String() string {
 		return fmt.Sprintf("role(%d)", uint8(r))
 	}
 }
-
-// Defaults shared with the live victim network (internal/zigbee keeps
-// its own copies; sim cannot import it without a cycle).
-const (
-	// DefaultPAN is the experimental PAN identifier.
-	DefaultPAN = 0x1234
-	// DefaultChannel is the experimental 802.15.4 channel.
-	DefaultChannel = 14
-)
 
 // NodeSpec describes one node of a topology before the network
 // instantiates it.
@@ -121,9 +113,9 @@ func (t Topology) Validate() error {
 // default channel and PAN — the paper's sensor network scaled out.
 func Star(n int) Topology {
 	nodes := make([]NodeSpec, 0, n+1)
-	nodes = append(nodes, NodeSpec{Role: RoleCoordinator, Parent: -1, Channel: DefaultChannel, PAN: DefaultPAN})
+	nodes = append(nodes, NodeSpec{Role: RoleCoordinator, Parent: -1, Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN})
 	for i := 0; i < n; i++ {
-		nodes = append(nodes, NodeSpec{Role: RoleEndDevice, Parent: 0, Channel: DefaultChannel, PAN: DefaultPAN})
+		nodes = append(nodes, NodeSpec{Role: RoleEndDevice, Parent: 0, Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN})
 	}
 	return Topology{Nodes: nodes}
 }
@@ -139,7 +131,7 @@ func Tree(depth, fanout int) Topology {
 	if fanout < 1 {
 		fanout = 1
 	}
-	nodes := []NodeSpec{{Role: RoleCoordinator, Parent: -1, Channel: DefaultChannel, PAN: DefaultPAN}}
+	nodes := []NodeSpec{{Role: RoleCoordinator, Parent: -1, Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN}}
 	level := []int{0}
 	for d := 1; d <= depth; d++ {
 		role := RoleRouter
@@ -149,7 +141,7 @@ func Tree(depth, fanout int) Topology {
 		var next []int
 		for _, parent := range level {
 			for i := 0; i < fanout; i++ {
-				nodes = append(nodes, NodeSpec{Role: role, Parent: parent, Channel: DefaultChannel, PAN: DefaultPAN})
+				nodes = append(nodes, NodeSpec{Role: role, Parent: parent, Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN})
 				next = append(next, len(nodes)-1)
 			}
 		}

@@ -208,17 +208,17 @@ func NewVictimNetwork(seed int64, samplesPerChip int, snrDB float64) (*VictimNet
 }
 
 // LiveNetwork runs a victim network on a real-time ticker, streaming
-// captures to a channel (see zigbee.StartLive).
-type LiveNetwork = zigbee.LiveNetwork
+// captures to a channel (see sim.StartLive).
+type LiveNetwork = sim.LiveNetwork
 
 // LiveCapture is one annotated waveform from a LiveNetwork's capture
 // stream (timestamp, channel, sequence number).
-type LiveCapture = zigbee.Capture
+type LiveCapture = sim.LiveCapture
 
 // StartLiveNetwork spawns the network's reporting loop; stop it with
 // Shutdown.
 func StartLiveNetwork(net *VictimNetwork, interval time.Duration, captureChannel int) (*LiveNetwork, error) {
-	return zigbee.StartLive(net, interval, captureChannel)
+	return sim.StartLive(net, interval, captureChannel)
 }
 
 // Virtual-time mesh simulation (DESIGN.md §12): thousand-node Zigbee
