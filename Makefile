@@ -100,14 +100,16 @@ racesim:
 # experiment golden; simulator capture sequences bit-identical across
 # same-seed runs and event-batch sizes, and equal to the pinned mesh
 # goldens; the calibration fit byte-identical at any worker count; the
-# embedded calibration table loading to its pinned floats; and every
-# seeded stream equal to math/rand's rand.NewSource stream.
+# embedded calibration table loading to its pinned floats; the frame
+# tier's memoised success probabilities bit-identical to a fresh
+# channel's, since they feed every mesh digest; and every seeded stream
+# equal to math/rand's rand.NewSource stream.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity|TestExperimentGolden' -count 1 ./internal/experiment
 	$(GO) test -run 'TestFitIdenticalAcrossWorkerCounts' -count 1 ./internal/calib
-	$(GO) test -run 'TestDefaultCalTableFloatsGolden' -count 1 ./internal/radio
+	$(GO) test -run 'TestDefaultCalTableFloatsGolden|TestFrameTierMemoIdentity' -count 1 ./internal/radio
 	$(GO) test -run 'TestSourceMatchesMathRand' -count 1 ./internal/randsrc
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground

@@ -93,11 +93,23 @@ type MACFrame struct {
 	Payload []byte
 }
 
-// Encode serialises the frame into a PSDU: MHR, payload and the two-byte
-// FCS computed over everything before it.
+// Encode serialises the frame into a new PSDU: MHR, payload and the
+// two-byte FCS computed over everything before it.
 func (f *MACFrame) Encode() ([]byte, error) {
-	if err := f.checkHeader(); err != nil {
+	out, err := f.Append(make([]byte, 0, 11+len(f.Payload)+2))
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// Append appends the frame's PSDU (MHR, payload and FCS) to dst and
+// returns the extended slice; on error dst comes back unchanged. It is
+// the one MAC encoder: Encode calls it with a fresh buffer, the mesh
+// simulator with a recycled one.
+func (f *MACFrame) Append(dst []byte) ([]byte, error) {
+	if err := f.checkHeader(); err != nil {
+		return dst, err
 	}
 
 	fcf := uint16(f.Type)
@@ -116,8 +128,8 @@ func (f *MACFrame) Encode() ([]byte, error) {
 	fcf |= uint16(f.DestMode) << 10
 	fcf |= uint16(f.SrcMode) << 14
 
-	out := make([]byte, 0, 11+len(f.Payload)+2)
-	out = binary.LittleEndian.AppendUint16(out, fcf)
+	start := len(dst)
+	out := binary.LittleEndian.AppendUint16(dst, fcf)
 	out = append(out, f.Seq)
 	if f.DestMode == AddrShort {
 		out = binary.LittleEndian.AppendUint16(out, f.DestPAN)
@@ -131,10 +143,10 @@ func (f *MACFrame) Encode() ([]byte, error) {
 	}
 	out = append(out, f.Payload...)
 
-	fcs := bitstream.FCS16Bytes(bitstream.FCS16(out))
+	fcs := bitstream.FCS16Bytes(bitstream.FCS16(out[start:]))
 	out = append(out, fcs[0], fcs[1])
-	if len(out) > MaxPSDULength {
-		return nil, fmt.Errorf("ieee802154: encoded frame length %d exceeds %d", len(out), MaxPSDULength)
+	if n := len(out) - start; n > MaxPSDULength {
+		return dst, fmt.Errorf("ieee802154: encoded frame length %d exceeds %d", n, MaxPSDULength)
 	}
 	return out, nil
 }
@@ -237,29 +249,45 @@ func (f *MACFrame) checkHeader() error {
 	return nil
 }
 
+// The frame constructors come in pairs: SetX overwrites an existing
+// frame in place and returns it, building any payload of its own in
+// f.Payload's storage, so a caller that recycles frames (the mesh
+// simulator) allocates nothing; NewX is SetX on a new frame.
+
 // NewBeaconRequest builds the broadcast beacon-request command used by
 // active scanning (scenario B step 1).
 func NewBeaconRequest(seq uint8) *MACFrame {
-	return &MACFrame{
+	return new(MACFrame).SetBeaconRequest(seq)
+}
+
+// SetBeaconRequest overwrites f with NewBeaconRequest's frame.
+func (f *MACFrame) SetBeaconRequest(seq uint8) *MACFrame {
+	*f = MACFrame{
 		Type:     FrameCommand,
 		Seq:      seq,
 		DestMode: AddrShort,
 		DestPAN:  BroadcastPAN,
 		DestAddr: BroadcastAddr,
 		SrcMode:  AddrNone,
-		Payload:  []byte{byte(CmdBeaconRequest)},
+		Payload:  append(f.Payload[:0], byte(CmdBeaconRequest)),
 	}
+	return f
 }
 
 // NewBeacon builds a minimal beacon frame advertising a PAN coordinator, as
 // sent in response to a beacon request on a beacon-enabled-less network.
 func NewBeacon(seq uint8, pan, coordAddr uint16) *MACFrame {
+	return new(MACFrame).SetBeacon(seq, pan, coordAddr)
+}
+
+// SetBeacon overwrites f with NewBeacon's frame.
+func (f *MACFrame) SetBeacon(seq uint8, pan, coordAddr uint16) *MACFrame {
 	// Superframe specification: BO=SO=15 (non-beacon-enabled), PAN
 	// coordinator bit set, association permitted.
 	const superframeSpec = 0xcfff
-	payload := binary.LittleEndian.AppendUint16(nil, superframeSpec)
+	payload := binary.LittleEndian.AppendUint16(f.Payload[:0], superframeSpec)
 	payload = append(payload, 0x00, 0x00) // GTS none, no pending addresses
-	return &MACFrame{
+	*f = MACFrame{
 		Type:    FrameBeacon,
 		Seq:     seq,
 		SrcMode: AddrShort,
@@ -267,11 +295,19 @@ func NewBeacon(seq uint8, pan, coordAddr uint16) *MACFrame {
 		SrcAddr: coordAddr,
 		Payload: payload,
 	}
+	return f
 }
 
 // NewDataFrame builds an intra-PAN data frame between two short addresses.
+// The frame aliases payload.
 func NewDataFrame(seq uint8, pan, dest, src uint16, payload []byte, ackRequest bool) *MACFrame {
-	return &MACFrame{
+	return new(MACFrame).SetDataFrame(seq, pan, dest, src, payload, ackRequest)
+}
+
+// SetDataFrame overwrites f with NewDataFrame's frame, aliasing payload;
+// build payload in f.Payload[:0] to keep f's storage.
+func (f *MACFrame) SetDataFrame(seq uint8, pan, dest, src uint16, payload []byte, ackRequest bool) *MACFrame {
+	*f = MACFrame{
 		Type:           FrameData,
 		AckRequest:     ackRequest,
 		PANCompression: true,
@@ -284,19 +320,32 @@ func NewDataFrame(seq uint8, pan, dest, src uint16, payload []byte, ackRequest b
 		SrcAddr:        src,
 		Payload:        payload,
 	}
+	return f
 }
 
 // NewAck builds the immediate acknowledgement for a frame with the given
 // sequence number.
 func NewAck(seq uint8) *MACFrame {
-	return &MACFrame{Type: FrameAck, Seq: seq}
+	return new(MACFrame).SetAck(seq)
+}
+
+// SetAck overwrites f with NewAck's frame. Its payload is empty, and
+// f.Payload keeps its storage.
+func (f *MACFrame) SetAck(seq uint8) *MACFrame {
+	*f = MACFrame{Type: FrameAck, Seq: seq, Payload: f.Payload[:0]}
+	return f
 }
 
 // NewAssociationRequest builds the MAC command a device sends to join a
 // PAN. capability is the capability-information bitmap of the standard
 // (0x8e: allocate address, mains powered, RX on when idle).
 func NewAssociationRequest(seq uint8, pan, coordAddr uint16, capability byte) *MACFrame {
-	return &MACFrame{
+	return new(MACFrame).SetAssociationRequest(seq, pan, coordAddr, capability)
+}
+
+// SetAssociationRequest overwrites f with NewAssociationRequest's frame.
+func (f *MACFrame) SetAssociationRequest(seq uint8, pan, coordAddr uint16, capability byte) *MACFrame {
+	*f = MACFrame{
 		Type:       FrameCommand,
 		AckRequest: true,
 		Seq:        seq,
@@ -306,15 +355,21 @@ func NewAssociationRequest(seq uint8, pan, coordAddr uint16, capability byte) *M
 		SrcMode:    AddrShort,
 		SrcPAN:     BroadcastPAN,
 		SrcAddr:    NoShortAddress, // not yet associated
-		Payload:    []byte{byte(CmdAssociationRequest), capability},
+		Payload:    append(f.Payload[:0], byte(CmdAssociationRequest), capability),
 	}
+	return f
 }
 
 // NewAssociationResponse builds the coordinator's reply assigning a
 // short address (0xFFFF with a non-success status).
 func NewAssociationResponse(seq uint8, pan, dest uint16, assigned uint16, status byte) *MACFrame {
-	payload := []byte{byte(CmdAssociationResponse), byte(assigned), byte(assigned >> 8), status}
-	return &MACFrame{
+	return new(MACFrame).SetAssociationResponse(seq, pan, dest, assigned, status)
+}
+
+// SetAssociationResponse overwrites f with NewAssociationResponse's
+// frame.
+func (f *MACFrame) SetAssociationResponse(seq uint8, pan, dest uint16, assigned uint16, status byte) *MACFrame {
+	*f = MACFrame{
 		Type:           FrameCommand,
 		PANCompression: true,
 		Seq:            seq,
@@ -324,8 +379,9 @@ func NewAssociationResponse(seq uint8, pan, dest uint16, assigned uint16, status
 		SrcMode:        AddrShort,
 		SrcPAN:         pan,
 		SrcAddr:        0x0000, // coordinator role address in responses
-		Payload:        payload,
+		Payload:        append(f.Payload[:0], byte(CmdAssociationResponse), byte(assigned), byte(assigned>>8), status),
 	}
+	return f
 }
 
 // ParseAssociationResponse extracts the assigned address and status from

@@ -116,7 +116,8 @@ func OrLogger(l *Logger) *Logger {
 }
 
 // SetSink directs the JSON-lines output; nil keeps events in the ring
-// only.
+// only. The sink gets one Write per line, never two at once, in Seq
+// order, with the logger locked: it must not log to the same logger.
 func (l *Logger) SetSink(w io.Writer) {
 	l.mu.Lock()
 	l.sink = w
@@ -183,8 +184,8 @@ func (l *Logger) Log(lv Level, component, msg string, kv ...any) {
 	}
 
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if lv < l.threshold(component) {
-		l.mu.Unlock()
 		return
 	}
 	l.seq++
@@ -202,15 +203,13 @@ func (l *Logger) Log(lv Level, component, msg string, kv ...any) {
 	}
 	l.ring[(l.head+l.n)%len(l.ring)] = ev
 	l.n++
-	sink := l.sink
-	reg := l.reg
-	l.mu.Unlock()
-
-	reg.Counter("wazabee_log_events_total", "level", ev.Level).Inc()
-	if sink != nil {
+	l.reg.Counter("wazabee_log_events_total", "level", ev.Level).Inc()
+	// The line goes out under the lock that assigned its Seq: the sink
+	// sees one Write at a time, in Seq order.
+	if l.sink != nil {
 		if b, err := json.Marshal(ev); err == nil {
 			b = append(b, '\n')
-			_, _ = sink.Write(b)
+			_, _ = l.sink.Write(b)
 		}
 	}
 }

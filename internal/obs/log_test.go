@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -82,6 +83,44 @@ func TestLoggerSinkWritesJSONLines(t *testing.T) {
 	}
 	if ev.Fields["channel"] != float64(14) {
 		t.Errorf("channel field = %v", ev.Fields["channel"])
+	}
+}
+
+// TestLoggerSinkConcurrent logs from 8 goroutines into one bytes.Buffer
+// sink: the buffer must see one Write at a time (under -race a second
+// concurrent Write is a DATA RACE), every line must parse, and Seq must
+// rise line by line.
+func TestLoggerSinkConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewLogger(&buf, 16)
+	const workers, perWorker = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				l.Info("hub", "subscribed", "worker", w, "i", i)
+			}
+		}()
+	}
+	wg.Wait()
+
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != workers*perWorker {
+		t.Fatalf("sink got %d lines, want %d", len(lines), workers*perWorker)
+	}
+	var last uint64
+	for i, line := range lines {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("line %d not JSON: %v: %q", i, err, line)
+		}
+		if ev.Seq <= last {
+			t.Fatalf("line %d has seq %d after %d", i, ev.Seq, last)
+		}
+		last = ev.Seq
 	}
 }
 

@@ -99,11 +99,17 @@ type FrameSpec struct {
 	Seed uint64
 }
 
-func (s *FrameSpec) psduLen() int {
+// psduLen returns the frame length in octets, PSDU's when it is set,
+// and rejects a length no PHR can carry.
+func (s *FrameSpec) psduLen() (int, error) {
+	n := s.PSDULen
 	if s.PSDU != nil {
-		return len(s.PSDU)
+		n = len(s.PSDU)
 	}
-	return s.PSDULen
+	if n < 0 || n > ieee802154.MaxPSDULength {
+		return 0, fmt.Errorf("radio: PSDU length %d out of [0,%d]", n, ieee802154.MaxPSDULength)
+	}
+	return n, nil
 }
 
 // FrameOutcome is the tier-independent result of one frame delivery.
@@ -326,9 +332,9 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		c.m.count(ctrSymbolOutOfBand)
 		return FrameOutcome{}, nil
 	}
-	psduLen := spec.psduLen()
-	if psduLen < 0 || psduLen > 127 {
-		return FrameOutcome{}, fmt.Errorf("radio: PSDU length %d out of [0,127]", psduLen)
+	psduLen, err := spec.psduLen()
+	if err != nil {
+		return FrameOutcome{}, err
 	}
 
 	eff := spec.Link.SNRdB
@@ -429,15 +435,19 @@ type frameChannel struct {
 	m    *Medium
 	prof *CalProfile
 
-	// memo caches the most recent operating point → probability mapping;
-	// virtual meshes deliver millions of frames at a handful of distinct
-	// operating points, so one entry captures nearly every lookup.
+	// memo holds the last operating point's two factors and the success
+	// probabilities already computed from them, by PSDU length. A mesh
+	// delivers millions of frames at one or a few operating points, but
+	// acks alternate with longer frames, so the length cannot be part of
+	// a one-entry key: the factors are kept per operating point and the
+	// probabilities per length.
 	mu   sync.Mutex
 	memo struct {
 		valid          bool
 		eff, cfo, wifi float64
-		psduLen        int
-		prob           float64
+		syncOK, symOK  float64 // 1−SyncFail and P[symbol decodes]
+		known          [ieee802154.MaxPSDULength + 1]bool
+		prob           [ieee802154.MaxPSDULength + 1]float64
 	}
 }
 
@@ -446,23 +456,26 @@ func (c *frameChannel) Fidelity() Fidelity { return FidelityFrame }
 // successProb computes P[frame decodes] at an operating point: the
 // calibrated sync-success probability times the per-symbol decode
 // probability raised to the frame's symbol count (PHR + PSDU at two
-// symbols per octet).
+// symbols per octet). psduLen must lie in [0, MaxPSDULength].
 func (c *frameChannel) successProb(eff, cfo, wifi float64, psduLen int) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := &c.memo
-	if m.valid && m.eff == eff && m.cfo == cfo && m.wifi == wifi && m.psduLen == psduLen {
-		return m.prob
+	if !m.valid || m.eff != eff || m.cfo != cfo || m.wifi != wifi {
+		cell := c.prof.Lookup(eff, cfo, wifi)
+		s := 0.0
+		for k, p := range cell.Dist {
+			s += float64(p * symbolCorrectProb[k]) // rounded: never a fused multiply-add
+		}
+		m.eff, m.cfo, m.wifi, m.syncOK, m.symOK, m.valid = eff, cfo, wifi, 1-cell.SyncFail, s, true
+		m.known = [len(m.known)]bool{}
 	}
-	cell := c.prof.Lookup(eff, cfo, wifi)
-	s := 0.0
-	for k, p := range cell.Dist {
-		s += float64(p * symbolCorrectProb[k]) // rounded: never a fused multiply-add
+	if !m.known[psduLen] {
+		symbols := 2 * (psduLen + 1)
+		m.prob[psduLen] = m.syncOK * math.Pow(m.symOK, float64(symbols))
+		m.known[psduLen] = true
 	}
-	symbols := 2 * (psduLen + 1)
-	prob := (1 - cell.SyncFail) * math.Pow(s, float64(symbols))
-	m.eff, m.cfo, m.wifi, m.psduLen, m.prob, m.valid = eff, cfo, wifi, psduLen, prob, true
-	return prob
+	return m.prob[psduLen]
 }
 
 func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
@@ -474,12 +487,16 @@ func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		c.m.count(ctrVirtualOutOfBand)
 		return FrameOutcome{}, nil
 	}
+	psduLen, err := spec.psduLen()
+	if err != nil {
+		return FrameOutcome{}, err
+	}
 	eff := spec.Link.SNRdB
 	if adjacent {
 		eff -= 20
 	}
 	prob := c.successProb(eff, math.Abs(spec.Link.CFOHz),
-		c.m.wifiWeight(spec.RxFreqMHz, spec.Link.InterferenceRejectionDB), spec.psduLen())
+		c.m.wifiWeight(spec.RxFreqMHz, spec.Link.InterferenceRejectionDB), psduLen)
 
 	rng := seedStream{state: spec.Seed}
 	out := FrameOutcome{InBand: true, SuccessProb: prob}

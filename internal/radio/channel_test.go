@@ -382,3 +382,42 @@ func TestTierCountersFollowRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestCalibratedTiersRejectImpossibleLengths checks that the symbol and
+// frame tiers both refuse a PSDU length no PHR can carry, given as
+// PSDULen or as a PSDU, and accept the two extremes of the valid range.
+func TestCalibratedTiersRejectImpossibleLengths(t *testing.T) {
+	m, err := NewMedium(16e6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Obs = obs.NewRegistry()
+	link := Link{SNRdB: 0}
+	for _, f := range []Fidelity{FidelitySymbol, FidelityFrame} {
+		ch, err := m.Channel(f, ChannelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			spec FrameSpec
+		}{
+			{"PSDULen -60", FrameSpec{PSDULen: -60}},
+			{"PSDULen 200", FrameSpec{PSDULen: 200}},
+			{"PSDULen 128", FrameSpec{PSDULen: ieee802154.MaxPSDULength + 1}},
+			{"200-octet PSDU", FrameSpec{PSDU: make([]byte, 200)}},
+		} {
+			spec := tc.spec
+			spec.TxFreqMHz, spec.RxFreqMHz, spec.Link, spec.Seed = 2420, 2420, link, 3
+			out, err := ch.Deliver(spec)
+			if err == nil || !strings.Contains(err.Error(), "out of [0,127]") {
+				t.Errorf("%v tier, %s: err = %v, outcome %+v; want the out-of-range error", f, tc.name, err, out)
+			}
+		}
+		for _, n := range []int{0, ieee802154.MaxPSDULength} {
+			if _, err := ch.Deliver(FrameSpec{PSDULen: n, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: link, Seed: 3}); err != nil {
+				t.Errorf("%v tier rejected length %d: %v", f, n, err)
+			}
+		}
+	}
+}

@@ -65,8 +65,8 @@ type transmission struct {
 	src     int
 	channel int
 	kind    frameKind
-	frame   *ieee802154.MACFrame
-	psdu    []byte // encoded once; immutable after txStart
+	frame   *ieee802154.MACFrame // the sender's outgoing record's frame, or the intruder's
+	psdu    []byte               // encoded once; immutable until the frame's txEnd
 	mode    targetMode
 	to      int // recipient node index for targetNode
 

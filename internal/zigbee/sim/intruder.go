@@ -80,7 +80,8 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	}
 	now := nw.sched.Now()
 	nw.frameSeq++
-	tx := &transmission{
+	tx := nw.newTransmission()
+	*tx = transmission{
 		src:       IntruderSrc,
 		channel:   in.channel,
 		kind:      intruderKind(frame),
@@ -109,7 +110,8 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 // path: take the frame off the air, publish the capture, and hand a
 // frame that survived collision to the target's receive path when the
 // target is tuned to the intruder's channel. The attacker has no
-// radio-state ledger, so only receiver-side telemetry is charged.
+// radio-state ledger, so only receiver-side telemetry is charged. The
+// transmission record goes back to the network's free list.
 func (nw *Network) intruderTxEnd(tx *transmission) {
 	onChannel := nw.nodes[tx.to].spec.Channel == tx.channel
 	if onChannel {
@@ -119,13 +121,12 @@ func (nw *Network) intruderTxEnd(tx *transmission) {
 		nw.stats.Collisions++
 	}
 	nw.publishCapture(tx)
-	if tx.collided || !onChannel {
-		return // a target tuned elsewhere hears nothing of the forgery
-	}
-	if nw.receive(tx.to, tx, nw.sched.Now()) {
+	// A target tuned elsewhere hears nothing of the forgery.
+	if !tx.collided && onChannel && nw.receive(tx.to, tx, nw.sched.Now()) {
 		nw.stats.InjectedDelivered++
 		nw.handleFrame(nw.nodes[tx.to], tx)
 	}
+	nw.freeTransmission(tx)
 }
 
 // intruderKind classifies a forged frame for metrics and capture
@@ -178,8 +179,9 @@ func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
 	r.seq++
 	// A two-letter command always encodes.
 	resp, _ := (&zigbee.ATResponse{FrameID: frameID, Command: "CH"}).Encode()
-	frame := ieee802154.NewDataFrame(r.seq, r.pan, r.parentShort, r.short, resp, false)
-	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID})
+	out := nw.newOutgoing(kindData, targetNode, r.parentID, false)
+	out.frame.SetDataFrame(r.seq, r.pan, r.parentShort, r.short, append(out.frame.Payload, resp...), false)
+	nw.enqueueTx(r, out)
 	r.state = stateIdle
 	nw.stats.Joined--
 	nw.stats.ChannelMigrations++

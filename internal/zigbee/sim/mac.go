@@ -40,8 +40,9 @@ const (
 func (nw *Network) beaconLoop(n *node) {
 	if n.state == stateJoined {
 		n.seq++
-		frame := ieee802154.NewBeacon(n.seq, n.pan, n.short)
-		nw.enqueueTx(n, &outgoing{kind: kindBeacon, frame: frame, mode: targetBeaconAudience})
+		out := nw.newOutgoing(kindBeacon, targetBeaconAudience, 0, false)
+		out.frame.SetBeacon(n.seq, n.pan, n.short)
+		nw.enqueueTx(n, out)
 	}
 	nw.after(nw.cfg.BeaconInterval, action{op: opBeacon, node: n})
 }
@@ -52,8 +53,9 @@ func (nw *Network) dataLoop(n *node) {
 	if n.state == stateJoined {
 		n.reading++
 		n.seq++
-		frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, ReadingPayload(n.reading, 0), true)
-		nw.enqueueTx(n, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: n.parentID, needAck: true})
+		out := nw.newOutgoing(kindData, targetNode, n.parentID, true)
+		out.frame.SetDataFrame(n.seq, n.pan, n.parentShort, n.short, appendReading(out.frame.Payload, n.reading, 0), true)
+		nw.enqueueTx(n, out)
 	}
 	nw.after(nw.cfg.DataInterval, action{op: opData, node: n})
 }
@@ -63,7 +65,12 @@ func (nw *Network) dataLoop(n *node) {
 // It is the mesh's own 4-byte format, not the paper network's 3-byte
 // zigbee.SensorPayload.
 func ReadingPayload(reading uint16, hops uint8) []byte {
-	return []byte{0x77, byte(reading >> 8), byte(reading), hops}
+	return appendReading(nil, reading, hops)
+}
+
+// appendReading appends ReadingPayload's bytes to dst.
+func appendReading(dst []byte, reading uint16, hops uint8) []byte {
+	return append(dst, 0x77, byte(reading>>8), byte(reading), hops)
 }
 
 // ---------------------------------------------------------------------
@@ -79,8 +86,9 @@ func (nw *Network) startScan(n *node) {
 	n.joinGen++
 	n.heard = n.heard[:0]
 	n.seq++
-	frame := ieee802154.NewBeaconRequest(n.seq)
-	nw.enqueueTx(n, &outgoing{kind: kindBeaconRequest, frame: frame, mode: targetParent})
+	out := nw.newOutgoing(kindBeaconRequest, targetParent, 0, false)
+	out.frame.SetBeaconRequest(n.seq)
+	nw.enqueueTx(n, out)
 	nw.after(scanDuration, action{op: opScanEnd, node: n, gen: n.joinGen})
 }
 
@@ -114,8 +122,9 @@ func (nw *Network) scanEnd(n *node, gen uint64) {
 	if n.spec.Role == RoleRouter {
 		capability = 0x8e // + FFD, mains powered
 	}
-	frame := ieee802154.NewAssociationRequest(n.seq, n.pan, n.parentShort, capability)
-	nw.enqueueTx(n, &outgoing{kind: kindAssocRequest, frame: frame, mode: targetNode, to: n.parentID, needAck: true})
+	out := nw.newOutgoing(kindAssocRequest, targetNode, n.parentID, true)
+	out.frame.SetAssociationRequest(n.seq, n.pan, n.parentShort, capability)
+	nw.enqueueTx(n, out)
 }
 
 // rescan backs off exponentially and starts another scan.
@@ -172,17 +181,16 @@ func (nw *Network) allocShort(root int) uint16 {
 // ---------------------------------------------------------------------
 // CSMA-CA transmit path
 
-// enqueueTx queues a frame on the node's single radio and starts the
-// CSMA-CA transaction when the radio is idle.
+// enqueueTx encodes a frame, queues it on the node's single radio and
+// starts the CSMA-CA transaction when the radio is idle.
 func (nw *Network) enqueueTx(n *node, out *outgoing) {
-	psdu, err := out.frame.Encode()
-	if err != nil {
+	if err := out.encode(); err != nil {
 		// Frames are built by this package; an encode failure is a bug,
 		// not a runtime condition. Drop loudly via the failure counter.
 		nw.stats.CCAFailures++
+		nw.freeOutgoing(out)
 		return
 	}
-	out.psdu = psdu
 	n.queue = append(n.queue, out)
 	nw.processQueue(n)
 }
@@ -244,6 +252,7 @@ func (nw *Network) cca(n *node, out *outgoing) {
 				t.nodes[n.id].ccaFailures++
 			}
 			nw.txFailed(n, out)
+			nw.freeOutgoing(out)
 			n.txBusy = false
 			nw.processQueue(n)
 			return
@@ -271,7 +280,7 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 		src:       n.id,
 		channel:   n.spec.Channel,
 		kind:      out.kind,
-		frame:     out.frame,
+		frame:     &out.frame,
 		psdu:      out.psdu,
 		mode:      out.mode,
 		to:        out.to,
@@ -311,8 +320,10 @@ func (nw *Network) noteFrame(tx *transmission) {
 }
 
 // txEnd takes the frame off the air, reports it to the channel's taps
-// and delivers it to its recipients. The transmission record
-// is recycled once nothing refers to it any more.
+// and delivers it to its recipients. The transmission record is
+// recycled once nothing refers to it any more, and the outgoing record
+// once its transaction ends: at once for acks and unacknowledged
+// frames, in handleAck or onAckTimeout for the rest.
 func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate bool) {
 	offAir := true
 	for _, cell := range nw.cellsOf(n) {
@@ -357,6 +368,7 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 	}
 	if immediate {
 		// Acks do not hold the radio's CSMA transaction slot.
+		nw.freeOutgoing(out)
 		return
 	}
 	if needAck {
@@ -364,6 +376,7 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 		nw.after(ieee802154.AckWaitDuration+ieee802154.FrameDuration(5), action{op: opAckTimeout, node: n, gen: n.ackGen})
 		return
 	}
+	nw.freeOutgoing(out)
 	n.txBusy = false
 	nw.processQueue(n)
 }
@@ -489,13 +502,13 @@ func (nw *Network) sendAck(r *node, tx *transmission) {
 	if !tx.needAck {
 		return
 	}
-	ack := &outgoing{kind: kindAck, frame: ieee802154.NewAck(tx.frame.Seq), mode: targetNode, to: tx.src}
-	psdu, err := ack.frame.Encode()
-	if err != nil {
+	ack := nw.newOutgoing(kindAck, targetNode, tx.src, false)
+	ack.frame.SetAck(tx.frame.Seq)
+	if err := ack.encode(); err != nil {
+		nw.freeOutgoing(ack)
 		return
 	}
-	ack.psdu = psdu
-	ackEnd := nw.sched.Now() + ieee802154.TurnaroundTime + ieee802154.FrameDuration(len(psdu))
+	ackEnd := nw.sched.Now() + ieee802154.TurnaroundTime + ieee802154.FrameDuration(len(ack.psdu))
 	if ackEnd > r.radioBusyUntil {
 		r.radioBusyUntil = ackEnd
 	}
@@ -514,6 +527,7 @@ func (nw *Network) handleAck(r *node, tx *transmission) {
 	r.awaiting = nil
 	r.ackGen++
 	nw.txAcked(r, out)
+	nw.freeOutgoing(out)
 	r.txBusy = false
 	nw.processQueue(r)
 }
@@ -542,6 +556,7 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 		t.nodes[n.id].ackFailures++
 	}
 	nw.txFailed(n, out)
+	nw.freeOutgoing(out)
 	n.txBusy = false
 	nw.processQueue(n)
 }
@@ -580,8 +595,9 @@ func (nw *Network) handleBeaconRequest(r *node, tx *transmission) {
 		return
 	}
 	r.seq++
-	frame := ieee802154.NewBeacon(r.seq, r.pan, r.short)
-	nw.enqueueTx(r, &outgoing{kind: kindBeacon, frame: frame, mode: targetBeaconAudience})
+	out := nw.newOutgoing(kindBeacon, targetBeaconAudience, 0, false)
+	out.frame.SetBeacon(r.seq, r.pan, r.short)
+	nw.enqueueTx(r, out)
 }
 
 // handleBeacon is the triple-duty beacon sink: scanners collect it,
@@ -661,9 +677,9 @@ func (nw *Network) handleAssocRequest(r *node, tx *transmission) {
 		r.children = append(r.children, joiner)
 	}
 	r.seq++
-	frame := ieee802154.NewAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
-	nw.after(assocRespDelay, action{op: opAssocResp, node: r,
-		out: &outgoing{kind: kindAssocResponse, frame: frame, mode: targetNode, to: joiner, needAck: true}})
+	out := nw.newOutgoing(kindAssocResponse, targetNode, joiner, true)
+	out.frame.SetAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
+	nw.after(assocRespDelay, action{op: opAssocResp, node: r, out: out})
 }
 
 // handleAssocResponse completes the join on the device side.
@@ -706,8 +722,9 @@ func (nw *Network) handleData(r *node, tx *transmission) {
 	if t := nw.tel; t != nil {
 		t.nodes[r.id].forwarded++
 	}
-	fwd := []byte{payload[0], payload[1], payload[2], payload[3] + 1}
 	r.seq++
-	frame := ieee802154.NewDataFrame(r.seq, r.pan, r.parentShort, r.short, fwd, true)
-	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID, needAck: true})
+	out := nw.newOutgoing(kindData, targetNode, r.parentID, true)
+	out.frame.SetDataFrame(r.seq, r.pan, r.parentShort, r.short,
+		append(out.frame.Payload, payload[0], payload[1], payload[2], payload[3]+1), true)
+	nw.enqueueTx(r, out)
 }

@@ -22,11 +22,15 @@ const (
 	stateJoined
 )
 
-// outgoing is one frame queued for CSMA-CA transmission.
+// outgoing is one frame's MAC transaction, from the frame's building
+// through CSMA-CA, the air and the acknowledgement wait. Records are
+// recycled: newOutgoing hands one out for every frame the MAC builds,
+// and freeOutgoing takes it back exactly once, when the transaction
+// ends. A record keeps its payload and PSDU storage across uses.
 type outgoing struct {
 	kind    frameKind
-	frame   *ieee802154.MACFrame
-	psdu    []byte
+	frame   ieee802154.MACFrame // frame.Payload lives in the record's payload storage
+	psdu    []byte              // the encoded frame, in the record's PSDU storage
 	mode    targetMode
 	to      int
 	needAck bool
@@ -200,8 +204,9 @@ type Network struct {
 	coordsOn map[int][]int
 	airs     []air // collision domain by owning node index
 
-	rcpt   []int           // recipients scratch buffer
-	txFree []*transmission // recycled transmission records
+	rcpt    []int           // recipients scratch buffer
+	txFree  []*transmission // recycled transmission records
+	outFree []*outgoing     // recycled outgoing records
 
 	frameSeq  uint64
 	allocNext map[int]uint16 // per-root short-address allocator
@@ -496,6 +501,41 @@ func (nw *Network) newTransmission() *transmission {
 func (nw *Network) freeTransmission(tx *transmission) {
 	*tx = transmission{}
 	nw.txFree = append(nw.txFree, tx)
+}
+
+// newOutgoing returns a blank outgoing record for a frame the caller
+// builds into its frame field (with a MACFrame Set method, whose payload
+// lands in the record's storage), reusing a released record when there
+// is one.
+func (nw *Network) newOutgoing(kind frameKind, mode targetMode, to int, needAck bool) *outgoing {
+	var out *outgoing
+	if n := len(nw.outFree); n > 0 {
+		out = nw.outFree[n-1]
+		nw.outFree = nw.outFree[:n-1]
+	} else {
+		out = new(outgoing)
+	}
+	*out = outgoing{
+		kind:    kind,
+		frame:   ieee802154.MACFrame{Payload: out.frame.Payload[:0]},
+		psdu:    out.psdu[:0],
+		mode:    mode,
+		to:      to,
+		needAck: needAck,
+	}
+	return out
+}
+
+// freeOutgoing releases a record whose transaction has ended.
+func (nw *Network) freeOutgoing(out *outgoing) {
+	nw.outFree = append(nw.outFree, out)
+}
+
+// encode writes the record's frame into its PSDU storage.
+func (out *outgoing) encode() error {
+	psdu, err := out.frame.Append(out.psdu[:0])
+	out.psdu = psdu
+	return err
 }
 
 // channelMHz is the centre frequency of a channel Topology.Validate or
