@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: fmt-check build vet test race racereceive racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test calibrate calibrate-check ci
+.PHONY: fmt-check build vet test race racereceive racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test perfbench-smoke calibrate calibrate-check ci
 
 build:
 	$(GO) build ./...
@@ -148,10 +148,20 @@ smoke-sim:
 perfbench-test:
 	cd perfbench && $(GO) test -short ./...
 
+# One short untraced round of every benchmark workload, built from this
+# checkout the way the benchmark record builds it. perfbench exits
+# non-zero when a workload fails to build or run, or when a round's
+# output misses its pin; perfbench-test's -short skips every workload.
+# About 6 s with a warm .bench_build, 30 s cold.
+perfbench-smoke:
+	set -e; for w in table3-iq mesh-tree campaign-matrix; do \
+		bash perfbench/run.sh --workload $$w --seconds 1 --trace 0; \
+	done
+
 # End-to-end campaign smoke: two attack scenarios (plus the benign
 # baseline) at 20 trials per cell through wazabeecampaign, asserting the
 # ROC matrix digest matches the pinned value at two worker counts.
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 
-ci: fmt-check vet build test race racereceive racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test
+ci: fmt-check vet build test race racereceive racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke perfbench-test perfbench-smoke

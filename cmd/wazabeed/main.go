@@ -73,28 +73,38 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	logger := obs.DefaultLogger()
-	logger.SetSink(errOut)
+	// Each Set returns the previous value, which the deferred call
+	// restores: the process recorder outlives this run.
+	flight := obs.DefaultFlight()
+	defer flight.SetSink(flight.SetSink(errOut))
 	lv, err := obs.ParseLevel(cfg.logLevel)
 	if err != nil {
-		logger.Error("daemon", "bad -log-level", "err", err.Error())
+		recordError(flight, "bad -log-level", err)
 		return err
 	}
-	logger.SetLevel(lv)
+	defer flight.SetLevel(flight.SetLevel(lv))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	d, err := newDaemon(cfg)
 	if err != nil {
-		logger.Error("daemon", "startup failed", "err", err.Error())
+		recordError(flight, "startup failed", err)
 		return err
 	}
 	if err := d.run(ctx, out); err != nil {
-		logger.Error("daemon", "pipeline failed", "err", err.Error())
+		recordError(flight, "pipeline failed", err)
 		return err
 	}
 	return nil
+}
+
+// recordError records one daemon failure at error level.
+func recordError(flight *obs.Flight, detail string, err error) {
+	flight.Record(obs.FlightEvent{
+		Level: obs.LevelError, Kind: "error", Component: "daemon", Frame: -1,
+		Detail: detail, Fields: obs.Fields("err", err.Error()),
+	})
 }
 
 func registerFlags(flag *flag.FlagSet, cfg *config) {
@@ -112,7 +122,7 @@ func registerFlags(flag *flag.FlagSet, cfg *config) {
 	flag.StringVar(&cfg.healthAddr, "health-addr", "", "additionally serve only /healthz, /readyz and /debug/flight on this dedicated address, for probes that must not reach pprof (empty disables; the endpoints stay on -metrics-addr either way)")
 	flag.UintVar(&cfg.deviceID, "zep-device", 0x5742, "ZEP device id stamped on outgoing datagrams")
 	flag.IntVar(&cfg.queueDepth, "queue", 256, "per-subscriber bounded queue depth")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured log threshold: debug, info, warn or error")
+	flag.StringVar(&cfg.logLevel, "log-level", "info", "write flight-recorder events at or above this level to stderr as JSON lines: debug, info, warn or error (the recorder keeps every level)")
 }
 
 // daemon owns the sniffer pipeline and its listeners. Listeners bind in
@@ -121,7 +131,6 @@ func registerFlags(flag *flag.FlagSet, cfg *config) {
 type daemon struct {
 	cfg    config
 	hub    *capture.Hub
-	log    *obs.Logger
 	link   *link.Aggregator
 	health *obs.Health
 	flight *obs.Flight
@@ -157,13 +166,11 @@ func newDaemon(cfg config) (*daemon, error) {
 	d := &daemon{
 		cfg:        cfg,
 		hub:        capture.NewHub(nil),
-		log:        obs.DefaultLogger(),
 		link:       link.NewAggregator(nil),
 		health:     obs.NewHealth(nil),
 		flight:     obs.DefaultFlight(),
 		probeEvery: time.Second,
 	}
-	d.hub.Log = d.log
 	d.hub.Flight = d.flight
 	if cfg.listenTCP != "" {
 		ln, err := net.Listen("tcp", cfg.listenTCP)
@@ -238,8 +245,8 @@ func (d *daemon) healthAddr() string {
 }
 
 // healthMux routes the probe-safe endpoint set: health, readiness and
-// the flight recorder, with nothing that can block or leak (no pprof,
-// no log tail).
+// the flight recorder, which holds the daemon's event log, with nothing
+// that can block (no pprof).
 func (d *daemon) healthMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", d.health.Healthz())
@@ -314,12 +321,10 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 					return
 				}
 				if err := d.pcap.WriteRecord(rec); err != nil {
-					d.log.Warn("pcap", "write failed",
-						"path", cfg.pcapPath, "seq", rec.Seq, "err", err.Error())
 					hcPcap.SetDegraded(fmt.Sprintf("write %s: %v", cfg.pcapPath, err))
 					d.flight.Record(obs.FlightEvent{
-						Kind: "error", Component: "pcap", Frame: int64(rec.Seq),
-						Detail: err.Error(),
+						Level: obs.LevelWarn, Kind: "error", Component: "pcap", Frame: int64(rec.Seq),
+						Detail: err.Error(), Fields: obs.Fields("path", cfg.pcapPath),
 					})
 					continue
 				}
@@ -359,23 +364,22 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 		mux := d.healthMux()
 		mux.Handle("/metrics", obs.Default())
 		mux.Handle("/debug/link", d.link)
-		mux.Handle("/logz", d.log)
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		srv := &http.Server{Handler: mux}
 		go func() {
 			if err := srv.Serve(d.metricsLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				d.log.Error("daemon", "metrics server failed", "err", err.Error())
+				recordError(d.flight, "metrics server failed", err)
 			}
 		}()
 		defer srv.Close()
-		fmt.Fprintf(out, "wazabeed: serving /metrics, /healthz, /readyz, /debug/flight, /debug/link, /logz and /debug/pprof on %s\n", d.metricsAddr())
+		fmt.Fprintf(out, "wazabeed: serving /metrics, /healthz, /readyz, /debug/flight, /debug/link and /debug/pprof on %s\n", d.metricsAddr())
 	}
 
 	if d.healthLn != nil {
 		srv := &http.Server{Handler: d.healthMux()}
 		go func() {
 			if err := srv.Serve(d.healthLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				d.log.Error("daemon", "health server failed", "err", err.Error())
+				recordError(d.flight, "health server failed", err)
 			}
 		}()
 		defer srv.Close()
@@ -384,8 +388,10 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 
 	// Producer: decode live periods and publish them to the hub until
 	// the period budget, a stream end, or a signal stops the daemon.
-	d.log.Info("daemon", "pipeline started",
-		"channel", cfg.channel, "snr_db", cfg.snrDB, "interval", cfg.interval.String())
+	d.flight.Record(obs.FlightEvent{
+		Level: obs.LevelInfo, Kind: "state", Component: "daemon", Frame: -1, Detail: "pipeline started",
+		Fields: obs.Fields("channel", cfg.channel, "snr_db", cfg.snrDB, "interval", cfg.interval.String()),
+	})
 	published, decoded := 0, 0
 	reg := obs.Default()
 	pool := stream.Shared()
@@ -400,7 +406,7 @@ producer:
 				if streamErr = live.Err(); streamErr != nil {
 					hcPipeline.SetDown(streamErr.Error())
 					d.flight.Record(obs.FlightEvent{
-						Kind: "error", Component: "live", Frame: -1, Detail: streamErr.Error(),
+						Level: obs.LevelError, Kind: "error", Component: "live", Frame: -1, Detail: streamErr.Error(),
 					})
 					fmt.Fprintln(out, "wazabeed: capture stream ended:", streamErr)
 				}
@@ -413,12 +419,10 @@ producer:
 				decoded++
 			}
 			d.link.Observe(c.Channel, st)
-			d.log.Debug("daemon", "period received",
-				"seq", c.Seq, "result", st.Result(), "lqi", st.LQI,
-				"snr_db", st.SNRdB, "cfo_hz", st.CFOHz)
 			d.flight.Record(obs.FlightEvent{
 				Kind: "frame", Component: "rx", Frame: int64(c.Seq), Detail: st.Result(),
 				Latency: time.Since(c.At),
+				Fields:  obs.Fields("lqi", st.LQI, "snr_db", st.SNRdB, "cfo_hz", st.CFOHz),
 			})
 			rec := capture.NewStatsRecord(c.At, c.Channel, c.Seq, c.IQ, dem, st, c.LinkSNRdB)
 			rec.Origin = c.At
@@ -444,7 +448,10 @@ producer:
 	}
 	consumers.Wait()
 
-	d.log.Info("daemon", "pipeline stopped", "published", published, "decoded", decoded)
+	d.flight.Record(obs.FlightEvent{
+		Level: obs.LevelInfo, Kind: "state", Component: "daemon", Frame: -1, Detail: "pipeline stopped",
+		Fields: obs.Fields("published", published, "decoded", decoded),
+	})
 	fmt.Fprintf(out, "wazabeed: %d periods published, %d frames decoded\n", published, decoded)
 	if table := d.link.Table(); table != "" {
 		fmt.Fprintf(out, "wazabeed: link quality by channel:\n%s", table)

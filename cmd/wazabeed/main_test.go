@@ -152,9 +152,6 @@ func TestDaemonSmoke(t *testing.T) {
 // top of a one-period, listener-free configuration, so input wrongly
 // accepted ends the run instead of serving forever.
 func TestRunRejectsBadFlags(t *testing.T) {
-	// run points the process logger at its errOut; later tests' daemons
-	// log from many goroutines, which a bytes.Buffer cannot take.
-	t.Cleanup(func() { obs.DefaultLogger().SetSink(nil) })
 	base := []string{"-listen", "", "-pcap", "", "-interval", "1ms", "-periods", "1"}
 	for _, args := range [][]string{
 		{"-no-such-flag"},
@@ -177,10 +174,53 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunWritesEventLines runs one listener-free period at two
+// thresholds: at -log-level info stderr carries the daemon's start as
+// an info-level JSON line, and at -log-level warn it carries no info
+// line at all.
+func TestRunWritesEventLines(t *testing.T) {
+	base := []string{"-listen", "", "-pcap", "", "-interval", "1ms", "-periods", "1"}
+	for _, tc := range []struct {
+		level       string
+		wantStarted bool
+	}{
+		{"info", true},
+		{"warn", false},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(append(base, "-log-level", tc.level), &out, &errOut); err != nil {
+			t.Fatalf("-log-level %s: %v\nstderr:\n%s", tc.level, err, errOut.String())
+		}
+		started := false
+		for _, line := range strings.Split(strings.TrimSpace(errOut.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var ev struct {
+				Level string `json:"level"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("-log-level %s: stderr line is not JSON: %v: %q", tc.level, err, line)
+			}
+			if tc.level == "warn" && ev.Level == "info" {
+				t.Errorf("-log-level warn wrote an info line: %s", line)
+			}
+			if ev.Level == "info" && strings.Contains(line, "pipeline started") {
+				started = true
+			}
+		}
+		if started != tc.wantStarted {
+			t.Errorf("-log-level %s: info line naming \"pipeline started\" present = %v, want %v\nstderr:\n%s",
+				tc.level, started, tc.wantStarted, errOut.String())
+		}
+	}
+}
+
 // TestDaemonDebugEndpoints boots the daemon with the metrics server on an
-// ephemeral port and checks the link-quality and log endpoints serve the
-// pipeline's diagnostics while it runs, and that the live scheduler is
-// visible only as its heap gauges on /metrics.
+// ephemeral port and checks the link-quality and flight-recorder
+// endpoints serve the pipeline's diagnostics while it runs, that the
+// live scheduler is visible only as its heap gauges on /metrics, and
+// that neither /debug/sim nor /logz is served.
 func TestDaemonDebugEndpoints(t *testing.T) {
 	cfg := config{
 		seed:        7,
@@ -208,6 +248,7 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	defer cancel()
 	var out bytes.Buffer
 	runDone := make(chan error, 1)
+	start := time.Now()
 	go func() { runDone <- d.run(ctx, &out) }()
 
 	// Wait for frames to flow so the aggregator has something to say.
@@ -257,35 +298,35 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	if !strings.Contains(string(get("/metrics")), `wazabee_sim_heap_executed{driver="live"}`) {
 		t.Error("/metrics lacks the live driver's heap gauges")
 	}
-	if resp, err := http.Get("http://" + d.metricsAddr() + "/debug/sim"); err != nil {
-		t.Fatal(err)
-	} else {
+	for _, path := range []string{"/debug/sim", "/logz"} {
+		resp, err := http.Get("http://" + d.metricsAddr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET /debug/sim: status %d, want 404", resp.StatusCode)
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 
-	var logPayload struct {
-		Events []struct {
-			Component string `json:"component"`
-			Msg       string `json:"msg"`
-		} `json:"events"`
+	var flightPayload struct {
+		Events []obs.FlightEvent `json:"events"`
 	}
-	if err := json.Unmarshal(get("/logz"), &logPayload); err != nil {
-		t.Fatalf("/logz not JSON: %v", err)
-	}
-	if len(logPayload.Events) == 0 {
-		t.Fatal("/logz returned no events from a running daemon")
+	if err := json.Unmarshal(get("/debug/flight?level=info&component=daemon"), &flightPayload); err != nil {
+		t.Fatalf("/debug/flight not JSON: %v", err)
 	}
 	seen := false
-	for _, ev := range logPayload.Events {
-		if ev.Component == "daemon" && strings.Contains(ev.Msg, "pipeline started") {
+	for _, ev := range flightPayload.Events {
+		if ev.Level < obs.LevelInfo || ev.Component != "daemon" {
+			t.Errorf("/debug/flight?level=info&component=daemon returned %+v", ev)
+		}
+		// The process recorder also holds earlier tests' daemons.
+		if ev.Detail == "pipeline started" && !ev.At.Before(start) {
 			seen = true
 		}
 	}
 	if !seen {
-		t.Errorf("/logz missing the daemon startup event: %+v", logPayload.Events)
+		t.Errorf("/debug/flight missing the daemon startup event: %+v", flightPayload.Events)
 	}
 
 	cancel()

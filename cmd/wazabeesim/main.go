@@ -21,7 +21,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"sort"
 	"time"
 
 	"wazabee/internal/obs"
@@ -359,7 +358,6 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(out, "digest sha256:%s over %d captures\n", rec.Sum(), rec.Frames())
 	}
 	if evs := flight.Snapshot(); len(evs) > 0 {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })
 		fmt.Fprintf(out, "flight recorder (%d entries, last %d shown):\n", len(evs), min(3, len(evs)))
 		for _, ev := range evs[max(0, len(evs)-3):] {
 			fmt.Fprintf(out, "  %s %s: %s\n", ev.Kind, ev.Component, ev.Detail)

@@ -48,10 +48,11 @@ type Tracker struct {
 	RX  *core.Receiver
 	Air Air
 
-	// Log receives one structured event per attack step (scan hit,
-	// sensor identified, channel change, spoofed reading); nil falls
-	// back to the process default logger.
-	Log *obs.Logger
+	// Flight receives one event per attack step (scan, eavesdrop,
+	// channel change, spoofed reading, join): info when the step
+	// succeeds, warn when scan or eavesdrop finds nothing. nil falls
+	// back to the process default recorder.
+	Flight *obs.Flight
 
 	seq uint8
 }
@@ -62,6 +63,13 @@ func NewTracker(tx *core.Transmitter, rx *core.Receiver, air Air) (*Tracker, err
 		return nil, fmt.Errorf("attack: nil transmitter, receiver or air")
 	}
 	return &Tracker{TX: tx, RX: rx, Air: air}, nil
+}
+
+// record reports one attack step to the tracker's flight recorder.
+func (t *Tracker) record(lv obs.Level, kind, detail string, kv ...any) {
+	obs.OrFlight(t.Flight).Record(obs.FlightEvent{
+		Level: lv, Kind: kind, Component: "attack", Frame: -1, Detail: detail, Fields: obs.Fields(kv...),
+	})
 }
 
 // sendFrame modulates a MAC frame with the WazaBee transmitter and
@@ -111,12 +119,12 @@ func (t *Tracker) ActiveScan(channels []int) (*NetworkInfo, error) {
 			continue
 		}
 		info := &NetworkInfo{Channel: ch, PAN: reply.SrcPAN, Coordinator: reply.SrcAddr}
-		obs.OrLogger(t.Log).Info("attack", "active scan found network",
+		t.record(obs.LevelInfo, "scan", "active scan found network",
 			"channel", ch, "pan", fmt.Sprintf("%#04x", info.PAN),
 			"coordinator", fmt.Sprintf("%#04x", info.Coordinator))
 		return info, nil
 	}
-	obs.OrLogger(t.Log).Warn("attack", "active scan found no network", "channels", len(channels))
+	t.record(obs.LevelWarn, "scan", "active scan found no network", "channels", len(channels))
 	return nil, ErrScanFailed
 }
 
@@ -136,12 +144,12 @@ func (t *Tracker) Eavesdrop(info *NetworkInfo, maxPeriods int) (uint16, error) {
 			continue
 		}
 		if frame.DestPAN == info.PAN && frame.DestAddr == info.Coordinator {
-			obs.OrLogger(t.Log).Info("attack", "eavesdrop identified sensor",
+			t.record(obs.LevelInfo, "eavesdrop", "eavesdrop identified sensor",
 				"sensor", fmt.Sprintf("%#04x", frame.SrcAddr), "periods", i+1)
 			return frame.SrcAddr, nil
 		}
 	}
-	obs.OrLogger(t.Log).Warn("attack", "eavesdrop saw no sensor traffic", "periods", maxPeriods)
+	t.record(obs.LevelWarn, "eavesdrop", "eavesdrop saw no sensor traffic", "periods", maxPeriods)
 	return 0, ErrNoSensorTraffic
 }
 
@@ -177,7 +185,7 @@ func (t *Tracker) InjectChannelChange(info *NetworkInfo, sensor uint16, newChann
 	if resp.Status != 0 {
 		return fmt.Errorf("attack: sensor rejected channel change (status %d)", resp.Status)
 	}
-	obs.OrLogger(t.Log).Info("attack", "sensor moved off-channel",
+	t.record(obs.LevelInfo, "channel-change", "sensor moved off-channel",
 		"sensor", fmt.Sprintf("%#04x", sensor), "new_channel", newChannel)
 	return nil
 }
@@ -197,7 +205,7 @@ func (t *Tracker) SpoofData(info *NetworkInfo, sensor uint16, value uint16) erro
 	if reply == nil || reply.Type != ieee802154.FrameAck || reply.Seq != t.seq {
 		return fmt.Errorf("attack: coordinator did not acknowledge spoofed reading")
 	}
-	obs.OrLogger(t.Log).Info("attack", "spoofed reading acknowledged", "value", value)
+	t.record(obs.LevelInfo, "spoof", "spoofed reading acknowledged", "value", value)
 	return nil
 }
 
@@ -225,7 +233,7 @@ func (t *Tracker) JoinNetwork(info *NetworkInfo) (uint16, error) {
 	if status != ieee802154.AssocStatusSuccess {
 		return 0, fmt.Errorf("attack: association denied (status %d)", status)
 	}
-	obs.OrLogger(t.Log).Info("attack", "joined victim network",
+	t.record(obs.LevelInfo, "join", "joined victim network",
 		"assigned", fmt.Sprintf("%#04x", assigned))
 	return assigned, nil
 }

@@ -2,11 +2,13 @@ package attack
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/chip"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
 )
 
@@ -155,10 +157,12 @@ func TestSpoofData(t *testing.T) {
 
 // TestScenarioBFullAttack runs all four steps end to end, mirroring the
 // workflow of Figure 5: scan → eavesdrop → remote AT injection → fake
-// data injection.
+// data injection. The tracker's flight recorder must hold one info
+// event per step, in that order, with the step's evidence as fields.
 func TestScenarioBFullAttack(t *testing.T) {
 	sim := newSim(t, 8)
 	tracker := newTracker(t, sim)
+	tracker.Flight = obs.NewFlight(64)
 
 	info, err := tracker.Run(ieee802154.Channels(), 25, []uint16{1000, 1001, 1002})
 	if err != nil {
@@ -181,6 +185,34 @@ func TestScenarioBFullAttack(t *testing.T) {
 	for i, want := range []uint16{1000, 1001, 1002} {
 		if tail[i].Value != want {
 			t.Errorf("fake reading %d = %d, want %d", i, tail[i].Value, want)
+		}
+	}
+
+	hex := func(v uint16) string { return fmt.Sprintf("%#04x", v) }
+	want := []struct {
+		kind   string
+		fields map[string]any
+	}{
+		{"scan", map[string]any{"channel": zigbee.DefaultChannel, "pan": hex(zigbee.DefaultPAN), "coordinator": hex(zigbee.DefaultCoordinator)}},
+		{"eavesdrop", map[string]any{"sensor": hex(zigbee.DefaultSensor)}},
+		{"channel-change", map[string]any{"sensor": hex(zigbee.DefaultSensor), "new_channel": 25}},
+		{"spoof", map[string]any{"value": uint16(1000)}},
+		{"spoof", map[string]any{"value": uint16(1001)}},
+		{"spoof", map[string]any{"value": uint16(1002)}},
+	}
+	events := tracker.Flight.Snapshot()
+	if len(events) != len(want) {
+		t.Fatalf("flight recorder holds %d events, want %d: %+v", len(events), len(want), events)
+	}
+	for i, w := range want {
+		ev := events[i]
+		if ev.Kind != w.kind || ev.Level != obs.LevelInfo || ev.Component != "attack" {
+			t.Errorf("event %d = %s/%v/%s, want %s/info/attack", i, ev.Kind, ev.Level, ev.Component, w.kind)
+		}
+		for k, v := range w.fields {
+			if ev.Fields[k] != v {
+				t.Errorf("event %d (%s) field %s = %v (%T), want %v (%T)", i, ev.Kind, k, ev.Fields[k], ev.Fields[k], v, v)
+			}
 		}
 	}
 }

@@ -31,14 +31,9 @@ type Hub struct {
 	gSubs      *obs.Gauge
 	hPublish   *obs.Histogram // wazabee_latency_seconds{stage="publish"}
 
-	// Log receives subscriber lifecycle events (subscribe, unsubscribe,
-	// stream end); nil falls back to the process default logger. Set it
-	// before the first Subscribe.
-	Log *obs.Logger
-
-	// Flight receives the hub's flight-recorder events (subscriber
-	// lifecycle, per-frame drops); nil falls back to the process default
-	// recorder. Set it before the first Subscribe.
+	// Flight receives the hub's events: subscriber lifecycle and stream
+	// end at info level, per-frame drops at debug. nil falls back to the
+	// process default recorder. Set it before the first Subscribe.
 	Flight *obs.Flight
 
 	mu        sync.Mutex
@@ -88,11 +83,9 @@ func (h *Hub) Subscribe(name string, depth int) (*Subscription, error) {
 	}
 	h.subs[s] = struct{}{}
 	h.gSubs.Set(float64(len(h.subs)))
-	n := len(h.subs)
-	obs.OrLogger(h.Log).Info("hub", "subscriber joined", "subscriber", name, "depth", depth, "subscribers", n)
 	s.flight.Record(obs.FlightEvent{
-		Kind: "subscribe", Component: "hub", Frame: -1, Subscriber: name,
-		Detail: fmt.Sprintf("depth %d", depth),
+		Level: obs.LevelInfo, Kind: "subscribe", Component: "hub", Frame: -1, Subscriber: name,
+		Detail: "subscriber joined", Fields: obs.Fields("depth", depth, "subscribers", len(h.subs)),
 	})
 	return s, nil
 }
@@ -149,7 +142,10 @@ func (h *Hub) Close() {
 	for _, s := range subs {
 		s.finish()
 	}
-	obs.OrLogger(h.Log).Info("hub", "stream closed", "published", published, "subscribers", len(subs))
+	obs.OrFlight(h.Flight).Record(obs.FlightEvent{
+		Level: obs.LevelInfo, Kind: "state", Component: "hub", Frame: -1,
+		Detail: "stream closed", Fields: obs.Fields("published", published, "subscribers", len(subs)),
+	})
 }
 
 func (h *Hub) remove(s *Subscription) {
@@ -163,12 +159,10 @@ func (h *Hub) remove(s *Subscription) {
 	h.mu.Unlock()
 	if removed {
 		st := s.Stats()
-		obs.OrLogger(h.Log).Info("hub", "subscriber left",
-			"subscriber", s.name, "delivered", st.Delivered, "dropped", st.Dropped)
 		s.flight.Record(obs.FlightEvent{
-			Kind: "unsubscribe", Component: "hub", Frame: -1, Subscriber: s.name,
-			Detail: fmt.Sprintf("delivered %d, dropped %d, max queue %d",
-				st.Delivered, st.Dropped, st.MaxQueueDepth),
+			Level: obs.LevelInfo, Kind: "unsubscribe", Component: "hub", Frame: -1, Subscriber: s.name,
+			Detail: "subscriber left", Fields: obs.Fields(
+				"delivered", st.Delivered, "dropped", st.Dropped, "max_queue", st.MaxQueueDepth),
 		})
 	}
 }
@@ -200,7 +194,7 @@ type SubSnapshot struct {
 
 // Snapshot returns the accounting of every currently subscribed
 // consumer, sorted by name. Subscribers that already left are not
-// included (their final stats were logged at departure).
+// included (their final stats were recorded at departure).
 func (h *Hub) Snapshot() []SubSnapshot {
 	h.mu.Lock()
 	subs := make([]*Subscription, 0, len(h.subs))

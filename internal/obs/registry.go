@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -89,71 +88,70 @@ func (r *Registry) SetHelp(name, help string) {
 	r.mu.Unlock()
 }
 
-// labelSet normalises k/v varargs into a sorted label slice. Labels
-// arrive as alternating name, value strings; an odd count is a
-// programmer error and panics (like fmt verbs, it cannot be handled
-// meaningfully at runtime).
-func labelSet(kv []string) []Label {
-	if len(kv)%2 != 0 {
-		panic(fmt.Sprintf("obs: odd label list %q", kv))
+// appendSeriesKey appends the canonical map key of a series: the name,
+// then each label's name and value, all NUL-separated.
+func appendSeriesKey(dst []byte, name string, labels []Label) []byte {
+	dst = append(dst, name...)
+	for _, l := range labels {
+		dst = append(dst, 0)
+		dst = append(dst, l.Name...)
+		dst = append(dst, 0)
+		dst = append(dst, l.Value...)
 	}
-	labels := make([]Label, 0, len(kv)/2)
+	return dst
+}
+
+// lookup returns the series for name and the label name/value pairs kv,
+// creating it with mk on first use. It guards against a name being
+// reused with a different metric kind. Labels arrive as alternating
+// name, value strings; an odd count is a programmer error and panics
+// (like fmt verbs, it cannot be handled meaningfully at runtime).
+//
+// A hit allocates nothing: the labels are sorted by name in a stack
+// array and the key is built in a stack buffer, and only a miss copies
+// them to the heap. Run-time callers such as Stage look their series up
+// on every call.
+func (r *Registry) lookup(name, kind string, kv []string, mk func(*series)) *series {
+	if len(kv)%2 != 0 {
+		panic("obs: odd label list for metric " + name)
+	}
+	var labelBuf [8]Label
+	labels := labelBuf[:0]
 	for i := 0; i < len(kv); i += 2 {
 		labels = append(labels, Label{Name: kv[i], Value: kv[i+1]})
+		for j := len(labels) - 1; j > 0 && labels[j-1].Name > labels[j].Name; j-- {
+			labels[j-1], labels[j] = labels[j], labels[j-1]
+		}
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
-	return labels
-}
+	var keyBuf [128]byte
+	key := appendSeriesKey(keyBuf[:0], name, labels)
 
-// seriesKey is the canonical map key of a series.
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte(0)
-		b.WriteString(l.Name)
-		b.WriteByte(0)
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
-
-// lookup returns the series for (name, labels), creating it with mk on
-// first use. It guards against a name being reused with a different
-// metric kind.
-func (r *Registry) lookup(name, kind string, labels []Label, mk func(*series)) *series {
-	key := seriesKey(name, labels)
 	r.mu.RLock()
-	s, ok := r.series[key]
+	s, ok := r.series[string(key)]
 	r.mu.RUnlock()
-	if ok {
-		if s.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, s.kind, kind))
+	if !ok {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		s, ok = r.series[string(key)]
+		if !ok {
+			s = &series{name: name, labels: append([]Label(nil), labels...), kind: kind}
+			mk(s)
+			k := string(key)
+			r.series[k] = s
+			r.order = append(r.order, k)
+			return s
 		}
-		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.series[key]; ok {
-		if s.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, s.kind, kind))
-		}
-		return s
+	if s.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, s.kind, kind))
 	}
-	s = &series{name: name, labels: labels, kind: kind}
-	mk(s)
-	r.series[key] = s
-	r.order = append(r.order, key)
 	return s
 }
 
 // Counter returns (creating if needed) the counter for name and the
 // given label name/value pairs.
 func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
-	s := r.lookup(name, "counter", labelSet(labelPairs), func(s *series) {
+	s := r.lookup(name, "counter", labelPairs, func(s *series) {
 		s.counter = &Counter{}
 	})
 	return s.counter
@@ -161,7 +159,7 @@ func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
 
 // Gauge returns (creating if needed) the gauge for name and labels.
 func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
-	s := r.lookup(name, "gauge", labelSet(labelPairs), func(s *series) {
+	s := r.lookup(name, "gauge", labelPairs, func(s *series) {
 		s.gauge = &Gauge{}
 	})
 	return s.gauge
@@ -172,7 +170,7 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 // the existing series regardless of the bounds argument, so one metric
 // family keeps one bucket layout.
 func (r *Registry) Histogram(name string, buckets []float64, labelPairs ...string) *Histogram {
-	s := r.lookup(name, "histogram", labelSet(labelPairs), func(s *series) {
+	s := r.lookup(name, "histogram", labelPairs, func(s *series) {
 		s.hist = newHistogram(buckets)
 	})
 	return s.hist
@@ -235,11 +233,12 @@ func (r *Registry) sortedSeries() []*series {
 		out = append(out, r.series[key])
 	}
 	r.mu.RUnlock()
+	labelKey := func(s *series) string { return string(appendSeriesKey(nil, "", s.labels)) }
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name
 		}
-		return seriesKey("", out[i].labels) < seriesKey("", out[j].labels)
+		return labelKey(out[i]) < labelKey(out[j])
 	})
 	return out
 }

@@ -219,3 +219,26 @@ func TestStageHelper(t *testing.T) {
 	// Both sinks optional.
 	Stage(nil, nil, "noop")()
 }
+
+// TestRegistryHitsDoNotAllocate looks up series that already exist,
+// with zero, one and three label pairs (given out of order): a hit must
+// not allocate, because run-time callers such as Stage look their
+// series up by name on every call.
+func TestRegistryHitsDoNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	for _, tc := range []struct {
+		name   string
+		lookup func()
+	}{
+		{"0 pairs", func() { reg.Counter("hits_total").Inc() }},
+		{"1 pair", func() { reg.Gauge("hits_depth", "stage", "demod").Set(1) }},
+		{"3 pairs", func() {
+			reg.Histogram("hits_seconds", DurationBuckets, "stage", "demod", "decoder", "wazabee", "channel", "14").Observe(1e-3)
+		}},
+	} {
+		tc.lookup()
+		if got := testing.AllocsPerRun(100, tc.lookup); got != 0 {
+			t.Errorf("%s: a registry hit allocates %v times", tc.name, got)
+		}
+	}
+}

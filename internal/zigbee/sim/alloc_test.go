@@ -14,7 +14,8 @@ import (
 // allocates exactly as often as one that advances 1 s, so everything
 // left is the per-batch work (the run span, the gauges, the telemetry
 // publish). Outgoing and transmission records, frames, payloads and
-// PSDUs are all recycled.
+// PSDUs are all recycled, and the per-batch work allocates at most once,
+// for the closure obs.Stage returns: its registry lookups are hits.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -59,6 +60,9 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 					}
 					if long != short {
 						t.Errorf("a 10 s Run allocates %v times, a 1 s Run %v: the event loop allocates per event", long, short)
+					}
+					if short > 1 {
+						t.Errorf("a 1 s Run allocates %v times, want at most 1 (the closure obs.Stage returns)", short)
 					}
 					break
 				}

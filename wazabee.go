@@ -323,24 +323,12 @@ type (
 	LinkAggregator = link.Aggregator
 	// LinkChannelSummary is one channel's aggregate link quality.
 	LinkChannelSummary = link.ChannelSummary
-	// Logger is the leveled structured event logger (JSON lines plus a
-	// bounded ring buffer — wazabeed's /logz endpoint).
-	Logger = obs.Logger
-	// LogEvent is one structured log record.
-	LogEvent = obs.Event
 )
 
 // NewLinkAggregator builds a per-channel link-quality aggregator
 // reporting into the process default metrics registry.
 func NewLinkAggregator() *LinkAggregator {
 	return link.NewAggregator(nil)
-}
-
-// DefaultLogger returns the process-wide structured logger; direct its
-// output with SetSink and tune severities with SetLevel /
-// SetComponentLevel.
-func DefaultLogger() *Logger {
-	return obs.DefaultLogger()
 }
 
 // Health, latency SLOs and the flight recorder (see DESIGN.md §11):
@@ -355,9 +343,11 @@ type (
 	HealthComponent = obs.HealthComponent
 	// HealthSnapshot is one full evaluation of a Health registry.
 	HealthSnapshot = obs.HealthSnapshot
-	// FlightRecorder is a bounded lock-free ring of recent structured
-	// pipeline events — frames, drops, errors — dumpable via HTTP or
-	// SIGQUIT without stopping the process.
+	// FlightRecorder is the process's one bounded ring of recent
+	// structured events — frames, drops, errors, attack steps — each with
+	// a severity and key/value fields, dumpable via HTTP or SIGQUIT
+	// without stopping the process; SetSink and SetLevel also write the
+	// events at or above a threshold as JSON lines.
 	FlightRecorder = obs.Flight
 	// FlightEvent is one recorded flight event.
 	FlightEvent = obs.FlightEvent
@@ -370,7 +360,8 @@ func NewHealth() *Health {
 }
 
 // DefaultFlightRecorder returns the process-wide flight recorder;
-// instrumented components record here unless given a private recorder.
+// instrumented components record here unless given a private recorder,
+// and wazabeed writes its -log-level lines from it.
 func DefaultFlightRecorder() *FlightRecorder {
 	return obs.DefaultFlight()
 }
