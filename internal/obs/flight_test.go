@@ -288,6 +288,28 @@ func TestLoggerLevelThreshold(t *testing.T) {
 	}
 }
 
+// TestLoggerRingBounded checks that logged events with fields stay
+// within the ring's bound: only the newest survive, oldest first, with
+// their fields intact and Seq rising.
+func TestLoggerRingBounded(t *testing.T) {
+	f := NewFlight(8)
+	for i := 0; i < 20; i++ {
+		f.Record(FlightEvent{Level: LevelInfo, Component: "core", Detail: "event", Fields: Fields("i", i)})
+	}
+	events := f.Snapshot()
+	if len(events) != 8 {
+		t.Fatalf("ring holds %d events, want 8", len(events))
+	}
+	for k, ev := range events {
+		if ev.Fields["i"] != 12+k {
+			t.Errorf("event %d has i = %v, want %d", k, ev.Fields["i"], 12+k)
+		}
+		if k > 0 && ev.Seq <= events[k-1].Seq {
+			t.Errorf("sequence not increasing: %d after %d", ev.Seq, events[k-1].Seq)
+		}
+	}
+}
+
 func TestLoggerSinkWritesJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFlight(16)
