@@ -7,7 +7,6 @@ import (
 
 	"wazabee/internal/ids"
 	"wazabee/internal/ieee802154"
-	"wazabee/internal/obs"
 	"wazabee/internal/randsrc"
 	"wazabee/internal/zigbee"
 	"wazabee/internal/zigbee/sim"
@@ -90,8 +89,13 @@ type instance struct {
 	nw    *sim.Network
 	base  *sim.Network // attack-free twin (nil unless sc.energyTwin)
 	intr  *sim.Intruder
-	mon   *ids.FrameMonitor
+	mon   ids.FrameMonitor
 	model evmModel
+
+	// frame is the attack plan's one forged frame, rebuilt in place with
+	// the MACFrame Set methods for every transmission (Transmit copies
+	// it).
+	frame ieee802154.MACFrame
 
 	duration    time.Duration
 	attackStart time.Duration
@@ -104,14 +108,17 @@ type instance struct {
 	fingerprint    bool // fired inside the attack window
 	framing        bool
 
-	replayPSDU []byte // replay scenario: first legit data frame captured
+	replay *ieee802154.MACFrame // replay scenario: first legit data frame captured, parsed once
 
 	planErr error
 	ran     bool
 }
 
 // newInstance builds the mesh, monitor and attack schedule for one
-// scenario at the given options.
+// scenario at the given options. A trial builds only what Score reads:
+// the meshes keep their tallies and telemetry ledgers but have no
+// registry or flight recorder, and the monitor counts nothing, so
+// parallel trials share no process-wide state.
 func newInstance(sc *scenario, opts Options) (*instance, error) {
 	opts.fill()
 	it := &instance{
@@ -132,20 +139,15 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 		Fidelity:  opts.Fidelity,
 		Telemetry: true,
 		Chip:      opts.Chip,
-		// Each instance gets a private registry: Monte-Carlo trials must
-		// not grow per-node series on the process default.
-		Registry: obs.NewRegistry(),
-		Flight:   obs.NewFlight(64),
 	}
 	nw, err := sim.New(sim.Star(opts.Devices), cfg)
 	if err != nil {
 		return nil, err
 	}
 	it.nw = nw
-	it.mon = &ids.FrameMonitor{
+	it.mon = ids.FrameMonitor{
 		FingerprintThreshold: opts.Threshold,
 		ChannelExpected:      true,
-		Obs:                  cfg.Registry,
 	}
 	nw.Tap(zigbee.DefaultChannel, it.inspect)
 
@@ -158,10 +160,7 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 		sc.plan(it)
 	}
 	if sc.energyTwin {
-		baseCfg := cfg
-		baseCfg.Registry = obs.NewRegistry()
-		baseCfg.Flight = obs.NewFlight(64)
-		base, err := sim.New(sim.Star(opts.Devices), baseCfg)
+		base, err := sim.New(sim.Star(opts.Devices), cfg)
 		if err != nil {
 			return nil, err
 		}

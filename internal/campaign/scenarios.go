@@ -77,9 +77,9 @@ var catalogue = []scenario{
 				victim := it.nw.Node(1)
 				seq++
 				reading++
-				frame := ieee802154.NewDataFrame(seq, coord.PAN, coord.Short, victim.Short,
-					sim.ReadingPayload(reading, 0), true)
-				it.transmit(0, frame, true)
+				f := &it.frame
+				it.transmit(0, f.SetDataFrame(seq, coord.PAN, coord.Short, victim.Short,
+					sim.AppendReading(f.Payload[:0], reading, 0), true), true)
 			})
 		},
 	},
@@ -108,8 +108,7 @@ var catalogue = []scenario{
 					coord := it.nw.Node(0)
 					// A two-letter command always encodes.
 					retune, _ := (&zigbee.ATCommand{FrameID: frameID, Command: "CH", Param: []byte{26}}).Encode()
-					frame := ieee802154.NewDataFrame(frameID, ni.PAN, ni.Short, coord.Short, retune, true)
-					it.transmit(dev, frame, true)
+					it.transmit(dev, it.frame.SetDataFrame(frameID, ni.PAN, ni.Short, coord.Short, retune, true), true)
 					sched.After(400*time.Millisecond, fire)
 				}
 				sched.At(it.attackStart+time.Duration(dev-1)*250*time.Millisecond, fire)
@@ -126,8 +125,7 @@ var catalogue = []scenario{
 			every(it, it.attackStart, 150*time.Millisecond, func() {
 				coord := it.nw.Node(0)
 				seq++
-				frame := ieee802154.NewAssociationRequest(seq, coord.PAN, coord.Short, 0x8e)
-				it.transmit(0, frame, true)
+				it.transmit(0, it.frame.SetAssociationRequest(seq, coord.PAN, coord.Short, 0x8e), true)
 			})
 		},
 	},
@@ -145,10 +143,11 @@ var catalogue = []scenario{
 				victim := it.nw.Node(1)
 				seq++
 				i++
-				frame := ieee802154.NewDataFrame(seq, victim.PAN, victim.Short, coord.Short,
-					attack.DepletionPayload(i), true)
-				frame.Security = true
-				it.transmit(1, frame, true)
+				f := &it.frame
+				f.SetDataFrame(seq, victim.PAN, victim.Short, coord.Short,
+					attack.AppendDepletionPayload(f.Payload[:0], i), true)
+				f.Security = true
+				it.transmit(1, f, true)
 			})
 		},
 	},
@@ -170,9 +169,9 @@ var catalogue = []scenario{
 				// A reading-shaped payload: the device acknowledges it
 				// and forwards it to its parent, which acknowledges in
 				// turn — each poll costs the victims three transmissions.
-				frame := ieee802154.NewDataFrame(seq, ni.PAN, ni.Short, coord.Short,
-					sim.ReadingPayload(uint16(seq), 0), true)
-				it.transmit(dev, frame, true)
+				f := &it.frame
+				it.transmit(dev, f.SetDataFrame(seq, ni.PAN, ni.Short, coord.Short,
+					sim.AppendReading(f.Payload[:0], uint16(seq), 0), true), true)
 			})
 		},
 	},
@@ -183,25 +182,26 @@ var catalogue = []scenario{
 		attackStart: DefaultAttackStart,
 		plan: func(it *instance) {
 			// The capture side: remember the first clean data frame a
-			// real device sent (the tap below runs alongside the
-			// monitor's).
+			// real device sent, parsed once (the tap below runs
+			// alongside the monitor's).
 			it.nw.Tap(zigbee.DefaultChannel, func(fc sim.FrameCapture) {
-				if it.replayPSDU == nil && !fc.Collided && fc.Src > 0 && fc.Kind == "data" {
-					it.replayPSDU = append([]byte(nil), fc.PSDU...)
+				if it.replay != nil || fc.Collided || fc.Src <= 0 || fc.Kind != "data" {
+					return
 				}
-			})
-			every(it, it.attackStart, 500*time.Millisecond, func() {
-				if it.replayPSDU == nil {
-					return // nothing captured yet; try again next period
-				}
-				frame, err := ieee802154.ParseMACFrame(it.replayPSDU)
+				frame, err := ieee802154.ParseMACFrame(fc.PSDU)
 				if err != nil {
 					if it.planErr == nil {
 						it.planErr = err
 					}
 					return
 				}
-				it.transmit(0, frame, frame.AckRequest)
+				it.replay = frame
+			})
+			every(it, it.attackStart, 500*time.Millisecond, func() {
+				if it.replay == nil {
+					return // nothing captured yet; try again next period
+				}
+				it.transmit(0, it.replay, it.replay.AckRequest)
 			})
 		},
 	},

@@ -1,10 +1,6 @@
 package ids
 
-import (
-	"fmt"
-
-	"wazabee/internal/obs"
-)
+import "wazabee/internal/obs"
 
 // DefaultFingerprintThreshold is the soft-EVM decision threshold both
 // monitor tiers default to: above roughly 12 dB SNR a native O-QPSK
@@ -42,8 +38,9 @@ type FrameMonitor struct {
 	// AlertUnexpectedTraffic. Defaults to true.
 	ChannelExpected bool
 
-	// Obs receives the monitor's metrics; nil falls back to the process
-	// default registry.
+	// Obs receives the monitor's wazabee_ids_frame_* counters; nil
+	// means none (unlike Monitor.Obs, not the process default), so a
+	// caller that only reads verdicts counts nothing.
 	Obs *obs.Registry
 
 	ctrs obs.CounterCache // over frameCounterSeries
@@ -79,11 +76,15 @@ func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 	return verdict
 }
 
-// judge appends f's alerts to verdict and counts them.
+// judge appends f's alerts to verdict and counts them when the monitor
+// has a registry.
 func (m *FrameMonitor) judge(f FrameFeatures, verdict *Verdict) {
-	reg := obs.Or(m.Obs)
-	m.ctrs.Counter(reg, frameCounterSeries, 0).Inc()
 	detect(f, m.FingerprintThreshold, m.ChannelExpected, verdict)
+	reg := m.Obs
+	if reg == nil {
+		return
+	}
+	m.ctrs.Counter(reg, frameCounterSeries, 0).Inc()
 	for _, a := range verdict.Alerts {
 		m.ctrs.Counter(reg, frameCounterSeries, int(a.Kind)).Inc()
 	}
@@ -95,22 +96,14 @@ func (m *FrameMonitor) judge(f FrameFeatures, verdict *Verdict) {
 // since each monitor keeps its own metric family.
 func detect(f FrameFeatures, threshold float64, channelExpected bool, verdict *Verdict) {
 	if !channelExpected {
-		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind:   AlertUnexpectedTraffic,
-			Detail: "802.15.4 frame on a channel with no deployed network",
-		})
+		verdict.Alerts = append(verdict.Alerts, Alert{Kind: AlertUnexpectedTraffic})
 	}
 	if f.SoftEVM > threshold {
 		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind: AlertModulationFingerprint,
-			Detail: fmt.Sprintf("soft EVM %.2f rad above threshold %.2f",
-				f.SoftEVM, threshold),
+			Kind: AlertModulationFingerprint, SoftEVM: f.SoftEVM, Threshold: threshold,
 		})
 	}
 	if f.BLEFraming {
-		verdict.Alerts = append(verdict.Alerts, Alert{
-			Kind:   AlertBLEFraming,
-			Detail: "BLE advertising preamble and Access Address precede the 802.15.4 frame",
-		})
+		verdict.Alerts = append(verdict.Alerts, Alert{Kind: AlertBLEFraming})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"wazabee/internal/dsp"
 	"wazabee/internal/dsp/stream"
 	"wazabee/internal/ieee802154"
-	"wazabee/internal/obs"
 	"wazabee/internal/randsrc"
 )
 
@@ -538,9 +537,15 @@ var tierCounterSeries = [numTierCounters][]string{
 }
 
 // count increments one tier counter on the medium's registry, through
-// the medium's per-registry cache (see obs.CounterCache).
+// the medium's per-registry cache (see obs.CounterCache). A medium with
+// no registry counts its calibrated-tier deliveries nowhere: unlike the
+// IQ path it does not fall back to the process default, so parallel
+// mesh trials share no counter.
 func (m *Medium) count(which tierCounter) {
-	m.tierCtrs.Counter(obs.Or(m.Obs), tierCounterSeries[:], int(which)).Inc()
+	if m.Obs == nil {
+		return
+	}
+	m.tierCtrs.Counter(m.Obs, tierCounterSeries[:], int(which)).Inc()
 }
 
 // SymbolCorrectProb returns P[symbol decodes correctly | k chip errors],

@@ -52,8 +52,9 @@ type Medium struct {
 	SampleRateHz float64
 
 	// Obs receives the medium's metrics (bursts delivered, SNR/CFO
-	// gauges, interference hits); nil falls back to the process default
-	// registry.
+	// gauges, interference hits). With nil, the IQ path reports to the
+	// process default registry, and the symbol and frame tiers count
+	// nowhere.
 	Obs *obs.Registry
 
 	// Trace, when non-nil, records a "medium" span per delivery.

@@ -65,7 +65,7 @@ type transmission struct {
 	src     int
 	channel int
 	kind    frameKind
-	frame   *ieee802154.MACFrame // the sender's outgoing record's frame, or the intruder's
+	frame   *ieee802154.MACFrame // the sender's (or the intruder's) outgoing record's frame
 	psdu    []byte               // encoded once; immutable until the frame's txEnd
 	mode    targetMode
 	to      int // recipient node index for targetNode

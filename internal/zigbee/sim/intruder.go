@@ -62,6 +62,11 @@ func (in *Intruder) Rand() *rand.Rand { return in.rng }
 // passes; on any other channel it only reaches the capture stream. Set needAck to
 // make the victim spend a transmission acknowledging the forgery.
 //
+// Transmit copies the frame, payload included, into a recycled
+// outgoing record and encodes it there, so the caller may reuse or
+// rebuild frame as soon as the call returns: an attack schedule builds
+// every forgery into one MACFrame with its Set methods.
+//
 // Call only from the goroutine driving the event loop (between Run
 // calls or from scheduled callbacks).
 func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) error {
@@ -69,8 +74,12 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	if to < 0 || to >= len(nw.nodes) {
 		return fmt.Errorf("sim: intruder target %d out of range [0,%d)", to, len(nw.nodes))
 	}
-	psdu, err := frame.Encode()
-	if err != nil {
+	out := nw.newOutgoing(intruderKind(frame), targetNode, to, needAck)
+	payload := append(out.frame.Payload, frame.Payload...)
+	out.frame = *frame
+	out.frame.Payload = payload
+	if err := out.encode(); err != nil {
+		nw.freeOutgoing(out)
 		return err
 	}
 	rx := nw.nodes[to]
@@ -84,14 +93,14 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	*tx = transmission{
 		src:       IntruderSrc,
 		channel:   in.channel,
-		kind:      intruderKind(frame),
-		frame:     frame,
-		psdu:      psdu,
+		kind:      out.kind,
+		frame:     &out.frame,
+		psdu:      out.psdu,
 		mode:      targetNode,
 		to:        to,
 		seq:       nw.frameSeq,
 		start:     now,
-		end:       now + ieee802154.FrameDuration(len(psdu)),
+		end:       now + ieee802154.FrameDuration(len(out.psdu)),
 		needAck:   needAck,
 		destOwner: destOwner,
 	}
@@ -102,7 +111,7 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	}
 	nw.noteFrame(tx)
 	nw.stats.Injected++
-	nw.sched.post(tx.end, action{op: opIntruderTxEnd, tx: tx})
+	nw.sched.post(tx.end, action{op: opIntruderTxEnd, out: out, tx: tx})
 	return nil
 }
 
@@ -111,8 +120,10 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 // frame that survived collision to the target's receive path when the
 // target is tuned to the intruder's channel. The attacker has no
 // radio-state ledger, so only receiver-side telemetry is charged. The
-// transmission record goes back to the network's free list.
-func (nw *Network) intruderTxEnd(tx *transmission) {
+// transmission and outgoing records go back to the network's free
+// lists, each exactly once: the attacker waits for no acknowledgement,
+// so the frame's transaction ends here.
+func (nw *Network) intruderTxEnd(out *outgoing, tx *transmission) {
 	onChannel := nw.nodes[tx.to].spec.Channel == tx.channel
 	if onChannel {
 		nw.cell(tx.destOwner).remove(tx)
@@ -127,6 +138,7 @@ func (nw *Network) intruderTxEnd(tx *transmission) {
 		nw.handleFrame(nw.nodes[tx.to], tx)
 	}
 	nw.freeTransmission(tx)
+	nw.freeOutgoing(out)
 }
 
 // intruderKind classifies a forged frame for metrics and capture
@@ -185,10 +197,12 @@ func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
 	r.state = stateIdle
 	nw.stats.Joined--
 	nw.stats.ChannelMigrations++
-	nw.flight.Record(obs.FlightEvent{
-		Kind: "state", Component: "sim", Frame: -1,
-		Detail: fmt.Sprintf("channel migration: node %d retuned %d -> %d by remote AT", r.id, r.spec.Channel, newChannel),
-	})
+	if nw.flight != nil {
+		nw.flight.Record(obs.FlightEvent{
+			Kind: "state", Component: "sim", Frame: -1,
+			Detail: fmt.Sprintf("channel migration: node %d retuned %d -> %d by remote AT", r.id, r.spec.Channel, newChannel),
+		})
+	}
 	if t := nw.tel; t != nil && t.trace != nil {
 		t.trace.instant(r.id, "channel_migration", nw.sched.Now(), 0)
 	}

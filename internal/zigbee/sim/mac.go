@@ -54,22 +54,17 @@ func (nw *Network) dataLoop(n *node) {
 		n.reading++
 		n.seq++
 		out := nw.newOutgoing(kindData, targetNode, n.parentID, true)
-		out.frame.SetDataFrame(n.seq, n.pan, n.parentShort, n.short, appendReading(out.frame.Payload, n.reading, 0), true)
+		out.frame.SetDataFrame(n.seq, n.pan, n.parentShort, n.short, AppendReading(out.frame.Payload, n.reading, 0), true)
 		nw.enqueueTx(n, out)
 	}
 	nw.after(nw.cfg.DataInterval, action{op: opData, node: n})
 }
 
-// ReadingPayload encodes a mesh sensor reading: a tag octet, the
-// big-endian value and a hop count routers increment while forwarding.
-// It is the mesh's own 4-byte format, not the paper network's 3-byte
-// zigbee.SensorPayload.
-func ReadingPayload(reading uint16, hops uint8) []byte {
-	return appendReading(nil, reading, hops)
-}
-
-// appendReading appends ReadingPayload's bytes to dst.
-func appendReading(dst []byte, reading uint16, hops uint8) []byte {
+// AppendReading appends a mesh sensor reading's payload to dst: a tag
+// octet, the big-endian value and a hop count routers increment while
+// forwarding. It is the mesh's own 4-byte format, not the paper
+// network's 3-byte zigbee.SensorPayload.
+func AppendReading(dst []byte, reading uint16, hops uint8) []byte {
 	return append(dst, 0x77, byte(reading>>8), byte(reading), hops)
 }
 
@@ -647,10 +642,12 @@ func (nw *Network) panConflict(c *node) {
 	}
 	c.pan = next
 	nw.stats.PANConflicts++
-	nw.flight.Record(obs.FlightEvent{
-		Kind: "state", Component: "sim", Frame: -1,
-		Detail: fmt.Sprintf("PAN conflict: coordinator %d rebind %#04x -> %#04x", c.id, old, next),
-	})
+	if nw.flight != nil {
+		nw.flight.Record(obs.FlightEvent{
+			Kind: "state", Component: "sim", Frame: -1,
+			Detail: fmt.Sprintf("PAN conflict: coordinator %d rebind %#04x -> %#04x", c.id, old, next),
+		})
+	}
 }
 
 // panInUse reports whether another coordinator on the channel already
