@@ -102,8 +102,10 @@ racesim:
 # goldens; the calibration fit byte-identical at any worker count; the
 # embedded calibration table loading to its pinned floats; the frame
 # tier's memoised success probabilities bit-identical to a fresh
-# channel's, since they feed every mesh digest; and every seeded stream
-# equal to math/rand's rand.NewSource stream.
+# channel's, since they feed every mesh digest; every seeded stream
+# equal to math/rand's rand.NewSource stream; and every campaign
+# scenario's Outcome equal to its pinned golden, byte-identical across
+# same-seed runs, with the ROC matrix identical at any worker count.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
@@ -111,6 +113,7 @@ determinism:
 	$(GO) test -run 'TestFitIdenticalAcrossWorkerCounts' -count 1 ./internal/calib
 	$(GO) test -run 'TestDefaultCalTableFloatsGolden|TestFrameTierMemoIdentity' -count 1 ./internal/radio
 	$(GO) test -run 'TestSourceMatchesMathRand' -count 1 ./internal/randsrc
+	$(GO) test -run 'TestScenarioGoldenOutcomes|TestScenarioSameSeedByteIdentity|TestMatrixWorkerCountIndependence' -count 1 ./internal/campaign
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
 # truth (internal/calib; ~10 s on 2 cores, the grid cells spread over

@@ -223,3 +223,42 @@ func TestFrameMonitorCleanFrameAllocs(t *testing.T) {
 		t.Errorf("Judge allocates %v times per clean frame, want 0", allocs)
 	}
 }
+
+// TestFrameMonitorWithoutRegistry checks that a monitor with no Obs
+// judges as usual and counts nowhere, not on the process default.
+func TestFrameMonitorWithoutRegistry(t *testing.T) {
+	before := obs.Default().PrometheusText()
+	m := NewFrameMonitor()
+	for _, f := range judgeSequence {
+		m.Judge(f)
+	}
+	if !m.Judge(FrameFeatures{SoftEVM: 0.4, BLEFraming: true}).Has(AlertBLEFraming) {
+		t.Error("framing not flagged without a registry")
+	}
+	if after := obs.Default().PrometheusText(); after != before {
+		t.Errorf("a monitor without a registry wrote to the process default:\n%s", after)
+	}
+}
+
+// TestAlertDetail pins the text each alert kind formats when read: the
+// fingerprint alert from the numbers it keeps.
+func TestAlertDetail(t *testing.T) {
+	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: false}
+	v := m.Judge(FrameFeatures{SoftEVM: 0.374, BLEFraming: true})
+	want := []string{
+		"802.15.4 frame on a channel with no deployed network",
+		"soft EVM 0.37 rad above threshold 0.27",
+		"BLE advertising preamble and Access Address precede the 802.15.4 frame",
+	}
+	if len(v.Alerts) != len(want) {
+		t.Fatalf("alerts = %v, want %d", v.Alerts, len(want))
+	}
+	for i, a := range v.Alerts {
+		if got := a.Detail(); got != want[i] {
+			t.Errorf("%v Detail = %q, want %q", a.Kind, got, want[i])
+		}
+	}
+	if a := v.Alerts[1]; a.SoftEVM != 0.374 || a.Threshold != 0.27 {
+		t.Errorf("fingerprint alert keeps %v above %v, want 0.374 above 0.27", a.SoftEVM, a.Threshold)
+	}
+}

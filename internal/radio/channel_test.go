@@ -383,6 +383,38 @@ func TestTierCountersFollowRegistry(t *testing.T) {
 	}
 }
 
+// TestTierCountersWithoutRegistry checks that a medium with no
+// registry counts its symbol- and frame-tier deliveries nowhere: unlike
+// the IQ path, the calibrated tiers do not fall back to the process
+// default registry.
+func TestTierCountersWithoutRegistry(t *testing.T) {
+	m, err := NewMedium(16e6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().PrometheusText()
+	for _, f := range []Fidelity{FidelitySymbol, FidelityFrame} {
+		ch, err := m.Channel(f, ChannelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			// 0 dB erases some frames; 2450 MHz is out of band.
+			for _, spec := range []FrameSpec{
+				{PSDULen: 20, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: Link{SNRdB: 0}, Seed: uint64(i)},
+				{PSDULen: 20, TxFreqMHz: 2420, RxFreqMHz: 2450, Link: Link{SNRdB: 30}, Seed: uint64(i)},
+			} {
+				if _, err := ch.Deliver(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if after := obs.Default().PrometheusText(); after != before {
+		t.Errorf("a medium without a registry counted on the process default:\n%s", after)
+	}
+}
+
 // TestCalibratedTiersRejectImpossibleLengths checks that the symbol and
 // frame tiers both refuse a PSDU length no PHR can carry, given as
 // PSDULen or as a PSDU, and accept the two extremes of the valid range.
