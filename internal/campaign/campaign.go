@@ -14,6 +14,13 @@
 // benign-traffic baseline measures the false-positive cost of every
 // detector threshold.
 //
+// Cost: a trial builds only what Score reads. Its meshes and monitor get
+// no registry or flight recorder (nil means none there), so they keep
+// their tallies and telemetry ledger but mirror nothing, alert text is
+// never formatted, and every forged frame is rebuilt in one reused
+// MACFrame and copied into a recycled mesh record. The matrix's own
+// metrics go to MatrixSpec.Obs.
+//
 // Determinism: a scenario instance is a pure function of its Options —
 // the mesh follows the simulator's SplitMix64 seed discipline, the
 // attack schedule runs on the same event loop, and the frame-tier

@@ -18,7 +18,11 @@
 // The loop keeps one tally, Stats. The registry's wazabee_sim_* series
 // and the DebugHandler snapshot are refreshed from it at batch
 // boundaries, the only points at which other goroutines see the
-// simulation; captures reach synchronous taps only.
+// simulation; captures reach synchronous taps only. The series exist
+// only on a registry passed in Config.Registry: a nil registry, flight
+// recorder or trace means none, so a mesh built without them (every
+// campaign trial) keeps its tally and telemetry ledger and reports to
+// nothing process-wide.
 //
 // LiveNetwork rides the same event core: its real-time reporting loop is
 // a Scheduler driven by a pacer that sleeps until each event's wall

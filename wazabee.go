@@ -230,7 +230,9 @@ type (
 	// MeshTopology declares the node roster (roles, parents, channels,
 	// PANs) a MeshNetwork is built from.
 	MeshTopology = sim.Topology
-	// MeshConfig carries the run seed, traffic cadences and link model.
+	// MeshConfig carries the run seed, traffic cadences and link model,
+	// and the registry, trace and flight recorder the mesh reports to
+	// (each nil for none; pass Metrics() for the process registry).
 	MeshConfig = sim.Config
 
 	// MeshNodeStats is one node's observatory snapshot: MAC counters,
