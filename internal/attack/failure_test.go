@@ -97,7 +97,7 @@ func TestDepleteEnergyMediumCloses(t *testing.T) {
 func TestDepletionPayloadDistinctAndSized(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 300; i++ {
-		p := DepletionPayload(i)
+		p := AppendDepletionPayload(nil, i)
 		if len(p) != 18 {
 			t.Fatalf("payload %d length = %d, want 18", i, len(p))
 		}
