@@ -106,6 +106,12 @@ racesim:
 # equal to math/rand's rand.NewSource stream; and every campaign
 # scenario's Outcome equal to its pinned golden, byte-identical across
 # same-seed runs, with the ROC matrix identical at any worker count.
+# Last, the bit-exact IQ contract (DESIGN.md §9): every sample of both
+# modulators and of the medium, every receiver soft output and the
+# medium's draw count equal to their pinned SHA-256 digests, and the
+# packed, lazily integrated sync scan making the decision, and yielding
+# the symbol sums, of the byte-wise IntegrateSymbols → FindPattern →
+# SoftScore reference.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
@@ -114,6 +120,8 @@ determinism:
 	$(GO) test -run 'TestDefaultCalTableFloatsGolden|TestFrameTierMemoIdentity' -count 1 ./internal/radio
 	$(GO) test -run 'TestSourceMatchesMathRand' -count 1 ./internal/randsrc
 	$(GO) test -run 'TestScenarioGoldenOutcomes|TestScenarioSameSeedByteIdentity|TestMatrixWorkerCountIndependence' -count 1 ./internal/campaign
+	$(GO) test -run 'TestIQModulatorGolden|TestIQMediumGolden|TestIQReceiverGolden' -count 1 ./internal/radio
+	$(GO) test -run 'TestCorrelatorMatchesFindPattern' -count 1 ./internal/dsp/stream
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
 # truth (internal/calib; ~10 s on 2 cores, the grid cells spread over

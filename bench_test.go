@@ -113,6 +113,29 @@ func BenchmarkTableIIITransmission(b *testing.B) {
 	}
 }
 
+// BenchmarkTable3IQRound runs one round of perfbench's table3-iq
+// workload through experiment.RunContext: both diverted chips × both
+// sides × 16 channels × 16 frames on the IQ tier, WiFi on, seed 1, one
+// fresh registry per round. It is the CPU-profiling target of the IQ
+// chain (-cpuprofile): perfbench's traced pass rebuilds each trial from
+// public calls, so it modulates every frame and cannot show a saving
+// RunContext makes across trials.
+func BenchmarkTable3IQRound(b *testing.B) {
+	cfg := experiment.DefaultConfig()
+	cfg.FramesPerChannel = 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Obs = obs.NewRegistry()
+		for _, model := range []chip.Model{chip.NRF52832(), chip.CC1352R1()} {
+			for _, side := range []experiment.Side{experiment.Reception, experiment.Transmission} {
+				if _, err := experiment.RunContext(context.Background(), cfg, model, side); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFigure1Waveform regenerates the Figure 1 material: a 2-FSK
 // waveform whose I/Q rotation encodes the bits.
 func BenchmarkFigure1Waveform(b *testing.B) {

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/bitstream"
@@ -23,12 +25,12 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// The simulated 2.4 GHz medium both radios share.
 	medium, err := radio.NewMedium(float64(sps)*ieee802154.ChipRate, 42)
 	if err != nil {
@@ -72,7 +74,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("BLE chip -> Zigbee radio: %q (FCS ok: %v)\n",
+	fmt.Fprintf(w, "BLE chip -> Zigbee radio: %q (FCS ok: %v)\n",
 		rx1.Payload, bitstream.CheckFCS(dem.PPDU.PSDU))
 
 	// ---- Direction 2: Zigbee radio transmits, BLE chip receives. ----
@@ -105,7 +107,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Zigbee radio -> BLE chip: %q (worst chip distance %d)\n",
+	fmt.Fprintf(w, "Zigbee radio -> BLE chip: %q (worst chip distance %d)\n",
 		rx2.Payload, dem2.WorstChipDistance)
 
 	// The table the whole trick rests on.
@@ -113,7 +115,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nsymbol 0 PN : %s\nsymbol 0 MSK: %s\n", table[0].PN, table[0].MSK)
-	fmt.Printf("BLE access address for 802.15.4 detection: %#08x\n", wazabee.AccessAddress())
+	fmt.Fprintf(w, "\nsymbol 0 PN : %s\nsymbol 0 MSK: %s\n", table[0].PN, table[0].MSK)
+	fmt.Fprintf(w, "BLE access address for 802.15.4 detection: %#08x\n", wazabee.AccessAddress())
 	return nil
 }

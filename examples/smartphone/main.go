@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/ble"
@@ -27,12 +29,12 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// The victim: the paper's XBee domotic network (PAN 0x1234,
 	// coordinator 0x0042 graphing sensor 0x0063's readings).
 	network, err := wazabee.NewVictimNetwork(2021, sps, snrDB)
@@ -49,12 +51,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("target: Zigbee channel %d == BLE data channel %d\n", targetChannel, bleChannel)
+	fmt.Fprintf(w, "target: Zigbee channel %d == BLE data channel %d\n", targetChannel, bleChannel)
 
 	// Forge a sensor reading. The payload below rides inside a
 	// manufacturer-specific AD structure of an AUX_ADV_IND; the 16 PDU
 	// bytes before it are the headers the paper calls padding.
-	fmt.Printf("advertising-PDU overhead before attacker data: %d bytes\n", ble.AuxAdvIndOverhead)
+	fmt.Fprintf(w, "advertising-PDU overhead before attacker data: %d bytes\n", ble.AuxAdvIndOverhead)
 	for i, value := range []uint16{2222, 3333, 4444} {
 		frame := wazabee.NewDataFrame(uint8(40+i), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
 			zigbee.DefaultSensor, zigbee.SensorPayload(value), false)
@@ -70,15 +72,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("forged reading %d injected after %d advertising events (CSA#2 lottery)\n", value, events)
+		fmt.Fprintf(w, "forged reading %d injected after %d advertising events (CSA#2 lottery)\n", value, events)
 	}
 
-	fmt.Println("\ncoordinator display log:")
+	fmt.Fprintln(w, "\ncoordinator display log:")
 	for _, r := range network.Coordinator.Readings {
-		fmt.Printf("  from %#04x seq %3d: value %d\n", r.Src, r.Seq, r.Value)
+		fmt.Fprintf(w, "  from %#04x seq %3d: value %d\n", r.Src, r.Seq, r.Value)
 	}
 	if last, ok := network.Coordinator.LastReading(); ok && last.Value == 4444 {
-		fmt.Println("\nall forged data packets accepted by the legitimate coordinator")
+		fmt.Fprintln(w, "\nall forged data packets accepted by the legitimate coordinator")
 	}
 	return nil
 }

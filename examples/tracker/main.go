@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/ieee802154"
@@ -23,19 +25,19 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	network, err := wazabee.NewVictimNetwork(51822, sps, snrDB)
 	if err != nil {
 		return err
 	}
 
 	model := wazabee.NRF51822()
-	fmt.Printf("attacker radio: %s (%v — no LE 2M, ESB fallback)\n", model.Name, model.Mode)
+	fmt.Fprintf(w, "attacker radio: %s (%v — no LE 2M, ESB fallback)\n", model.Name, model.Mode)
 	tx, err := wazabee.NewTransmitter(model, sps)
 	if err != nil {
 		return err
@@ -54,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("step 1 — active scan: network found on channel %d, PAN %#04x, coordinator %#04x\n",
+	fmt.Fprintf(w, "step 1 — active scan: network found on channel %d, PAN %#04x, coordinator %#04x\n",
 		info.Channel, info.PAN, info.Coordinator)
 
 	// Step 2: eavesdropping.
@@ -62,13 +64,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("step 2 — eavesdropping: sensor address %#04x\n", sensor)
+	fmt.Fprintf(w, "step 2 — eavesdropping: sensor address %#04x\n", sensor)
 
 	// Step 3: remote AT command injection (denial of service).
 	if err := tracker.InjectChannelChange(info, sensor, dosChannel); err != nil {
 		return err
 	}
-	fmt.Printf("step 3 — AT command injected: sensor now on channel %d (network is on %d)\n",
+	fmt.Fprintf(w, "step 3 — AT command injected: sensor now on channel %d (network is on %d)\n",
 		network.Sensor.Channel, info.Channel)
 
 	// The silenced sensor keeps reporting — on the wrong channel.
@@ -78,7 +80,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("         sensor sent 3 readings, coordinator received %d of them\n",
+	fmt.Fprintf(w, "         sensor sent 3 readings, coordinator received %d of them\n",
 		len(network.Coordinator.Readings)-before)
 
 	// Step 4: fake data injection.
@@ -87,16 +89,16 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Println("step 4 — spoofed readings acknowledged by the coordinator")
+	fmt.Fprintln(w, "step 4 — spoofed readings acknowledged by the coordinator")
 
-	fmt.Println("\ncoordinator display log (tail):")
+	fmt.Fprintln(w, "\ncoordinator display log (tail):")
 	readings := network.Coordinator.Readings
 	start := 0
 	if len(readings) > 6 {
 		start = len(readings) - 6
 	}
 	for _, r := range readings[start:] {
-		fmt.Printf("  from %#04x seq %3d: value %d\n", r.Src, r.Seq, r.Value)
+		fmt.Fprintf(w, "  from %#04x seq %3d: value %d\n", r.Src, r.Seq, r.Value)
 	}
 	return nil
 }

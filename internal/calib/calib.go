@@ -150,12 +150,14 @@ func Fit(opts Options) (*radio.CalTable, error) {
 	reg := obs.NewRegistry()
 	specs := profileSpecs()
 	profiles := make([]*radio.CalProfile, len(specs))
-	sigs := make([][]dsp.IQ, len(specs))
+	waveforms := make([]func(int) (dsp.IQ, error), len(specs))
 	var points []runner.Point
 	cellOf := make(map[string]gridCell)
 	for pi, spec := range specs {
+		// A profile's frames are the Table III counter frames from its
+		// transmitter, modulated once for every cell.
 		var err error
-		if sigs[pi], err = calibrationFrames(opts, reg, spec); err != nil {
+		if waveforms[pi], err = experiment.CounterWaveforms(spec.tx, opts.SamplesPerChip, opts.FramesPerCell, reg); err != nil {
 			return nil, fmt.Errorf("calib: profile %s: %w", spec.name, err)
 		}
 		profiles[pi] = &radio.CalProfile{
@@ -187,7 +189,7 @@ func Fit(opts Options) (*radio.CalTable, error) {
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		tally, err := fitCell(opts, reg, demodulate, sigs[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
+		tally, err := fitCell(opts, reg, demodulate, waveforms[g.prof], sampleRate, g.prof, g.si, g.ci, g.wi,
 			snrGrid[g.si], ps.cfo[g.ci], ps.wifi[g.wi])
 		if err != nil {
 			return runner.Outcome{}, err
@@ -237,35 +239,17 @@ func cellIndex(p *radio.CalProfile, si, ci, wi int) int {
 	return (si*len(p.CFOHz)+ci)*len(p.WiFi) + wi
 }
 
-// calibrationFrames synthesises one profile's ground-truth frames: the
-// Table III counter frames, modulated by the profile's transmitter. The
-// waveforms depend only on the frame index, so they are synthesised once
-// per profile and reused across every cell.
-func calibrationFrames(opts Options, reg *obs.Registry, spec profileSpec) ([]dsp.IQ, error) {
-	modulate, err := spec.tx.Modulator(opts.SamplesPerChip, reg, nil)
-	if err != nil {
-		return nil, err
-	}
-	sigs := make([]dsp.IQ, opts.FramesPerCell)
-	for f := range sigs {
-		ppdu, err := ieee802154.NewPPDU(experiment.CounterFrame(f))
-		if err != nil {
-			return nil, err
-		}
-		if sigs[f], err = modulate(ppdu); err != nil {
-			return nil, err
-		}
-	}
-	return sigs, nil
-}
-
 // fitCell counts one grid cell: FramesPerCell independent frames, each
 // over a fresh medium whose every draw flows from the cell-and-frame
 // derived seed (the same isolation discipline as the Table III trials).
 func fitCell(opts Options, reg *obs.Registry, demodulate func(dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error),
-	sigs []dsp.IQ, sampleRate float64, profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalTally, error) {
+	waveform func(int) (dsp.IQ, error), sampleRate float64, profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalTally, error) {
 	var tally radio.CalTally
-	for f, sig := range sigs {
+	for f := range opts.FramesPerCell {
+		sig, err := waveform(f)
+		if err != nil {
+			return radio.CalTally{}, err
+		}
 		seed := mixSeed(uint64(opts.Seed), uint64(profIdx), uint64(si), uint64(ci), uint64(wi), uint64(f))
 		medium, err := radio.NewMedium(sampleRate, int64(seed))
 		if err != nil {

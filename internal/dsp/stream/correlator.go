@@ -18,6 +18,10 @@ import (
 // first zero-error match; across phases the qualifying candidate with
 // the highest soft correlation wins.
 //
+// Integration is lazy: each phase is integrated only as far as its scan
+// reads, so a phase whose scan stops at a zero-error match holds its
+// sums through the end of that match until Sums asks for the rest.
+//
 // A pattern of at most 64 bits is scanned as a packed 64-bit window,
 // one XOR and popcount per offset; a longer one falls back to the
 // byte-wise comparison. Both count the same mismatches, so the
@@ -106,59 +110,78 @@ func (c *Correlator) Close() {
 	}
 }
 
-// search integrates every phase's complete symbol windows into sums and
-// hard bits and scans them for the pattern.
+// search scans every sampling phase for the pattern, integrating each
+// phase as its scan advances.
 func (c *Correlator) search() {
-	sps := c.sps
 	for p := range c.phases {
-		ps := &c.phases[p]
-		// The inner summation order matches dsp.IntegrateSymbols
-		// exactly so the floating-point results are bit-identical. The
-		// bit is set without a branch: a branch on a noisy sum
-		// mispredicts about every other symbol and serialises the
-		// independent sums.
-		if p < len(c.incs) {
-			n := (len(c.incs) - p) / sps
-			sums, bits := ps.sums, ps.bits
-			for k := 0; k < n; k++ {
-				var sum float64
-				for _, v := range c.incs[p+k*sps : p+(k+1)*sps] {
-					sum += v
-				}
-				var bit byte
-				if sum > 0 {
-					bit = 1
-				}
-				sums = append(sums, sum)
-				bits = append(bits, bit)
-			}
-			ps.sums, ps.bits = sums, bits
-		}
-		c.scanPhase(ps)
+		c.scanPhase(p)
 	}
 }
 
-// scanPhase searches one phase's bits for the pattern, replicating
+// symbols is the number of complete symbol windows at phase p, the
+// length of dsp.IntegrateSymbols' result.
+func (c *Correlator) symbols(p int) int {
+	if p >= len(c.incs) {
+		return 0
+	}
+	return (len(c.incs) - p) / c.sps
+}
+
+// integrate extends phase p's sums and hard bits through symbol end.
+func (c *Correlator) integrate(p, end int) {
+	ps := &c.phases[p]
+	for k := len(ps.sums); k < end; k++ {
+		ps.push(c.symbolSum(p, k))
+	}
+}
+
+// symbolSum integrates symbol k of phase p in the summation order of
+// dsp.IntegrateSymbols, so the floating-point results are bit-identical.
+func (c *Correlator) symbolSum(p, k int) float64 {
+	var sum float64
+	for _, v := range c.incs[p+k*c.sps : p+(k+1)*c.sps] {
+		sum += v
+	}
+	return sum
+}
+
+// push appends a symbol sum and its hard bit and returns the bit. The
+// bit is set without a branch: a branch on a noisy sum mispredicts about
+// every other symbol and serialises the independent sums.
+func (ps *phaseState) push(sum float64) byte {
+	var bit byte
+	if sum > 0 {
+		bit = 1
+	}
+	ps.sums = append(ps.sums, sum)
+	ps.bits = append(ps.bits, bit)
+	return bit
+}
+
+// scanPhase searches phase p's bits for the pattern, replicating
 // dsp.FindPattern: ascending offsets, a candidate must strictly beat the
 // best so far (initially maxErrors), and the scan stops at a perfect
-// match.
-func (c *Correlator) scanPhase(ps *phaseState) {
+// match. It integrates each symbol as the window first reaches it.
+func (c *Correlator) scanPhase(p int) {
 	n := len(c.pattern)
-	if n > len(ps.bits) {
+	total := c.symbols(p)
+	if n > total {
 		return
 	}
 	if !c.packed {
-		c.scanBytes(ps)
+		c.scanBytes(p, total)
 		return
 	}
 	// w slides over the bit stream: after the shift in iteration off it
 	// holds bits[off : off+n], first bit highest, like c.word.
+	ps := &c.phases[p]
+	c.integrate(p, n-1)
 	var w uint64
-	for _, b := range ps.bits[:n-1] {
+	for _, b := range ps.bits {
 		w = w<<1 | uint64(b)
 	}
-	for off := 0; off+n <= len(ps.bits); off++ {
-		w = (w<<1 | uint64(ps.bits[off+n-1])) & c.mask
+	for off := 0; off+n <= total; off++ {
+		w = (w<<1 | uint64(ps.push(c.symbolSum(p, off+n-1)))) & c.mask
 		if ps.take(off, bits.OnesCount64(w^c.word)) {
 			return
 		}
@@ -167,8 +190,10 @@ func (c *Correlator) scanPhase(ps *phaseState) {
 
 // scanBytes is scanPhase for patterns the packed window cannot hold:
 // it compares byte by byte, abandoning a window once it cannot win.
-func (c *Correlator) scanBytes(ps *phaseState) {
-	for off := 0; off+len(c.pattern) <= len(ps.bits); off++ {
+func (c *Correlator) scanBytes(p, total int) {
+	ps := &c.phases[p]
+	for off := 0; off+len(c.pattern) <= total; off++ {
+		c.integrate(p, off+len(c.pattern))
 		limit := ps.bestErrs - 1
 		errs := 0
 		for i, pb := range c.pattern {
@@ -233,5 +258,10 @@ func (c *Correlator) Best() (Candidate, bool) {
 	return best, found
 }
 
-// Sums exposes a phase's symbol sums (read-only; valid until Close).
-func (c *Correlator) Sums(phase int) []float64 { return c.phases[phase].sums }
+// Sums exposes a phase's symbol sums over the whole capture (read-only;
+// valid until Close). The first call for a phase whose scan stopped
+// early integrates the rest of it.
+func (c *Correlator) Sums(phase int) []float64 {
+	c.integrate(phase, c.symbols(phase))
+	return c.phases[phase].sums
+}

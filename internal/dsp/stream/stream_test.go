@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -149,5 +150,65 @@ func TestCorrelatorMatchesFindPattern(t *testing.T) {
 		if gotSums[i] != wantSums[i] {
 			t.Fatalf("sum %d differs (not bit-identical)", i)
 		}
+	}
+}
+
+// TestCorrelatorIntegratesLazily: a phase whose scan stops at a
+// zero-error match holds only the sums the scan read, through the end
+// of the match, until Sums asks for the rest; then it holds exactly the
+// reference integration. A phase that never matches perfectly is
+// integrated to the end of the capture by its scan.
+func TestCorrelatorIntegratesLazily(t *testing.T) {
+	const sps = 8
+	pattern := []byte{
+		1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1,
+		0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1,
+	}
+	rnd := rand.New(rand.NewSource(11))
+	incs := make([]float64, 600*sps+3)
+	for i := range incs {
+		incs[i] = rnd.NormFloat64() * 0.2
+	}
+	const at = 100
+	for i, b := range pattern {
+		v := 0.4
+		if b == 0 {
+			v = -0.4
+		}
+		for j := 0; j < sps; j++ {
+			incs[(at+i)*sps+j] += v
+		}
+	}
+
+	c := correlateIncs(incs, pattern, 4, sps)
+	defer c.Close()
+	if _, ok := c.Best(); !ok {
+		t.Fatal("no candidate; test signal broken")
+	}
+	stopped := 0
+	for phase := 0; phase < sps; phase++ {
+		ps := &c.phases[phase]
+		want := dsp.IntegrateSymbols(incs, phase, sps)
+		held := len(want)
+		if ps.has && ps.bestErrs == 0 {
+			stopped++
+			held = ps.bestPos + len(pattern)
+		}
+		if len(ps.sums) != held {
+			t.Errorf("phase %d (best %d errors at %d): %d sums before Sums, want %d",
+				phase, ps.bestErrs, ps.bestPos, len(ps.sums), held)
+		}
+		got := c.Sums(phase)
+		if len(got) != len(want) {
+			t.Fatalf("phase %d: Sums returned %d sums, reference %d", phase, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("phase %d: sum %d = %v, reference %v", phase, i, got[i], want[i])
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no phase stopped at a zero-error match; test signal broken")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"wazabee/internal/chip"
+	"wazabee/internal/dsp"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
@@ -123,6 +124,10 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, sid
 	}
 
 	reg := obs.NewRegistry()
+	waveforms, err := runWaveforms(cfg.Fidelity, model, side, cfg.SamplesPerChip, cfg.FramesPerPoint, reg)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]runner.Point, len(cfg.SNRs))
 	snrOf := make(map[string]float64, len(cfg.SNRs))
 	for i, snr := range cfg.SNRs {
@@ -147,7 +152,7 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, sid
 	}
 
 	res, err := runner.Run(ctx, spec, func(ctx context.Context, seed int64, point runner.Point, frame int) (runner.Outcome, error) {
-		class, err := sweepTrial(cfg, reg, model, side, freq, snrOf[point.Key], seed, frame)
+		class, err := sweepTrial(cfg, reg, model, side, waveforms, freq, snrOf[point.Key], seed, frame)
 		if err != nil {
 			return runner.Outcome{}, err
 		}
@@ -183,8 +188,10 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, sid
 // sweepTrial measures one frame at one operating point on a medium
 // seeded from the trial's derived seed alone, routed through
 // radio.Channel at the configured fidelity tier (a clean channel: no
-// WiFi, no CFO — pure sensitivity).
-func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side, freq, snr float64, seed int64, frame int) (string, error) {
+// WiFi, no CFO — pure sensitivity). On the IQ tier the frame airs the
+// run's waveform for its index (waveforms).
+func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side, waveforms func(int) (dsp.IQ, error),
+	freq, snr float64, seed int64, frame int) (string, error) {
 	medium, err := radio.NewMedium(float64(cfg.SamplesPerChip)*ieee802154.ChipRate, seed)
 	if err != nil {
 		return "", err
@@ -197,7 +204,7 @@ func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side,
 		LeadSamples: 30 * cfg.SamplesPerChip,
 		LagSamples:  15 * cfg.SamplesPerChip,
 	}
-	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, nil)
+	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, waveforms, frame, nil)
 	if err != nil {
 		return "", err
 	}

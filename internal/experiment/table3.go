@@ -227,6 +227,10 @@ func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*
 	// in a run-local registry, then merges into the caller's registry
 	// once the run is known good.
 	runReg := obs.NewRegistry()
+	waveforms, err := runWaveforms(cfg.Fidelity, model, side, cfg.SamplesPerChip, cfg.FramesPerChannel, runReg)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]runner.Point, len(channels))
 	channelOf := make(map[string]int, len(channels))
 	for i, channel := range channels {
@@ -248,7 +252,7 @@ func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*
 	}
 
 	res, err := runner.Run(ctx, spec, func(ctx context.Context, seed int64, point runner.Point, frame int) (runner.Outcome, error) {
-		class, err := table3Trial(cfg, runReg, model, side, channelOf[point.Key], seed, frame)
+		class, err := table3Trial(cfg, runReg, model, side, waveforms, channelOf[point.Key], seed, frame)
 		if err != nil {
 			return runner.Outcome{}, err
 		}
@@ -294,8 +298,10 @@ func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*
 // tier. The per-trial operating point (medium, WiFi environment, CFO
 // draw) is built identically for every tier, so the symbol and frame
 // tiers measure the same grid the IQ tier does — just through the
-// calibrated tables instead of the DSP chain.
-func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, channel int, seed int64, frame int) (string, error) {
+// calibrated tables instead of the DSP chain. On the IQ tier the frame
+// airs the run's waveform for its index (waveforms).
+func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, waveforms func(int) (dsp.IQ, error),
+	channel int, seed int64, frame int) (string, error) {
 	sampleRate := float64(cfg.SamplesPerChip) * ieee802154.ChipRate
 	medium, err := radio.NewMedium(sampleRate, seed)
 	if err != nil {
@@ -333,7 +339,7 @@ func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, cha
 	}
 
 	var st *oblink.Stats
-	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, &st)
+	ch, err := trialChannel(medium, cfg.Fidelity, cfg.SamplesPerChip, reg, model, side, waveforms, frame, &st)
 	if err != nil {
 		return "", err
 	}
@@ -396,35 +402,26 @@ func checkSide(model chip.Model, side Side, samplesPerChip int) error {
 }
 
 // trialChannel builds one trial's delivery channel over medium at the
-// fidelity tier fid (zero means FidelityIQ). At the IQ tier the
-// transmitting end's modulator feeds the receiving end's demodulator,
-// both reporting to reg, and when stats is non-nil each delivery stores
-// the receiver's link diagnostics there; the calibrated tiers draw from
-// the diverted chip's profile for the side.
+// fidelity tier fid (zero means FidelityIQ). At the IQ tier the run's
+// waveform of counter frame `frame` (waveforms) feeds the receiving
+// end's demodulator, which reports to reg, and when stats is non-nil
+// each delivery stores the receiver's link diagnostics there; the
+// calibrated tiers draw from the diverted chip's profile for the side.
 func trialChannel(medium *radio.Medium, fid radio.Fidelity, samplesPerChip int, reg *obs.Registry,
-	model chip.Model, side Side, stats **oblink.Stats) (radio.Channel, error) {
-	if fid != 0 && fid != radio.FidelityIQ {
+	model chip.Model, side Side, waveforms func(int) (dsp.IQ, error), frame int, stats **oblink.Stats) (radio.Channel, error) {
+	if !iqTier(fid) {
 		return medium.Channel(fid, radio.ChannelOptions{
 			Profile: radio.CalProfileName(model.Name, side.String()),
 		})
 	}
-	tx, rx := side.Ends(model)
-	modulate, err := tx.Modulator(samplesPerChip, reg, nil)
-	if err != nil {
-		return nil, err
-	}
+	_, rx := side.Ends(model)
 	demodulate, err := rx.Demodulator(samplesPerChip, reg, nil)
 	if err != nil {
 		return nil, err
 	}
 	return medium.Channel(radio.FidelityIQ, radio.ChannelOptions{Endpoints: &radio.IQEndpoints{
-		Modulate: func(psdu []byte) (dsp.IQ, error) {
-			ppdu, err := ieee802154.NewPPDU(psdu)
-			if err != nil {
-				return nil, err
-			}
-			return modulate(ppdu)
-		},
+		// The PSDU is CounterFrame(frame), whose waveform the run made.
+		Modulate: func([]byte) (dsp.IQ, error) { return waveforms(frame) },
 		Demodulate: func(capture dsp.IQ) ([]byte, error) {
 			dem, st, err := demodulate(capture)
 			if stats != nil {

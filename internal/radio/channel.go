@@ -169,6 +169,11 @@ type Channel interface {
 // channel reuses as soon as Demodulate returns: Demodulate must not
 // retain it, or any slice of it, past its return.
 type IQEndpoints struct {
+	// Modulate returns the frame's waveform, which the channel only
+	// reads (dsp.IQ.MixAdd reads the burst and writes the capture). So
+	// Modulate may return one waveform to many deliveries, concurrent
+	// ones included: the experiments share one per counter frame
+	// across a run's trials.
 	Modulate   func(psdu []byte) (dsp.IQ, error)
 	Demodulate func(capture dsp.IQ) ([]byte, error)
 }
