@@ -47,7 +47,9 @@ bench:
 # a capture, the packed sync scan must make the byte-wise FindPattern
 # reference's decision, and the lazily seeded math/rand source
 # (internal/randsrc) must match rand.NewSource bit for bit at any
-# re-seed point. The calibration
+# re-seed point, and the mesh's event scheduler must execute any script
+# of posts, steps, RunUntil boundaries and drains in the order of a
+# plain reference queue. The calibration
 # table fuzzer caps minimisation at 10 runs: its seed is the 25 KB
 # embedded table, which the default 60 s minimiser would spend the
 # whole run shrinking at 0 execs/s.
@@ -69,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/randsrc -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee/sim -run '^$$' -fuzz FuzzSchedulerOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseNWKFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseAPSFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZCLFrame -fuzztime $(FUZZTIME)
@@ -99,10 +102,11 @@ racesim:
 # boundaries; the Table III and PER-sweep tallies equal to the pinned
 # experiment golden; simulator capture sequences bit-identical across
 # same-seed runs and event-batch sizes, and equal to the pinned mesh
-# goldens; the calibration fit byte-identical at any worker count; the
-# embedded calibration table loading to its pinned floats; the frame
-# tier's memoised success probabilities bit-identical to a fresh
-# channel's, since they feed every mesh digest; every seeded stream
+# goldens; the event scheduler's order and marks equal to a plain
+# reference queue's; the calibration fit byte-identical at any worker
+# count; the embedded calibration table loading to its pinned floats;
+# the frame tier's memoised success probabilities bit-identical to a
+# fresh channel's, since they feed every mesh digest; every seeded stream
 # equal to math/rand's rand.NewSource stream; and every campaign
 # scenario's Outcome equal to its pinned golden, byte-identical across
 # same-seed runs, with the ROC matrix identical at any worker count.
@@ -114,7 +118,7 @@ racesim:
 # SoftScore reference.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
-	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
+	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest|TestSchedulerMatchesReference' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity|TestExperimentGolden' -count 1 ./internal/experiment
 	$(GO) test -run 'TestFitIdenticalAcrossWorkerCounts' -count 1 ./internal/calib
 	$(GO) test -run 'TestDefaultCalTableFloatsGolden|TestFrameTierMemoIdentity' -count 1 ./internal/radio

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/ieee802154"
@@ -16,7 +18,7 @@ import (
 const sps = 8
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -34,49 +36,49 @@ func newTracker(network *wazabee.VictimNetwork) (*wazabee.Tracker, error) {
 	return wazabee.NewTracker(tx, rx, network)
 }
 
-func attackOnce(network *wazabee.VictimNetwork, label string) error {
+func attackOnce(w io.Writer, network *wazabee.VictimNetwork, label string) error {
 	tracker, err := newTracker(network)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("--- %s ---\n", label)
+	fmt.Fprintf(w, "--- %s ---\n", label)
 
 	info, err := tracker.ActiveScan(ieee802154.Channels())
 	if err != nil {
-		fmt.Println("scan:        failed:", err)
+		fmt.Fprintln(w, "scan:        failed:", err)
 		return nil
 	}
-	fmt.Printf("scan:        found PAN %#04x on channel %d\n", info.PAN, info.Channel)
+	fmt.Fprintf(w, "scan:        found PAN %#04x on channel %d\n", info.PAN, info.Channel)
 
 	sensor, err := tracker.Eavesdrop(info, 5)
 	if err != nil {
-		fmt.Println("eavesdrop:   failed:", err)
+		fmt.Fprintln(w, "eavesdrop:   failed:", err)
 		return nil
 	}
-	fmt.Printf("eavesdrop:   sensor address %#04x\n", sensor)
+	fmt.Fprintf(w, "eavesdrop:   sensor address %#04x\n", sensor)
 
 	if err := tracker.InjectChannelChange(info, sensor, 25); err != nil {
-		fmt.Println("AT inject:   REJECTED —", err)
+		fmt.Fprintln(w, "AT inject:   REJECTED —", err)
 	} else {
-		fmt.Printf("AT inject:   sensor moved to channel %d (DoS)\n", network.Sensor.Channel)
+		fmt.Fprintf(w, "AT inject:   sensor moved to channel %d (DoS)\n", network.Sensor.Channel)
 	}
 
 	if err := tracker.SpoofData(info, sensor, 6666); err != nil {
-		fmt.Println("spoof:       REJECTED —", err)
+		fmt.Fprintln(w, "spoof:       REJECTED —", err)
 	} else {
 		last, _ := network.Coordinator.LastReading()
-		fmt.Printf("spoof:       coordinator displays forged value %d\n", last.Value)
+		fmt.Fprintf(w, "spoof:       coordinator displays forged value %d\n", last.Value)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func run() error {
+func run(w io.Writer) error {
 	open, err := wazabee.NewVictimNetwork(100, sps, 25)
 	if err != nil {
 		return err
 	}
-	if err := attackOnce(open, "open network (paper's setup)"); err != nil {
+	if err := attackOnce(w, open, "open network (paper's setup)"); err != nil {
 		return err
 	}
 
@@ -87,12 +89,12 @@ func run() error {
 	if err := secured.Secure([]byte("sixteen byte key"), ieee802154.SecEncMIC64); err != nil {
 		return err
 	}
-	if err := attackOnce(secured, "secured network (CCM*, section VII counter-measure)"); err != nil {
+	if err := attackOnce(w, secured, "secured network (CCM*, section VII counter-measure)"); err != nil {
 		return err
 	}
 
-	fmt.Println("note: the attacker still modulates valid 802.15.4 frames either way —")
-	fmt.Println("cryptography rejects them at the MAC layer, and jamming-style denial of")
-	fmt.Println("service remains possible, exactly as the paper cautions.")
+	fmt.Fprintln(w, "note: the attacker still modulates valid 802.15.4 frames either way —")
+	fmt.Fprintln(w, "cryptography rejects them at the MAC layer, and jamming-style denial of")
+	fmt.Fprintln(w, "service remains possible, exactly as the paper cautions.")
 	return nil
 }

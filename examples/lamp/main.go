@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/bitstream"
@@ -29,9 +31,10 @@ type lamp struct {
 	on  bool
 }
 
-// handle processes a received capture through the whole stack and
-// applies On/Off commands addressed to the lamp.
-func (l *lamp) handle(capture []complex128) error {
+// handle processes a received capture through the whole stack,
+// applies On/Off commands addressed to the lamp and reports its state
+// to w.
+func (l *lamp) handle(w io.Writer, capture []complex128) error {
 	dem, err := l.phy.Demodulate(capture)
 	if err != nil {
 		return fmt.Errorf("no frame: %w", err)
@@ -65,7 +68,7 @@ func (l *lamp) handle(capture []complex128) error {
 	case zigbee.OnOffCmdToggle:
 		l.on = !l.on
 	}
-	fmt.Printf("lamp: NWK %#04x -> %#04x, ZCL cmd %#02x — lamp is now %s\n",
+	fmt.Fprintf(w, "lamp: NWK %#04x -> %#04x, ZCL cmd %#02x — lamp is now %s\n",
 		nwk.SrcAddr, nwk.DestAddr, zcl.Command, state(l.on))
 	return nil
 }
@@ -78,12 +81,12 @@ func state(on bool) string {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	phy, err := wazabee.RZUSBStick().NewZigbeePHY(sps)
 	if err != nil {
 		return err
@@ -102,7 +105,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("lamp starts %s\n", state(victim.on))
+	fmt.Fprintf(w, "lamp starts %s\n", state(victim.on))
 	for i, cmd := range []uint8{zigbee.OnOffCmdOn, zigbee.OnOffCmdToggle, zigbee.OnOffCmdToggle, zigbee.OnOffCmdOn} {
 		payload, err := zigbee.BuildOnOffCommand(uint8(i+1), uint8(i+1), uint8(i+1), lampAddr, attacker, cmd)
 		if err != nil {
@@ -121,10 +124,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := victim.handle(capture); err != nil {
+		if err := victim.handle(w, capture); err != nil {
 			return err
 		}
 	}
-	fmt.Println("\nfull-stack Zigbee (MAC/NWK/APS/ZCL) spoken by a BLE radio")
+	fmt.Fprintln(w, "\nfull-stack Zigbee (MAC/NWK/APS/ZCL) spoken by a BLE radio")
 	return nil
 }

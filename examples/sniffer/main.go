@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -36,16 +37,21 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	pcapPath := flag.String("o", "", "tee decoded frames to this pcap file (Wireshark link type 195)")
-	zepTarget := flag.String("zep", "", "stream decoded frames as ZEP v2 datagrams to this UDP host:port")
-	periods := flag.Int("periods", 8, "sensor reporting periods to sniff")
-	flag.Parse()
+// run parses args and sniffs the live network, writing the console
+// log to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("sniffer", flag.ContinueOnError)
+	pcapPath := fs.String("o", "", "tee decoded frames to this pcap file (Wireshark link type 195)")
+	zepTarget := fs.String("zep", "", "stream decoded frames as ZEP v2 datagrams to this UDP host:port")
+	periods := fs.Int("periods", 8, "sensor reporting periods to sniff")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	network, err := wazabee.NewVictimNetwork(7, sps, snrDB)
 	if err != nil {
@@ -61,7 +67,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sniffing Zigbee channel %d live with a diverted BLE chip (AA %#08x, CRC off)\n\n",
+	fmt.Fprintf(w, "sniffing Zigbee channel %d live with a diverted BLE chip (AA %#08x, CRC off)\n\n",
 		zigbee.DefaultChannel, wazabee.AccessAddress())
 
 	hub := capture.NewHub(nil)
@@ -82,7 +88,7 @@ func run() error {
 			if !ok {
 				return
 			}
-			logRecord(period, rec)
+			logRecord(w, period, rec)
 			period++
 		}
 	}()
@@ -175,36 +181,31 @@ func run() error {
 	hub.Close()
 	consumers.Wait()
 
-	fmt.Printf("\ncaptured %d/%d sensor reports without owning any 802.15.4 hardware\n", captured, *periods)
+	fmt.Fprintf(w, "\ncaptured %d/%d sensor reports without owning any 802.15.4 hardware\n", captured, *periods)
 	if streamErr != nil {
 		fmt.Fprintf(os.Stderr, "sniffer: capture stream ended early: %v\n", streamErr)
 	}
 	if *pcapPath != "" {
-		fmt.Printf("pcap capture written to %s (open with: wireshark %s)\n", *pcapPath, *pcapPath)
+		fmt.Fprintf(w, "pcap capture written to %s (open with: wireshark %s)\n", *pcapPath, *pcapPath)
 	}
-
-	// The receiver's Obs field was never set, so it reported into the
-	// process-wide default registry — dump what the pipeline observed.
-	fmt.Println("\n=== telemetry snapshot (wazabee.Metrics, Prometheus text format) ===")
-	fmt.Print(wazabee.Metrics().PrometheusText())
 	return nil
 }
 
-func logRecord(period int, rec capture.Record) {
+func logRecord(w io.Writer, period int, rec capture.Record) {
 	if len(rec.PSDU) == 0 {
-		fmt.Printf("period %d: no frame (RSSI %.1f dB)\n", period, rec.RSSIdBm)
+		fmt.Fprintf(w, "period %d: no frame (RSSI %.1f dB)\n", period, rec.RSSIdBm)
 		return
 	}
 	frame, err := ieee802154.ParseMACFrame(rec.PSDU)
 	if err != nil {
-		fmt.Printf("period %d: undecodable PSDU %x\n", period, rec.PSDU)
+		fmt.Fprintf(w, "period %d: undecodable PSDU %x\n", period, rec.PSDU)
 		return
 	}
 	value := "-"
 	if v, err := zigbee.ParseSensorPayload(frame.Payload); err == nil {
 		value = fmt.Sprintf("%d", v)
 	}
-	fmt.Printf("period %d: %v seq=%3d PAN=%#04x %#04x->%#04x value=%s LQI=%d FCS=%v\n",
+	fmt.Fprintf(w, "period %d: %v seq=%3d PAN=%#04x %#04x->%#04x value=%s LQI=%d FCS=%v\n",
 		period, frame.Type, frame.Seq, frame.DestPAN, frame.SrcAddr, frame.DestAddr,
 		value, rec.LQI, bitstream.CheckFCS(rec.PSDU))
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"wazabee"
 	"wazabee/internal/bitstream"
@@ -26,12 +28,12 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Build the IPv6/UDP datagram and compress it with 6LoWPAN IPHC.
 	ip := &sixlowpan.IPv6Header{
 		NextHeader: sixlowpan.ProtoUDP,
@@ -45,7 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("IPv6(40B) + UDP(8B) + %dB payload compressed to %d bytes of 6LoWPAN\n",
+	fmt.Fprintf(w, "IPv6(40B) + UDP(8B) + %dB payload compressed to %d bytes of 6LoWPAN\n",
 		len(payload), len(datagram))
 
 	// Inject it with the WazaBee transmission primitive.
@@ -93,10 +95,10 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("victim received (FCS ok: %v):\n", bitstream.CheckFCS(dem.PPDU.PSDU))
-	fmt.Printf("  IPv6 %x -> %x hop=%d\n", gotIP.Src[14:], gotIP.Dst[14:], gotIP.HopLimit)
-	fmt.Printf("  UDP %d -> %d\n", gotUDP.SrcPort, gotUDP.DstPort)
-	fmt.Printf("  payload: %q\n", gotPayload)
-	fmt.Println("\na BLE chip just spoke Thread — no 802.15.4 hardware involved")
+	fmt.Fprintf(w, "victim received (FCS ok: %v):\n", bitstream.CheckFCS(dem.PPDU.PSDU))
+	fmt.Fprintf(w, "  IPv6 %x -> %x hop=%d\n", gotIP.Src[14:], gotIP.Dst[14:], gotIP.HopLimit)
+	fmt.Fprintf(w, "  UDP %d -> %d\n", gotUDP.SrcPort, gotUDP.DstPort)
+	fmt.Fprintf(w, "  payload: %q\n", gotPayload)
+	fmt.Fprintln(w, "\na BLE chip just spoke Thread — no 802.15.4 hardware involved")
 	return nil
 }
