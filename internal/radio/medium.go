@@ -60,6 +60,10 @@ type Medium struct {
 	// Trace, when non-nil, records a "medium" span per delivery.
 	Trace *obs.Trace
 
+	// seed keys rnd, which the first waveform delivery or Rand call
+	// builds: the symbol and frame tiers never draw from it, so a
+	// medium serving only them never seeds its 4.9 KB register.
+	seed        int64
 	rnd         *rand.Rand
 	interferers []WiFiInterferer
 
@@ -75,10 +79,7 @@ func NewMedium(sampleRateHz float64, seed int64) (*Medium, error) {
 	if sampleRateHz <= 0 {
 		return nil, fmt.Errorf("radio: sample rate %g <= 0", sampleRateHz)
 	}
-	return &Medium{
-		SampleRateHz: sampleRateHz,
-		rnd:          rand.New(randsrc.New(seed)),
-	}, nil
+	return &Medium{SampleRateHz: sampleRateHz, seed: seed}, nil
 }
 
 // AddWiFi attaches a WiFi interferer to the medium.
@@ -88,17 +89,20 @@ func (m *Medium) AddWiFi(w WiFiInterferer) {
 
 // Rand exposes the medium's random source so callers sequencing several
 // deliveries share one deterministic stream: math/rand's seeded stream,
-// replicated by a randsrc.Source that computes each seeded word at its
-// first read, so the frame- and symbol-tier meshes, which never draw
-// from it, pay no seeding.
+// replicated by a randsrc.Source, built on the first call (or the first
+// waveform delivery) so that the frame- and symbol-tier meshes, which
+// never draw from it, never build it.
 //
-// The returned *rand.Rand is NOT synchronised: it must only be used
-// from the single goroutine that drives this medium's waveform
-// deliveries (Deliver and Replay draw from it). Seed-parameterised
-// deliveries — the symbol and frame fidelity tiers of Channel — never
-// touch this stream, which is what makes them safe to call
-// concurrently with per-call seeds.
+// Neither Rand nor the returned *rand.Rand is synchronised: both must
+// only be used from the single goroutine that drives this medium's
+// waveform deliveries (Deliver and Replay draw from it). Seed-
+// parameterised deliveries — the symbol and frame fidelity tiers of
+// Channel — never touch this stream, which is what makes them safe to
+// call concurrently with per-call seeds.
 func (m *Medium) Rand() *rand.Rand {
+	if m.rnd == nil {
+		m.rnd = rand.New(randsrc.New(m.seed))
+	}
 	return m.rnd
 }
 
@@ -152,8 +156,9 @@ func (m *Medium) deliverInto(dst, sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link
 	if cap(dst) < n {
 		dst = make(dsp.IQ, 0, n)
 	}
+	rnd := m.Rand()
 	noisePower := sig.Power() / math.Pow(10, link.SNRdB/10)
-	out, err := dsp.NoiseFloorInto(dst[:0], n, noisePower, m.rnd)
+	out, err := dsp.NoiseFloorInto(dst[:0], n, noisePower, rnd)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +172,7 @@ func (m *Medium) deliverInto(dst, sig dsp.IQ, txFreqMHz, rxFreqMHz float64, link
 		// medium's bit-exact contract (DESIGN.md §9).
 		offset := lead
 		if lead > 0 {
-			offset = m.rnd.Intn(lead + 1)
+			offset = rnd.Intn(lead + 1)
 		}
 		gain := 1.0
 		if sep >= 1 {

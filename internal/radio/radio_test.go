@@ -53,6 +53,44 @@ func TestMediumRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestMediumBuildsStreamOnFirstUse checks that symbol- and frame-tier
+// deliveries, WiFi interferer included, never build the medium's
+// stream, and that the stream Rand then builds starts where math/rand's
+// seeded stream does.
+func TestMediumBuildsStreamOnFirstUse(t *testing.T) {
+	m, err := NewMedium(16e6, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itf, err := NewWiFiInterferer(6, 0.5, 1.0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AddWiFi(itf)
+	psdu := testPSDU(t, 30)
+	for _, f := range []Fidelity{FidelitySymbol, FidelityFrame} {
+		ch, err := m.Channel(f, ChannelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(0); seed < 32; seed++ {
+			spec := FrameSpec{PSDU: psdu, TxFreqMHz: 2435, RxFreqMHz: 2435, Link: Link{SNRdB: 3}, Seed: seed}
+			if _, err := ch.Deliver(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.rnd != nil {
+		t.Fatal("symbol- and frame-tier deliveries built the medium's stream")
+	}
+	got, want := m.Rand(), rand.New(rand.NewSource(23))
+	for i := 0; i < 100; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d = %d, math/rand gives %d", i, g, w)
+		}
+	}
+}
+
 func TestDeliverCoChannel(t *testing.T) {
 	m, err := NewMedium(16e6, 7)
 	if err != nil {

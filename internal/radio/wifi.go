@@ -90,5 +90,5 @@ func (w WiFiInterferer) apply(sig dsp.IQ, rxFreqMHz, rejectionDB float64, m *Med
 		return false, nil
 	}
 	power := w.Power * weight * math.Pow(10, -rejectionDB/10)
-	return true, dsp.BurstNoise(sig, w.DutyCycle, w.BurstSamples, power, m.rnd)
+	return true, dsp.BurstNoise(sig, w.DutyCycle, w.BurstSamples, power, m.Rand())
 }

@@ -65,7 +65,6 @@ func (nw *Network) publishCapture(tx *transmission) {
 // oracle behind the determinism tests and `wazabeesim -digest`. Two runs
 // are byte-identical iff their digests match.
 type DigestRecorder struct {
-	h      [32]byte
 	hasher interface {
 		Write(p []byte) (int, error)
 		Sum(b []byte) []byte

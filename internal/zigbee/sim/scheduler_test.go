@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -235,7 +236,7 @@ func TestSchedulerReleasesActions(t *testing.T) {
 		t.Fatal("no pending events mid-run")
 	}
 	pending := map[uint32]bool{}
-	for _, e := range s.heap {
+	for _, e := range slices.Concat(s.near, s.far) {
 		pending[e.slot] = true
 		if released(s.slab[e.slot]) {
 			t.Errorf("pending slot %d holds no action", e.slot)
