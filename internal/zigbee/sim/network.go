@@ -189,7 +189,7 @@ type Stats struct {
 
 	Events      uint64        // scheduler events executed
 	VirtualTime time.Duration // current virtual clock
-	HeapDepth   int           // event-heap high-water mark
+	HeapDepth   int           // high-water mark of pending events
 }
 
 // Network is a virtual-time Zigbee mesh: topology-instantiated node
