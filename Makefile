@@ -49,10 +49,14 @@ bench:
 # (internal/randsrc) must match rand.NewSource bit for bit at any
 # re-seed point, and the mesh's event scheduler must execute any script
 # of posts, steps, RunUntil boundaries and drains in the order of a
-# plain reference queue. The calibration
+# plain reference queue. Forged MAC frames sent into a joined mesh must
+# leave its recycled records, radio ledger, node tallies, Stats and
+# registry consistent and its run deterministic. The calibration
 # table fuzzer caps minimisation at 10 runs: its seed is the 25 KB
 # embedded table, which the default 60 s minimiser would spend the
-# whole run shrinking at 0 execs/s.
+# whole run shrinking at 0 execs/s. The forged-frame fuzzer caps it
+# too: each of its inputs runs six short meshes, and the default
+# minimiser stalls both workers at 0 execs/s.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
@@ -72,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/randsrc -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee/sim -run '^$$' -fuzz FuzzSchedulerOrder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee/sim -run '^$$' -fuzz FuzzMeshForgedFrames -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseNWKFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseAPSFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZCLFrame -fuzztime $(FUZZTIME)

@@ -135,6 +135,16 @@ func run(args []string, out, errOut io.Writer) error {
 	if cfg.trials < 1 {
 		return fmt.Errorf("-trials %d < 1", cfg.trials)
 	}
+	// campaign.Options would turn a negative value into its default.
+	if cfg.duration < 0 {
+		return fmt.Errorf("negative -duration %v", cfg.duration)
+	}
+	if cfg.devices < 0 {
+		return fmt.Errorf("negative -devices %d", cfg.devices)
+	}
+	if cfg.impact < 0 {
+		return fmt.Errorf("negative -impact %d", cfg.impact)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

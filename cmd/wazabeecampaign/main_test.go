@@ -21,6 +21,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-thresholds", "0.2,abc"},
 		{"-snr", "NaN"},
 		{"-snr", "-Inf"},
+		// Values campaign.Options would silently replace by defaults.
+		{"-duration", "-1s"},
+		{"-devices", "-2"},
+		{"-impact", "-1"},
 	} {
 		var out, errOut bytes.Buffer
 		if err := run(args, &out, &errOut); err == nil {

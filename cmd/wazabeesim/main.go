@@ -68,7 +68,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.fanout, "fanout", 10, "tree fanout (tree topology)")
 	fs.Int64Var(&cfg.seed, "seed", 42, "run seed; same seed, same flags -> byte-identical run")
 	fs.DurationVar(&cfg.duration, "duration", 60*time.Second, "virtual time to simulate")
-	fs.DurationVar(&cfg.batch, "batch", time.Second, "virtual-time batch per scheduler advance (telemetry cadence; any value yields the identical run)")
+	fs.DurationVar(&cfg.batch, "batch", time.Second, "virtual-time batch per scheduler advance (telemetry cadence; 0 runs one batch; any value yields the identical run)")
 	fs.Float64Var(&cfg.snrDB, "snr", 25, "per-link SNR in dB for the erasure model")
 	fs.StringVar(&cfg.fidelity, "fidelity", "frame", "delivery tier: frame (one calibrated erasure draw per frame) or symbol (per-symbol chip-error draws through the real despreader)")
 	fs.DurationVar(&cfg.beacon, "beacon-interval", 2*time.Second, "coordinator/router beacon cadence")
@@ -178,8 +178,18 @@ func run(args []string, out, errOut io.Writer) error {
 	if cfg.duration <= 0 {
 		return fmt.Errorf("non-positive -duration %v", cfg.duration)
 	}
-	if cfg.batch <= 0 {
+	if cfg.batch < 0 {
+		return fmt.Errorf("negative -batch %v", cfg.batch)
+	}
+	if cfg.batch == 0 {
 		cfg.batch = cfg.duration
+	}
+	// sim.Config would turn a non-positive cadence into its default.
+	if cfg.beacon <= 0 {
+		return fmt.Errorf("non-positive -beacon-interval %v", cfg.beacon)
+	}
+	if cfg.data <= 0 {
+		return fmt.Errorf("non-positive -data-interval %v", cfg.data)
 	}
 
 	topo, err := buildTopology(cfg)

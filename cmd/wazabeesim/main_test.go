@@ -81,6 +81,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// A NaN SNR once panicked in the calibration-table lookup.
 		{"-topology", "star", "-nodes", "2", "-snr", "NaN"},
 		{"-topology", "star", "-nodes", "2", "-snr", "-Inf"},
+		// Values sim.Config or the batch loop would silently replace.
+		{"-topology", "star", "-nodes", "2", "-batch", "-1s"},
+		{"-topology", "star", "-nodes", "2", "-beacon-interval", "0s"},
+		{"-topology", "star", "-nodes", "2", "-beacon-interval", "-2s"},
+		{"-topology", "star", "-nodes", "2", "-data-interval", "0s"},
+		{"-topology", "star", "-nodes", "2", "-data-interval", "-2s"},
 	} {
 		var out, errOut bytes.Buffer
 		if err := run(args, &out, &errOut); err == nil {

@@ -16,8 +16,8 @@ import (
 // publish). Outgoing and transmission records, frames, payloads and
 // PSDUs are all recycled. With a registry the per-batch work allocates
 // at most once, for the closure obs.Stage returns: its registry lookups
-// are hits. Without a registry, flight recorder or trace, Run opens no
-// stage and mirrors nothing, so it allocates nothing at all.
+// are hits. Without a registry or flight recorder, Run opens no stage
+// and mirrors nothing, so it allocates nothing at all.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

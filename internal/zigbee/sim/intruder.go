@@ -109,7 +109,7 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	if rx.spec.Channel == in.channel {
 		nw.cell(destOwner).add(destOwner, tx)
 	}
-	nw.noteFrame(tx)
+	nw.frames[tx.kind]++
 	nw.stats.Injected++
 	nw.sched.post(tx.end, action{op: opIntruderTxEnd, out: out, tx: tx})
 	return nil
@@ -195,7 +195,6 @@ func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
 	out.frame.SetDataFrame(r.seq, r.pan, r.parentShort, r.short, append(out.frame.Payload, resp...), false)
 	nw.enqueueTx(r, out)
 	r.state = stateIdle
-	nw.stats.Joined--
 	nw.stats.ChannelMigrations++
 	if nw.flight != nil {
 		nw.flight.Record(obs.FlightEvent{

@@ -122,6 +122,45 @@ func TestIntruderChannelMigrationDetaches(t *testing.T) {
 	}
 }
 
+// TestForgedAssociationResponseIgnored: a forged association response
+// reaching a device that a forged retune detached must not make it
+// rejoin, since the forgery has no node to take as the parent. The
+// device still acknowledges it.
+func TestForgedAssociationResponseIgnored(t *testing.T) {
+	nw, err := New(Star(2), Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(10 * time.Second)
+	victim, coord := nw.Node(1), nw.Node(0)
+	retune := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
+		[]byte{zigbee.FrameRemoteAT, 9, 'C', 'H', 26}, true)
+	if err := intr.Transmit(1, retune, true); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(11 * time.Second)
+	before := nw.Stats()
+	if nw.Node(1).Joined || before.ChannelMigrations != 1 {
+		t.Fatal("the forged retune did not detach the victim")
+	}
+	resp := ieee802154.NewAssociationResponse(10, victim.PAN, ieee802154.NoShortAddress, 0x0042, ieee802154.AssocStatusSuccess)
+	if err := intr.Transmit(1, resp, true); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(12 * time.Second)
+	after := nw.Stats()
+	if got := after.InjectedDelivered - before.InjectedDelivered; got != 1 {
+		t.Fatalf("%d forged responses delivered, want 1", got)
+	}
+	if nw.Node(1).Joined || after.Joins != before.Joins {
+		t.Errorf("the victim rejoined on a forged association response (joins %d -> %d)", before.Joins, after.Joins)
+	}
+}
+
 func TestRemoteChannelChangeParsing(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -139,21 +139,30 @@ func (nw *Network) rescan(n *node) {
 	nw.after(backoff+nw.jitter(n, scanRetryBase), action{op: opScan, node: n})
 }
 
-// completeJoin finalises an association on the joiner's side.
+// completeJoin finalises an association on the joiner's side and
+// counts it on the joiner's tally: the join, the first-join instant and
+// a change of parent since the last join.
 func (nw *Network) completeJoin(n *node, assigned uint16) {
 	n.short = assigned
 	n.state = stateJoined
 	n.joinGen++
 	n.scanRetries = 0
-	nw.stats.Joins++
-	nw.stats.Joined++
-	if t := nw.tel; t != nil {
-		t.noteJoin(n, nw.sched.Now())
+	now := nw.sched.Now()
+	c := &n.tally
+	c.joins++
+	if c.joinedAt < 0 {
+		c.joinedAt = now
+	}
+	if c.lastParent >= 0 && c.lastParent != n.parentID {
+		c.parentChanges++
+	}
+	c.lastParent = n.parentID
+	if t := nw.tel; t != nil && t.hJoin != nil {
+		t.hJoin.Observe(obs.DurationSeconds(now))
 	}
 	nw.after(nw.jitter(n, nw.cfg.DataInterval), action{op: opData, node: n})
 	if n.spec.Role == RoleRouter {
 		n.permitJoin = true
-		nw.allocNext[n.id] = 0 // unused; allocation is per root
 		nw.after(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
 	}
 }
@@ -182,7 +191,7 @@ func (nw *Network) enqueueTx(n *node, out *outgoing) {
 	if err := out.encode(); err != nil {
 		// Frames are built by this package; an encode failure is a bug,
 		// not a runtime condition. Drop loudly via the failure counter.
-		nw.stats.CCAFailures++
+		n.tally.ccaFailures++
 		nw.freeOutgoing(out)
 		return
 	}
@@ -210,10 +219,7 @@ func (nw *Network) processQueue(n *node) {
 // assessment.
 func (nw *Network) csmaBackoff(n *node, out *outgoing) {
 	slots := n.rng.Intn(1 << out.be)
-	nw.stats.Backoffs++
-	if t := nw.tel; t != nil {
-		t.nodes[n.id].backoffs++
-	}
+	n.tally.backoffs++
 	nw.after(time.Duration(slots)*ieee802154.UnitBackoffPeriod, action{op: opCCA, node: n, out: out})
 }
 
@@ -242,10 +248,7 @@ func (nw *Network) cca(n *node, out *outgoing) {
 	if busy {
 		out.ncb++
 		if out.ncb > ieee802154.MaxCSMABackoffs {
-			nw.stats.CCAFailures++
-			if t := nw.tel; t != nil {
-				t.nodes[n.id].ccaFailures++
-			}
+			n.tally.ccaFailures++
 			nw.txFailed(n, out)
 			nw.freeOutgoing(out)
 			n.txBusy = false
@@ -293,25 +296,16 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 	if tx.end > n.radioBusyUntil {
 		n.radioBusyUntil = tx.end
 	}
+	nw.frames[tx.kind]++
 	if t := nw.tel; t != nil {
 		t.radioTransition(n.id, now, RadioTX)
+		n.tally.tx++
 	}
-	nw.noteFrame(tx)
 	end := action{op: opTxEnd, node: n, out: out, tx: tx}
 	if immediate {
 		end.op = opAckEnd
 	}
 	nw.sched.post(tx.end, end)
-}
-
-// noteFrame accounts one transmission.
-func (nw *Network) noteFrame(tx *transmission) {
-	nw.frames[tx.kind]++
-	if t := nw.tel; t != nil && tx.src >= 0 {
-		// Intruder transmissions (src < 0) have no node ledger; the
-		// attacker's cost is out of scope, the victims' is not.
-		t.nodes[tx.src].tx++
-	}
 }
 
 // txEnd takes the frame off the air, reports it to the channel's taps
@@ -334,9 +328,8 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 		}
 	}
 	if tx.collided {
-		nw.stats.Collisions++
+		n.tally.collisions++
 		if t := nw.tel; t != nil {
-			t.nodes[tx.src].collisions++
 			for _, rxID := range nw.recipients(tx) {
 				t.link(tx.src, rxID).colls++
 			}
@@ -421,11 +414,11 @@ func (nw *Network) recipients(tx *transmission) []int {
 // delivered frame to the MAC.
 func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
 	t := nw.tel
-	if nw.nodes[rxID].radioBusyUntil > tx.start {
+	r := nw.nodes[rxID]
+	if r.radioBusyUntil > tx.start {
 		// Half-duplex: the receiver never demodulated the frame.
-		nw.stats.DeafMisses++
+		r.tally.deaf++
 		if t != nil {
-			t.nodes[rxID].deaf++
 			t.link(tx.src, rxID).deaf++
 			if t.trace != nil {
 				t.trace.instant(rxID, "deaf", now, tx.seq)
@@ -447,9 +440,8 @@ func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
 		panic(err)
 	}
 	if !outcome.Delivered() {
-		nw.stats.Erasures++
+		r.tally.erasures++
 		if t != nil {
-			t.nodes[rxID].erasures++
 			t.link(tx.src, rxID).erasures++
 			if t.trace != nil {
 				t.trace.instant(rxID, "erasure", now, tx.seq)
@@ -458,7 +450,7 @@ func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
 		return false
 	}
 	if t != nil {
-		t.nodes[rxID].rx++
+		r.tally.rx++
 		t.link(tx.src, rxID).delivered++
 		// The receiver's radio demodulated the whole frame: charge its
 		// airtime to RX before the handler commits the radio to anything
@@ -537,19 +529,13 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 	n.ackGen++
 	out.retries++
 	if out.retries <= ieee802154.MaxFrameRetries {
-		nw.stats.Retries++
-		if t := nw.tel; t != nil {
-			t.nodes[n.id].retries++
-		}
+		n.tally.retries++
 		out.be = ieee802154.MinBE
 		out.ncb = 0
 		nw.csmaBackoff(n, out)
 		return
 	}
-	nw.stats.AckFailures++
-	if t := nw.tel; t != nil {
-		t.nodes[n.id].ackFailures++
-	}
+	n.tally.ackFailures++
 	nw.txFailed(n, out)
 	nw.freeOutgoing(out)
 	n.txBusy = false
@@ -669,19 +655,17 @@ func (nw *Network) handleAssocRequest(r *node, tx *transmission) {
 	}
 	joiner := tx.src
 	assigned := nw.allocShort(nw.rootOf[r.id])
-	if !r.childSet[joiner] {
-		r.childSet[joiner] = true
-		r.children = append(r.children, joiner)
-	}
 	r.seq++
 	out := nw.newOutgoing(kindAssocResponse, targetNode, joiner, true)
 	out.frame.SetAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
 	nw.after(assocRespDelay, action{op: opAssocResp, node: r, out: out})
 }
 
-// handleAssocResponse completes the join on the device side.
+// handleAssocResponse completes the join on the device side. A forged
+// response carries no node to take as the parent, so the device ignores
+// it.
 func (nw *Network) handleAssocResponse(r *node, tx *transmission) {
-	if r.state == stateJoined {
+	if r.state == stateJoined || tx.src < 0 {
 		return
 	}
 	assigned, status, err := ieee802154.ParseAssociationResponse(tx.frame.Payload)
@@ -706,19 +690,13 @@ func (nw *Network) handleData(r *node, tx *transmission) {
 		return
 	}
 	if r.spec.Role == RoleCoordinator {
-		nw.stats.Readings++
-		if t := nw.tel; t != nil {
-			t.nodes[r.id].readings++
-		}
+		r.tally.readings++
 		return
 	}
 	if r.state != stateJoined {
 		return
 	}
-	nw.stats.Forwarded++
-	if t := nw.tel; t != nil {
-		t.nodes[r.id].forwarded++
-	}
+	r.tally.forwarded++
 	r.seq++
 	out := nw.newOutgoing(kindData, targetNode, r.parentID, true)
 	out.frame.SetDataFrame(r.seq, r.pan, r.parentShort, r.short,

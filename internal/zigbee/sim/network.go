@@ -73,10 +73,25 @@ type node struct {
 	radioBusyUntil time.Duration
 
 	permitJoin bool
-	children   []int
-	childSet   map[int]bool
 
 	reading uint16
+
+	tally nodeTally
+}
+
+// nodeTally is one node's share of the mesh's MAC tally. Each MAC
+// outcome increments one field, on the node it happened to, whether or
+// not telemetry is on; Stats sums the nodes, and NodeStats and the
+// wazabee_simnode_* series read the fields. tx and rx have no Stats
+// counterpart and move only with telemetry.
+type nodeTally struct {
+	collisions, backoffs, ccaFailures, retries, ackFailures uint64
+	erasures, deaf                                          uint64
+	readings, forwarded                                     uint64
+	joins, parentChanges                                    uint64
+	tx, rx                                                  uint64
+	joinedAt                                                time.Duration // first association; -1 until joined
+	lastParent                                              int           // parent at last join; -1 before
 }
 
 // beaconHeard is one beacon collected during an active scan.
@@ -116,19 +131,19 @@ type Config struct {
 	// Registry receives the wazabee_sim_* series (and, with Telemetry,
 	// the wazabee_simnode_*, wazabee_simlink_* and energy series), the
 	// medium's calibrated-tier counters and the run-stage histogram;
-	// Trace receives the run spans and Flight the state events. Each nil
-	// means none, not the process default: without a registry the mesh
-	// keeps its tally (Stats) and telemetry ledger (NodeStats,
-	// LinkStats, energy) and mirrors them nowhere. Pass obs.Default()
-	// and obs.DefaultFlight() to report to the process.
+	// Flight receives the state events. Each nil means none, not the
+	// process default: without a registry the mesh keeps its tally
+	// (Stats) and telemetry ledger (NodeStats, LinkStats, energy) and
+	// mirrors them nowhere. Pass obs.Default() and obs.DefaultFlight()
+	// to report to the process.
 	Registry *obs.Registry
-	Trace    *obs.Trace
 	Flight   *obs.Flight
 
-	// Telemetry enables the simulation observatory: per-node and
-	// per-link counters, join-latency tracking and the radio energy
-	// accountant. Off by default — the uninstrumented event loop stays
-	// the benchmark baseline.
+	// Telemetry enables the simulation observatory: NodeStats and
+	// LinkStats (the per-node MAC tallies exist without it, but per-node
+	// frame counts, per-link counters, the join-latency histogram and
+	// the radio energy accountant need it). Off by default — the
+	// uninstrumented event loop stays the benchmark baseline.
 	Telemetry bool
 	// Chip selects the energy accountant's current-draw profile
 	// ("cc2652", "nrf52840"; default cc2652).
@@ -159,9 +174,11 @@ func (c *Config) fill() {
 }
 
 // Stats is a snapshot of the network's counters, the event loop's only
-// tally: the wazabee_sim_* counters are advanced from it at batch
-// boundaries. Read it between Run calls — it is not synchronised against
-// a running event loop.
+// tally: the MAC counters summed over the nodes' tallies, plus the
+// intruder's and the network-wide counts no node owns. The
+// wazabee_sim_* counters are advanced from it at batch boundaries. Read
+// it between Run calls — it is not synchronised against a running event
+// loop.
 type Stats struct {
 	Nodes, Joined int
 
@@ -171,7 +188,7 @@ type Stats struct {
 	Acks       uint64
 	Commands   uint64
 
-	Collisions   uint64 // transmissions that overlapped another
+	Collisions   uint64 // transmissions that overlapped another, the intruder's included
 	Backoffs     uint64 // CSMA backoff draws
 	CCAFailures  uint64 // transmissions abandoned after macMaxCSMABackoffs
 	Retries      uint64 // acknowledged retransmissions attempted
@@ -194,14 +211,14 @@ type Stats struct {
 
 // Network is a virtual-time Zigbee mesh: topology-instantiated node
 // actors, per-cell collision domains and a frame-level radio medium,
-// all driven by one Scheduler. The event loop is single-threaded; other
-// goroutines see it only through what each batch boundary publishes,
-// the registry series and DebugHandler's snapshot.
+// all driven by one Scheduler. Each node keeps its own MAC tally, which
+// Stats sums. The event loop is single-threaded; other goroutines see
+// it only through what each batch boundary publishes, the registry
+// series and DebugHandler's snapshot.
 type Network struct {
 	cfg   Config
 	topo  Topology
 	sched *Scheduler
-	med   *radio.Medium
 	ch    radio.Channel // calibrated delivery tier (symbol or frame)
 
 	nodes    []*node
@@ -219,18 +236,20 @@ type Network struct {
 
 	taps map[int][]func(FrameCapture)
 
-	// stats is the event loop's tally. Its frame totals stay zero here:
-	// frames counts transmissions by kind, and Stats derives the totals.
+	// stats holds the counts no node owns: the intruder's injections,
+	// deliveries and collided forgeries, channel migrations and PAN
+	// conflicts. Every other MAC counter lives in a node's tally, and
+	// frames counts transmissions by kind; Stats adds them up.
 	stats  Stats
 	frames [numFrameKinds]uint64
 
 	// telemetry, pre-resolved so the event loop never does registry
-	// lookups; counters mirror the tallies and move at batch boundaries.
-	// reg, trace and flight are Config's, each nil for none; the series
-	// below exist only with a registry.
+	// lookups; counters mirror the Stats taken at each batch boundary
+	// (mirrored). reg and flight are Config's, each nil for none; the
+	// series below exist only with a registry.
 	reg        *obs.Registry
-	trace      *obs.Trace
 	flight     *obs.Flight
+	mirrored   Stats
 	counters   []tallyCounter
 	gVirtual   *obs.Gauge
 	gHeapDepth *obs.Gauge
@@ -251,7 +270,7 @@ type Network struct {
 }
 
 // tallyCounter is one wazabee_sim_* counter series and the tally it
-// mirrors.
+// mirrors: a field of Network.mirrored or a per-kind frame count.
 type tallyCounter struct {
 	c         *obs.Counter
 	tally     *uint64
@@ -287,7 +306,6 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		cfg:       cfg,
 		topo:      topo,
 		sched:     NewScheduler(),
-		med:       med,
 		ch:        ch,
 		coordsOn:  make(map[int][]int),
 		airs:      make([]air, len(topo.Nodes)),
@@ -295,7 +313,6 @@ func New(topo Topology, cfg Config) (*Network, error) {
 		taps:      make(map[int][]func(FrameCapture)),
 
 		reg:            cfg.Registry,
-		trace:          cfg.Trace,
 		flight:         cfg.Flight,
 		depthThreshold: 64,
 	}
@@ -334,7 +351,7 @@ func (nw *Network) registerMetrics() {
 	for k := range nw.frames {
 		add(&nw.frames[k], "wazabee_sim_frames_total", "kind", frameKind(k).String())
 	}
-	s := &nw.stats
+	s := &nw.mirrored
 	add(&s.Collisions, "wazabee_sim_collisions_total")
 	add(&s.Backoffs, "wazabee_sim_backoffs_total")
 	add(&s.CCAFailures, "wazabee_sim_cca_failures_total")
@@ -362,9 +379,11 @@ func (nw *Network) registerMetrics() {
 	}
 }
 
-// publishCounters advances every counter series by its tally's growth
-// since the last call and refreshes the joined-nodes gauge.
+// publishCounters takes one Stats, advances every counter series by its
+// tally's growth since the last call and refreshes the joined-nodes
+// gauge.
 func (nw *Network) publishCounters() {
+	nw.mirrored = nw.Stats()
 	for i := range nw.counters {
 		c := &nw.counters[i]
 		if d := *c.tally - c.published; d > 0 {
@@ -372,7 +391,7 @@ func (nw *Network) publishCounters() {
 			c.published = *c.tally
 		}
 	}
-	nw.gJoined.Set(float64(nw.stats.Joined))
+	nw.gJoined.Set(float64(nw.mirrored.Joined))
 }
 
 // build creates node actors and schedules their opening moves.
@@ -390,7 +409,7 @@ func (nw *Network) build() {
 			short:    ieee802154.NoShortAddress,
 			pan:      spec.PAN,
 			parentID: spec.Parent,
-			childSet: map[int]bool{},
+			tally:    nodeTally{joinedAt: -1, lastParent: -1},
 		}
 		nw.nodes[i] = n
 		if spec.Role == RoleCoordinator {
@@ -401,19 +420,14 @@ func (nw *Network) build() {
 			nw.topoKids[spec.Parent] = append(nw.topoKids[spec.Parent], i)
 		}
 	}
-	nw.stats.Nodes = len(specs)
 
 	for _, n := range nw.nodes {
 		if n.spec.Role == RoleCoordinator {
 			n.short = 0x0000
 			n.state = stateJoined
 			n.permitJoin = true
+			n.tally.joinedAt = 0 // coordinators come up joined
 			nw.allocNext[n.id] = 1
-			nw.stats.Joined++
-			if nw.tel != nil {
-				// Coordinators come up joined: zero join latency.
-				nw.tel.nodes[n.id].joinedAt = 0
-			}
 			nw.sched.post(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
 			continue
 		}
@@ -630,11 +644,11 @@ func (nw *Network) Scheduler() *Scheduler { return nw.sched }
 
 // Run executes every event due at or before the virtual instant t. It
 // is the batch driver: splitting one Run into any sequence of smaller
-// advances executes the identical event sequence. The run is a
-// "sim_run" stage on the registry and trace, when there is either.
+// advances executes the identical event sequence. With a registry the
+// run is a "sim_run" stage on it.
 func (nw *Network) Run(t time.Duration) {
-	if nw.reg != nil || nw.trace != nil {
-		defer obs.Stage(nw.reg, nw.trace, "sim_run")()
+	if nw.reg != nil {
+		defer obs.Stage(nw.reg, nil, "sim_run")()
 	}
 	nw.sched.RunUntil(t)
 	nw.afterBatch()
@@ -645,14 +659,13 @@ func (nw *Network) Run(t time.Duration) {
 // flight recorder an entry when the heap depth crosses a new doubling
 // threshold.
 func (nw *Network) afterBatch() {
-	nw.stats.Events = nw.sched.Executed()
 	if nw.reg != nil {
 		nw.publishCounters()
 		nw.gVirtual.Set(nw.sched.Now().Seconds())
 		nw.gHeapDepth.Set(float64(nw.sched.MaxDepth()))
 		nw.heapGauges.publish(nw.sched)
 		if nw.tel != nil {
-			nw.tel.publish(nw.sched.Now())
+			nw.tel.publish(nw.nodes, nw.sched.Now())
 		}
 	}
 	if nw.wantSnapshot.Load() {
@@ -689,9 +702,27 @@ func (nw *Network) CloseTrace() error {
 	return nw.tel.trace.Close()
 }
 
-// Stats snapshots the counters. Call between Run invocations.
+// Stats snapshots the counters: the nodes' tallies summed, plus the
+// counts no node owns. Call between Run invocations.
 func (nw *Network) Stats() Stats {
 	s := nw.stats
+	s.Nodes = len(nw.nodes)
+	for _, n := range nw.nodes {
+		if n.state == stateJoined {
+			s.Joined++
+		}
+		c := &n.tally
+		s.Collisions += c.collisions
+		s.Backoffs += c.backoffs
+		s.CCAFailures += c.ccaFailures
+		s.Retries += c.retries
+		s.AckFailures += c.ackFailures
+		s.Erasures += c.erasures
+		s.DeafMisses += c.deaf
+		s.Readings += c.readings
+		s.Forwarded += c.forwarded
+		s.Joins += c.joins
+	}
 	s.Events = nw.sched.Executed()
 	s.VirtualTime = nw.sched.Now()
 	s.HeapDepth = nw.sched.MaxDepth()

@@ -16,12 +16,13 @@
 // byte-identical capture sequences at any event-batch size, which is
 // what lets capture digests act as regression oracles.
 //
-// The loop keeps one tally, Stats. The registry's wazabee_sim_* series
-// and the DebugHandler snapshot are refreshed from it at batch
-// boundaries, the only points at which other goroutines see the
-// simulation; captures reach synchronous taps only. The series exist
-// only on a registry passed in Config.Registry: a nil registry, flight
-// recorder or trace means none, so a mesh built without them (every
+// The loop keeps one tally: each MAC outcome is counted once, on the
+// node it happened to, and Stats sums the nodes. The registry's
+// wazabee_sim_* series and the DebugHandler snapshot are refreshed from
+// Stats at batch boundaries, the only points at which other goroutines
+// see the simulation; captures reach synchronous taps only. The series
+// exist only on a registry passed in Config.Registry: a nil registry or
+// flight recorder means none, so a mesh built without them (every
 // campaign trial) keeps its tally and telemetry ledger and reports to
 // nothing process-wide.
 //

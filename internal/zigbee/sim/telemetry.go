@@ -12,29 +12,19 @@ import (
 	"wazabee/internal/obs"
 )
 
-// The simulation observatory: per-node and per-link accounting behind
-// the network-global wazabee_sim_* counters, so a campaign can tell
-// *which* node is starving, *which* link is erasing frames, and how much
-// energy each radio drained. All accumulation happens on the event loop
-// in plain (non-atomic) fields — the loop is single-threaded by design —
-// and is purely observational: no random draws, no scheduling, so an
-// instrumented run produces the byte-identical capture sequence of an
-// uninstrumented one. Registry series (wazabee_simnode_*,
-// wazabee_simlink_*, wazabee_sim_energy_microjoules) exist only when the
-// network has a registry: they are pre-resolved at construction and
-// updated by delta at batch boundaries, keeping registry lookups out of
-// the hot path.
-
-// nodeTel is one node's private counter block.
-type nodeTel struct {
-	tx, rx                                                  uint64
-	collisions, backoffs, ccaFailures, retries, ackFailures uint64
-	erasures, deaf                                          uint64
-	readings, forwarded                                     uint64
-	joins, parentChanges                                    uint64
-	joinedAt                                                time.Duration // first association; -1 until joined
-	lastParent                                              int           // parent at last join; -1 before
-}
+// The simulation observatory: per-link accounting, per-node frame
+// counts, the radio energy ledger and the trace, beside the nodes' MAC
+// tallies that the network-global wazabee_sim_* counters sum, so a
+// campaign can tell *which* node is starving, *which* link is erasing
+// frames, and how much energy each radio drained. All accumulation
+// happens on the event loop in plain (non-atomic) fields — the loop is
+// single-threaded by design — and is purely observational: no random
+// draws, no scheduling, so an instrumented run produces the
+// byte-identical capture sequence of an uninstrumented one. Registry
+// series (wazabee_simnode_*, wazabee_simlink_*,
+// wazabee_sim_energy_microjoules) exist only when the network has a
+// registry: they are pre-resolved at construction and updated by delta
+// at batch boundaries, keeping registry lookups out of the hot path.
 
 // linkTel is one directed (tx → rx) link's counter block.
 type linkTel struct {
@@ -47,24 +37,23 @@ type linkTel struct {
 // linkKey packs a directed node pair into a map key.
 func linkKey(tx, rx int) uint64 { return uint64(uint32(tx))<<32 | uint64(uint32(rx)) }
 
-// nodeFamilies maps each per-node counter family to its field — the
-// single table the publisher, the reconciliation test and the metric
-// catalogue share.
+// nodeFamilies maps each per-node counter family to its tally field —
+// the single table the publisher and the metric catalogue share.
 var nodeFamilies = []struct {
 	name string
-	get  func(*nodeTel) uint64
+	get  func(*nodeTally) uint64
 }{
-	{"wazabee_simnode_tx_frames_total", func(n *nodeTel) uint64 { return n.tx }},
-	{"wazabee_simnode_rx_frames_total", func(n *nodeTel) uint64 { return n.rx }},
-	{"wazabee_simnode_collisions_total", func(n *nodeTel) uint64 { return n.collisions }},
-	{"wazabee_simnode_backoffs_total", func(n *nodeTel) uint64 { return n.backoffs }},
-	{"wazabee_simnode_cca_failures_total", func(n *nodeTel) uint64 { return n.ccaFailures }},
-	{"wazabee_simnode_retries_total", func(n *nodeTel) uint64 { return n.retries }},
-	{"wazabee_simnode_ack_failures_total", func(n *nodeTel) uint64 { return n.ackFailures }},
-	{"wazabee_simnode_erasures_total", func(n *nodeTel) uint64 { return n.erasures }},
-	{"wazabee_simnode_deaf_misses_total", func(n *nodeTel) uint64 { return n.deaf }},
-	{"wazabee_simnode_joins_total", func(n *nodeTel) uint64 { return n.joins }},
-	{"wazabee_simnode_parent_changes_total", func(n *nodeTel) uint64 { return n.parentChanges }},
+	{"wazabee_simnode_tx_frames_total", func(n *nodeTally) uint64 { return n.tx }},
+	{"wazabee_simnode_rx_frames_total", func(n *nodeTally) uint64 { return n.rx }},
+	{"wazabee_simnode_collisions_total", func(n *nodeTally) uint64 { return n.collisions }},
+	{"wazabee_simnode_backoffs_total", func(n *nodeTally) uint64 { return n.backoffs }},
+	{"wazabee_simnode_cca_failures_total", func(n *nodeTally) uint64 { return n.ccaFailures }},
+	{"wazabee_simnode_retries_total", func(n *nodeTally) uint64 { return n.retries }},
+	{"wazabee_simnode_ack_failures_total", func(n *nodeTally) uint64 { return n.ackFailures }},
+	{"wazabee_simnode_erasures_total", func(n *nodeTally) uint64 { return n.erasures }},
+	{"wazabee_simnode_deaf_misses_total", func(n *nodeTally) uint64 { return n.deaf }},
+	{"wazabee_simnode_joins_total", func(n *nodeTally) uint64 { return n.joins }},
+	{"wazabee_simnode_parent_changes_total", func(n *nodeTally) uint64 { return n.parentChanges }},
 }
 
 // linkFamilies names the per-link families in linkTel field order.
@@ -77,7 +66,6 @@ var linkFamilies = [4]string{
 
 // telemetry is the observatory's event-loop-side state.
 type telemetry struct {
-	nodes   []nodeTel
 	links   map[uint64]*linkTel
 	energy  []radioAccount
 	profile EnergyProfile
@@ -85,7 +73,7 @@ type telemetry struct {
 
 	reg      *obs.Registry
 	nodeCtrs [][]*obs.Counter // [node][family], resolved on first nonzero delta
-	nodePub  []nodeTel        // counter values already pushed to the registry
+	nodePub  []nodeTally      // tally values already pushed to the registry
 	gEnergy  []*obs.Gauge     // per-node energy gauges, pre-resolved
 	gRadio   [NumRadioStates]*obs.Gauge
 	hJoin    *obs.Histogram
@@ -99,22 +87,17 @@ type telemetry struct {
 func newTelemetry(topo Topology, profile EnergyProfile, reg *obs.Registry, trace *traceWriter) *telemetry {
 	n := len(topo.Nodes)
 	t := &telemetry{
-		nodes:   make([]nodeTel, n),
 		links:   make(map[uint64]*linkTel),
 		energy:  make([]radioAccount, n),
 		profile: profile,
 		trace:   trace,
-	}
-	for i := range t.nodes {
-		t.nodes[i].joinedAt = -1
-		t.nodes[i].lastParent = -1
 	}
 	if reg == nil {
 		return t
 	}
 	t.reg = reg
 	t.nodeCtrs = make([][]*obs.Counter, n)
-	t.nodePub = make([]nodeTel, n)
+	t.nodePub = make([]nodeTally, n)
 	t.gEnergy = make([]*obs.Gauge, n)
 	t.hJoin = reg.Histogram("wazabee_sim_join_latency_seconds", obs.DurationBuckets)
 	for i := range t.gEnergy {
@@ -136,23 +119,6 @@ func (t *telemetry) link(tx, rx int) *linkTel {
 		t.links[key] = l
 	}
 	return l
-}
-
-// noteJoin records one association on the joiner's telemetry: first-join
-// latency, parent-change tracking and the join-latency histogram.
-func (t *telemetry) noteJoin(n *node, now time.Duration) {
-	nt := &t.nodes[n.id]
-	nt.joins++
-	if nt.joinedAt < 0 {
-		nt.joinedAt = now
-	}
-	if nt.lastParent >= 0 && nt.lastParent != n.parentID {
-		nt.parentChanges++
-	}
-	nt.lastParent = n.parentID
-	if t.hJoin != nil {
-		t.hJoin.Observe(obs.DurationSeconds(now))
-	}
 }
 
 // radioTransition moves a node's radio into state s at now, emitting the
@@ -178,15 +144,15 @@ func (t *telemetry) radioCharge(id int, now, span time.Duration, s RadioState) {
 	}
 }
 
-// publish pushes counter deltas and energy gauges into the registry —
-// called at batch boundaries, never per event, and only with a
-// registry. Registry order of link series follows map iteration; the
-// values are deltas of deterministic totals, so the resulting registry
-// state is batch-order independent.
-func (t *telemetry) publish(now time.Duration) {
+// publish pushes the nodes' tally deltas, the link counter deltas and
+// the energy gauges into the registry — called at batch boundaries,
+// never per event, and only with a registry. Registry order of link
+// series follows map iteration; the values are deltas of deterministic
+// totals, so the resulting registry state is batch-order independent.
+func (t *telemetry) publish(nodes []*node, now time.Duration) {
 	var radioTotal [NumRadioStates]time.Duration
-	for i := range t.nodes {
-		cur, last := &t.nodes[i], &t.nodePub[i]
+	for i, n := range nodes {
+		cur, last := &n.tally, &t.nodePub[i]
 		for fi, fam := range nodeFamilies {
 			if d := fam.get(cur) - fam.get(last); d > 0 {
 				if t.nodeCtrs[i] == nil {
@@ -286,7 +252,7 @@ type Snapshot struct {
 // nodeStats builds one node's snapshot row.
 func (nw *Network) nodeStats(i int, now time.Duration) NodeStats {
 	n := nw.nodes[i]
-	nt := &nw.tel.nodes[i]
+	nt := &n.tally
 	dur := nw.tel.energy[i].durations(now)
 	return NodeStats{
 		ID: i, Role: n.spec.Role.String(), Joined: n.state == stateJoined,

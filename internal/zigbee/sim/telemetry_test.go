@@ -193,55 +193,90 @@ func TestEnergyProfilesDiffer(t *testing.T) {
 	}
 }
 
-// TestNodeCounterReconciliation pins per-node accounting against the
-// pre-existing global counters: the observatory is a refinement of the
-// same events, so node sums must equal the network totals exactly.
+// TestNodeCounterReconciliation pins the per-node ledger against Stats,
+// which sums the nodes' tallies: every NodeStats family sums to its
+// Stats field, the nodes' transmissions and the intruder's injections
+// add up to Stats.Frames, and the link ledger's deliveries, the
+// intruder's links included, equal the nodes' receptions. It runs a
+// clean tree and the attacked star of TestSimCountersMatchStats with
+// telemetry on, whose Stats.Collisions may exceed the node sum by the
+// intruder's collided forgeries.
 func TestNodeCounterReconciliation(t *testing.T) {
-	nw, _ := traceRun(t, Tree(2, 5), 42, 30*time.Second, time.Second)
-	stats := nw.Stats()
-	var tx, rx, coll, backoffs, ccaFail, retries, ackFail, erasures, deaf, readings, forwarded, joins uint64
-	for _, ns := range nw.NodeStats() {
-		tx += ns.Tx
-		rx += ns.Rx
-		coll += ns.Collisions
-		backoffs += ns.Backoffs
-		ccaFail += ns.CCAFailures
-		retries += ns.Retries
-		ackFail += ns.AckFailures
-		erasures += ns.Erasures
-		deaf += ns.DeafMisses
-		readings += ns.Readings
-		forwarded += ns.Forwarded
-		joins += ns.Joins
-	}
-	check := func(name string, nodeSum, global uint64) {
-		t.Helper()
-		if nodeSum != global {
-			t.Errorf("%s: node sum %d != global %d", name, nodeSum, global)
+	tree, _ := traceRun(t, Tree(2, 5), 42, 30*time.Second, time.Second)
+	for _, tc := range []struct {
+		name string
+		nw   *Network
+	}{
+		{"tree", tree},
+		{"attacked-star", attackedStar(t)},
+	} {
+		s := tc.nw.Stats()
+		nodes, links := tc.nw.NodeStats(), tc.nw.LinkStats()
+		if err := checkNodeSums(nodes, links, s); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		var tx, intruderDelivered uint64
+		for _, ns := range nodes {
+			tx += ns.Tx
+		}
+		for _, l := range links {
+			if l.Tx == IntruderSrc {
+				intruderDelivered += l.Delivered
+			}
+		}
+		if tx == 0 || s.Backoffs == 0 || s.Joins == 0 {
+			t.Fatalf("%s: degenerate run, no traffic to reconcile", tc.name)
+		}
+		if intruderDelivered != s.InjectedDelivered {
+			t.Errorf("%s: the intruder's links delivered %d frames, Stats says %d", tc.name, intruderDelivered, s.InjectedDelivered)
 		}
 	}
-	check("tx/frames", tx, stats.Frames)
-	check("collisions", coll, stats.Collisions)
-	check("backoffs", backoffs, stats.Backoffs)
-	check("cca failures", ccaFail, stats.CCAFailures)
-	check("retries", retries, stats.Retries)
-	check("ack failures", ackFail, stats.AckFailures)
-	check("erasures", erasures, stats.Erasures)
-	check("deaf misses", deaf, stats.DeafMisses)
-	check("readings", readings, stats.Readings)
-	check("forwarded", forwarded, stats.Forwarded)
-	check("joins", joins, stats.Joins)
-	if tx == 0 || backoffs == 0 || joins == 0 {
-		t.Fatal("degenerate run: no traffic to reconcile")
+}
+
+// attackedStar runs the attacked star of TestSimCountersMatchStats with
+// telemetry on: spoofed readings at the coordinator, a forged remote AT
+// retune of one device and one forgery on a channel nobody listens to.
+func attackedStar(t *testing.T) *Network {
+	t.Helper()
+	nw, err := New(Star(4), Config{Seed: 3, Registry: obs.NewRegistry(), Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Link-level delivery must reconcile against node-level receives.
-	var delivered uint64
-	for _, ls := range nw.LinkStats() {
-		delivered += ls.Delivered
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if delivered != rx {
-		t.Errorf("link delivered sum %d != node rx sum %d", delivered, rx)
+	offChannel, err := nw.NewIntruder(zigbee.DefaultChannel + 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	nw.Run(10 * time.Second)
+	coord, victim := nw.Node(0), nw.Node(2)
+	for i := 0; i < 3; i++ {
+		frame := ieee802154.NewDataFrame(uint8(i), coord.PAN, coord.Short, 0x7777, []byte{0x77, 0, byte(i), 0}, true)
+		if err := intr.Transmit(0, frame, true); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(10*time.Second + time.Duration(i+1)*100*time.Millisecond)
+	}
+	retune := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
+		[]byte{zigbee.FrameRemoteAT, 9, 'C', 'H', 26}, true)
+	if err := intr.Transmit(2, retune, true); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(12 * time.Second)
+	unheard := ieee802154.NewDataFrame(7, coord.PAN, coord.Short, 0x7777, []byte{0x77, 0, 7, 0}, false)
+	if err := offChannel.Transmit(0, unheard, false); err != nil {
+		t.Fatal(err)
+	}
+	for at := 13 * time.Second; at <= 20*time.Second; at += time.Second {
+		nw.Run(at)
+	}
+	if s := nw.Stats(); s.Injected != 5 || s.InjectedDelivered != 4 || s.ChannelMigrations != 1 {
+		t.Fatalf("attack did not land: injected %d, delivered %d, migrations %d",
+			s.Injected, s.InjectedDelivered, s.ChannelMigrations)
+	}
+	return nw
 }
 
 // TestJoinLatencyTracking checks the association telemetry: joined nodes

@@ -46,6 +46,7 @@ echo "smoke-sim: asserting bad flags fail cleanly"
 expect_bad_flags "negative -nodes" -topology star -nodes -3 -duration 1s
 expect_bad_flags "link SNR NaN" -topology star -nodes 2 -duration 1s -snr NaN
 expect_bad_flags "-depth 0 < 1" -topology tree -depth 0 -duration 1s
+expect_bad_flags "negative -batch" -topology star -nodes 2 -duration 1s -batch -1s
 
 echo "smoke-sim: simulating a depth-2 fanout-4 tree with -trace and -energy"
 "$BIN" -topology tree -depth 2 -fanout 4 -duration 20s \

@@ -231,8 +231,8 @@ type (
 	// PANs) a MeshNetwork is built from.
 	MeshTopology = sim.Topology
 	// MeshConfig carries the run seed, traffic cadences and link model,
-	// and the registry, trace and flight recorder the mesh reports to
-	// (each nil for none; pass Metrics() for the process registry).
+	// and the registry and flight recorder the mesh reports to (each nil
+	// for none; pass Metrics() for the process registry).
 	MeshConfig = sim.Config
 
 	// MeshNodeStats is one node's observatory snapshot: MAC counters,
