@@ -26,8 +26,8 @@ import (
 // checksum mismatch; records whose PSDU ParseMACFrame rejects are
 // skipped.
 const (
-	forgedRecordHeader = 5
-	forgedDelayUnit    = 100 * time.Microsecond
+	forgedHeader    = 5
+	forgedDelayUnit = 100 * time.Microsecond
 	// forgedMaxRecords and forgedMaxSpan bound one input's run.
 	forgedMaxRecords = 64
 	forgedMaxSpan    = 20 * time.Second
@@ -39,28 +39,31 @@ const (
 	forgedSeed   = 11
 )
 
-// forgery is one decoded record.
+// forgery is one record.
 type forgery struct {
-	at     time.Duration // since the warm-up ended
+	delay  time.Duration // after the previous record, or the warm-up
 	target int
 	ack    bool
 	frame  *ieee802154.MACFrame
 }
 
-// decodeForgeries splits a fuzz input into records.
+// decodeForgeries splits a fuzz input into records. A skipped record's
+// delay still counts towards the next one's.
 func decodeForgeries(data []byte) []forgery {
 	var out []forgery
-	var at time.Duration
-	for len(data) >= forgedRecordHeader && len(out) < forgedMaxRecords {
-		at += time.Duration(binary.BigEndian.Uint16(data)) * forgedDelayUnit
+	var delay, span time.Duration
+	for len(data) >= forgedHeader && len(out) < forgedMaxRecords {
+		d := time.Duration(binary.BigEndian.Uint16(data)) * forgedDelayUnit
+		delay += d
+		span += d
 		target, flags, n := int(data[2]), data[3], int(data[4])
-		data = data[forgedRecordHeader:]
+		data = data[forgedHeader:]
 		if n > len(data) {
 			n = len(data)
 		}
 		body := data[:n]
 		data = data[n:]
-		if at > forgedMaxSpan {
+		if span > forgedMaxSpan {
 			break
 		}
 		fcs := bitstream.FCS16Bytes(bitstream.FCS16(body))
@@ -68,21 +71,14 @@ func decodeForgeries(data []byte) []forgery {
 		if err != nil {
 			continue
 		}
-		out = append(out, forgery{at: at, target: target, ack: flags&1 != 0, frame: frame})
+		out = append(out, forgery{delay: delay, target: target, ack: flags&1 != 0, frame: frame})
+		delay = 0
 	}
 	return out
 }
 
-// forgedRecord is a seed-corpus record before encoding.
-type forgedRecord struct {
-	delay  time.Duration
-	target int
-	ack    bool
-	frame  *ieee802154.MACFrame
-}
-
 // encodeForgeries is decodeForgeries' inverse, for the seed corpus.
-func encodeForgeries(recs ...forgedRecord) []byte {
+func encodeForgeries(recs ...forgery) []byte {
 	var out []byte
 	for _, r := range recs {
 		psdu, err := r.frame.Encode()
@@ -110,8 +106,8 @@ func forgedSeeds() [][]byte {
 	retune := func(frameID byte) []byte {
 		return []byte{zigbee.FrameRemoteAT, frameID, 'C', 'H', 26}
 	}
-	repeat := func(n int, every time.Duration, rec func(i int) forgedRecord) []byte {
-		var recs []forgedRecord
+	repeat := func(n int, every time.Duration, rec func(i int) forgery) []byte {
+		var recs []forgery
 		for i := 0; i < n; i++ {
 			r := rec(i)
 			r.delay = every
@@ -121,60 +117,60 @@ func forgedSeeds() [][]byte {
 	}
 	var seeds [][]byte
 	// Scenario A: spoofed readings at the coordinator.
-	seeds = append(seeds, repeat(8, 500*time.Millisecond, func(i int) forgedRecord {
-		return forgedRecord{target: 0, ack: true,
+	seeds = append(seeds, repeat(8, 500*time.Millisecond, func(i int) forgery {
+		return forgery{target: 0, ack: true,
 			frame: ieee802154.NewDataFrame(uint8(i+1), pan, 0x0000, 0x0001, reading(uint16(0x0100+i)), true)}
 	}))
 	// Scenario B: forged remote AT retunes of every device.
-	seeds = append(seeds, repeat(8, 250*time.Millisecond, func(i int) forgedRecord {
-		return forgedRecord{target: 1 + i%4, ack: true,
+	seeds = append(seeds, repeat(8, 250*time.Millisecond, func(i int) forgery {
+		return forgery{target: 1 + i%4, ack: true,
 			frame: ieee802154.NewDataFrame(uint8(i+1), pan, uint16(1+i%4), 0x0000, retune(byte(i+1)), true)}
 	}))
 	// Association flood at the coordinator.
-	seeds = append(seeds, repeat(12, 150*time.Millisecond, func(i int) forgedRecord {
-		return forgedRecord{target: 0, ack: true,
+	seeds = append(seeds, repeat(12, 150*time.Millisecond, func(i int) forgery {
+		return forgery{target: 0, ack: true,
 			frame: ieee802154.NewAssociationRequest(uint8(i+1), pan, 0x0000, 0x8e)}
 	}))
 	// Energy depletion: secured-looking garbage a device must
 	// acknowledge.
-	seeds = append(seeds, repeat(16, 60*time.Millisecond, func(i int) forgedRecord {
+	seeds = append(seeds, repeat(16, 60*time.Millisecond, func(i int) forgery {
 		f := ieee802154.NewDataFrame(uint8(i+1), pan, 0x0001, 0x0000,
 			[]byte{0x05, byte(i), 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, byte(i)}, true)
 		f.Security = true
-		return forgedRecord{target: 1, ack: true, frame: f}
+		return forgery{target: 1, ack: true, frame: f}
 	}))
 	// Sleep deprivation: reading-shaped polls round-robin.
-	seeds = append(seeds, repeat(12, 120*time.Millisecond, func(i int) forgedRecord {
-		return forgedRecord{target: 1 + i%4, ack: true,
+	seeds = append(seeds, repeat(12, 120*time.Millisecond, func(i int) forgery {
+		return forgery{target: 1 + i%4, ack: true,
 			frame: ieee802154.NewDataFrame(uint8(i+1), pan, uint16(1+i%4), 0x0000, reading(uint16(i+1)), true)}
 	}))
 	// Replay: one device's reading replayed verbatim, beacons beside it.
 	seeds = append(seeds, encodeForgeries(
-		forgedRecord{delay: 500 * time.Millisecond, target: 0, ack: true,
+		forgery{delay: 500 * time.Millisecond, target: 0, ack: true,
 			frame: ieee802154.NewDataFrame(7, pan, 0x0000, 0x0002, reading(7), true)},
-		forgedRecord{delay: 500 * time.Millisecond, target: 0, ack: true,
+		forgery{delay: 500 * time.Millisecond, target: 0, ack: true,
 			frame: ieee802154.NewDataFrame(7, pan, 0x0000, 0x0002, reading(7), true)},
-		forgedRecord{delay: 100 * time.Millisecond, target: 2,
+		forgery{delay: 100 * time.Millisecond, target: 2,
 			frame: ieee802154.NewBeacon(3, pan, 0x0000)},
-		forgedRecord{delay: 100 * time.Millisecond, target: 3,
+		forgery{delay: 100 * time.Millisecond, target: 3,
 			frame: ieee802154.NewBeaconRequest(4)},
 	))
 	// Acknowledgements guessing a pending sequence number: a forged
 	// association request makes the coordinator answer the intruder and
 	// wait for an acknowledgement that only a forgery can bring.
-	acks := []forgedRecord{{delay: 0, target: 0, ack: true,
+	acks := []forgery{{delay: 0, target: 0, ack: true,
 		frame: ieee802154.NewAssociationRequest(1, pan, 0x0000, 0x88)}}
 	for i := 0; i < 24; i++ {
-		acks = append(acks, forgedRecord{delay: 500 * time.Microsecond, target: i % 5,
+		acks = append(acks, forgery{delay: 500 * time.Microsecond, target: i % 5,
 			frame: ieee802154.NewAck(uint8(i))})
 	}
 	seeds = append(seeds, encodeForgeries(acks...))
 	// A forged association response to a device a forged retune
 	// detached, which the device must acknowledge and ignore.
 	seeds = append(seeds, encodeForgeries(
-		forgedRecord{delay: 0, target: 2, ack: true,
+		forgery{delay: 0, target: 2, ack: true,
 			frame: ieee802154.NewDataFrame(9, pan, 0x0002, 0x0000, retune(9), true)},
-		forgedRecord{delay: 200 * time.Millisecond, target: 2, ack: true,
+		forgery{delay: 200 * time.Millisecond, target: 2, ack: true,
 			frame: ieee802154.NewAssociationResponse(10, pan, ieee802154.NoShortAddress, 0x0042, ieee802154.AssocStatusSuccess)},
 	))
 	return seeds
@@ -225,15 +221,16 @@ func runForged(t *testing.T, topo Topology, forged []forgery, telemetry bool) (s
 	if s := nw.Stats(); s.Joined != s.Nodes {
 		t.Fatalf("%d of %d nodes joined after the warm-up", s.Joined, s.Nodes)
 	}
-	end := forgedWarmup + forgedSettle
+	at := forgedWarmup
 	for _, fg := range forged {
-		nw.Scheduler().At(forgedWarmup+fg.at, func() {
+		at += fg.delay
+		nw.Scheduler().At(at, func() {
 			if err := intr.Transmit(fg.target%len(topo.Nodes), fg.frame, fg.ack); err != nil {
 				t.Errorf("forgery to %d: %v", fg.target, err)
 			}
 		})
-		end = forgedWarmup + fg.at + forgedSettle
 	}
+	end := at + forgedSettle
 	for at := forgedWarmup + time.Second; ; at += time.Second {
 		if at > end {
 			at = end
