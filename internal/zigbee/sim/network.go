@@ -140,10 +140,9 @@ type Config struct {
 	Flight   *obs.Flight
 
 	// Telemetry enables the simulation observatory: NodeStats and
-	// LinkStats (the per-node MAC tallies exist without it, but per-node
-	// frame counts, per-link counters, the join-latency histogram and
-	// the radio energy accountant need it). Off by default — the
-	// uninstrumented event loop stays the benchmark baseline.
+	// LinkStats, per-node frame counts, per-link counters, the
+	// join-latency histogram and the radio energy accountant. Off by
+	// default — the uninstrumented event loop stays the benchmark baseline.
 	Telemetry bool
 	// Chip selects the energy accountant's current-draw profile
 	// ("cc2652", "nrf52840"; default cc2652).
