@@ -123,7 +123,7 @@ racesim:
 # SoftScore reference.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
-	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest|TestSchedulerMatchesReference' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
+	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestSimGolden|TestRunDeterministicDigest|TestSchedulerMatchesReference|TestQueueEntryHoldsNoPointers' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity|TestExperimentGolden' -count 1 ./internal/experiment
 	$(GO) test -run 'TestFitIdenticalAcrossWorkerCounts' -count 1 ./internal/calib
 	$(GO) test -run 'TestDefaultCalTableFloatsGolden|TestFrameTierMemoIdentity' -count 1 ./internal/radio

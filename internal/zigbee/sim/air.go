@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"wazabee/internal/ieee802154"
-)
+import "time"
 
 // frameKind classifies a transmission for metrics and capture records.
 type frameKind uint8
@@ -60,20 +56,23 @@ const (
 	targetBeaconAudience
 )
 
-// transmission is one frame in the air.
+// transmission is one frame in the air. Records are recycled like
+// outgoing ones: startTransmission hands one out, and the transmit end
+// releases it once no cell holds it. A scheduled action names the
+// record by id (Network.txs).
 type transmission struct {
+	id      uint32 // index in Network.txs
 	src     int
 	channel int
-	kind    frameKind
-	frame   *ieee802154.MACFrame // the sender's (or the intruder's) outgoing record's frame
-	psdu    []byte               // encoded once; immutable until the frame's txEnd
-	mode    targetMode
-	to      int // recipient node index for targetNode
+	// out is the sender's (or the intruder's) outgoing record: the
+	// frame, its PSDU (encoded once; immutable until the frame's transmit
+	// end), kind, target and acknowledgement request. No path releases
+	// it before the transmit end has delivered the frame.
+	out *outgoing
 
-	seq        uint64 // global capture sequence, assigned at txStart
+	seq        uint64 // global capture sequence, assigned by startTransmission
 	start, end time.Duration
 	collided   bool
-	needAck    bool
 
 	// destOwner is the cell where the frame's receiver lives — the only
 	// cell in which an overlap corrupts this frame. In every other cell

@@ -52,9 +52,9 @@ func (nw *Network) publishCapture(tx *transmission) {
 		Channel:  tx.channel,
 		Seq:      tx.seq,
 		Src:      tx.src,
-		Kind:     tx.kind.String(),
+		Kind:     tx.out.kind.String(),
 		Collided: tx.collided,
-		PSDU:     tx.psdu,
+		PSDU:     tx.out.psdu,
 	}
 	for _, fn := range taps {
 		fn(fc)

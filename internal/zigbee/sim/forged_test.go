@@ -275,50 +275,103 @@ func checkMeshInvariants(t *testing.T, nw *Network, reg *obs.Registry) {
 
 // checkRecords reports a recycled record released twice, or released
 // while a queue, an acknowledgement wait, a pending event or a cell
-// still holds it, and a cell holding a transmission that left the air.
+// still holds it, a pending event whose record id is out of range, and
+// a cell holding a transmission that left the air.
 func checkRecords(nw *Network) error {
-	freeOut := map[*outgoing]bool{}
-	for _, out := range nw.outFree {
-		if freeOut[out] {
-			return fmt.Errorf("outgoing record %p released twice", out)
-		}
-		freeOut[out] = true
+	freeOut, err := freeSet("outgoing", nw.outFree, len(nw.outs))
+	if err != nil {
+		return err
 	}
-	freeTx := map[*transmission]bool{}
-	for _, tx := range nw.txFree {
-		if freeTx[tx] {
-			return fmt.Errorf("transmission record %p released twice", tx)
+	freeTx, err := freeSet("transmission", nw.txFree, len(nw.txs))
+	if err != nil {
+		return err
+	}
+	for i, out := range nw.outs {
+		if out.id != uint32(i) {
+			return fmt.Errorf("outgoing record %d carries id %d", i, out.id)
 		}
-		freeTx[tx] = true
+	}
+	for i, tx := range nw.txs {
+		if tx.id != uint32(i) {
+			return fmt.Errorf("transmission record %d carries id %d", i, tx.id)
+		}
 	}
 	for _, n := range nw.nodes {
 		for _, out := range n.queue {
-			if freeOut[out] {
+			if freeOut[out.id] {
 				return fmt.Errorf("node %d queues a released record", n.id)
 			}
 		}
-		if n.awaiting != nil && freeOut[n.awaiting] {
+		if n.awaiting != nil && freeOut[n.awaiting.id] {
 			return fmt.Errorf("node %d awaits an acknowledgement for a released record", n.id)
 		}
 	}
 	s := nw.sched
 	for _, q := range [][]entry{s.near, s.far} {
 		for _, e := range q {
-			a := s.slab[e.slot]
-			if a.out != nil && freeOut[a.out] || a.tx != nil && freeTx[a.tx] {
-				return fmt.Errorf("a pending op %d event at %v holds a released record", a.op, e.at)
+			if err := checkAction(nw, e.a, freeOut, freeTx); err != nil {
+				return fmt.Errorf("a pending op %d event at %v %v", e.a.op, e.at, err)
 			}
 		}
 	}
 	for owner := range nw.airs {
 		for _, tx := range nw.airs[owner].active {
-			if freeTx[tx] {
+			if freeTx[tx.id] {
 				return fmt.Errorf("cell %d holds a released transmission", owner)
 			}
 			if tx.end <= nw.Now() {
 				return fmt.Errorf("cell %d holds transmission %d, which left the air at %v", owner, tx.seq, tx.end)
 			}
 		}
+	}
+	return nil
+}
+
+// freeSet marks the ids a free list holds, reporting an id listed
+// twice or outside the table of n records.
+func freeSet(kind string, free []uint32, n int) ([]bool, error) {
+	set := make([]bool, n)
+	for _, id := range free {
+		if int(id) >= n {
+			return nil, fmt.Errorf("free %s id %d is outside the table of %d", kind, id, n)
+		}
+		if set[id] {
+			return nil, fmt.Errorf("%s record %d released twice", kind, id)
+		}
+		set[id] = true
+	}
+	return set, nil
+}
+
+// checkAction resolves a pending action's node and record id through
+// the network's tables: the id must be in range and name a record in
+// use, and a transmission's outgoing record must be in use too.
+func checkAction(nw *Network, a action, freeOut, freeTx []bool) error {
+	if a.op != opFunc && a.op != opIntruderTxEnd && (a.node < 0 || int(a.node) >= len(nw.nodes)) {
+		return fmt.Errorf("names node %d of %d", a.node, len(nw.nodes))
+	}
+	switch a.op {
+	case opCCA, opTxStart, opAckStart, opAssocResp:
+		return checkID("outgoing", a.arg, freeOut)
+	case opTxEnd, opAckEnd, opIntruderTxEnd:
+		if err := checkID("transmission", a.arg, freeTx); err != nil {
+			return err
+		}
+		if out := nw.txs[a.arg].out; out == nil || freeOut[out.id] {
+			return fmt.Errorf("holds transmission %d, whose outgoing record is released", a.arg)
+		}
+	}
+	return nil
+}
+
+// checkID reports an id outside a record table or naming a released
+// record.
+func checkID(kind string, id uint64, free []bool) error {
+	if id >= uint64(len(free)) {
+		return fmt.Errorf("names %s record %d of %d", kind, id, len(free))
+	}
+	if free[id] {
+		return fmt.Errorf("holds released %s record %d", kind, id)
 	}
 	return nil
 }

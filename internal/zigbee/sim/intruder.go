@@ -36,7 +36,7 @@ const IntruderSrc = -1
 type Intruder struct {
 	nw      *Network
 	channel int
-	rng     *rand.Rand
+	rng     *rand.Rand // built by the first Rand call
 }
 
 // NewIntruder attaches an attacker radio to the network on the given
@@ -45,12 +45,19 @@ func (nw *Network) NewIntruder(channel int) (*Intruder, error) {
 	if _, err := ieee802154.ChannelFrequencyMHz(channel); err != nil {
 		return nil, err
 	}
-	return &Intruder{nw: nw, channel: channel, rng: nodeRand(nw.cfg.Seed, IntruderSrc)}, nil
+	return &Intruder{nw: nw, channel: channel}, nil
 }
 
 // Rand exposes the intruder's private deterministic stream, for attack
-// schedules that want jitter without touching any victim stream.
-func (in *Intruder) Rand() *rand.Rand { return in.rng }
+// schedules that want jitter without touching any victim stream. The
+// stream is built on the first call, so an attack that never draws from
+// it never seeds its register.
+func (in *Intruder) Rand() *rand.Rand {
+	if in.rng == nil {
+		in.rng = nodeRand(in.nw.cfg.Seed, IntruderSrc)
+	}
+	return in.rng
+}
 
 // Transmit puts a forged frame on the air now, addressed to the node
 // with simulator index to. The transmission starts immediately — a real
@@ -87,31 +94,14 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	if rx.spec.Role == RoleEndDevice {
 		destOwner = rx.parentID
 	}
-	now := nw.sched.Now()
-	nw.frameSeq++
-	tx := nw.newTransmission()
-	*tx = transmission{
-		src:       IntruderSrc,
-		channel:   in.channel,
-		kind:      out.kind,
-		frame:     &out.frame,
-		psdu:      out.psdu,
-		mode:      targetNode,
-		to:        to,
-		seq:       nw.frameSeq,
-		start:     now,
-		end:       now + ieee802154.FrameDuration(len(out.psdu)),
-		needAck:   needAck,
-		destOwner: destOwner,
-	}
+	tx := nw.startTransmission(IntruderSrc, in.channel, out, destOwner)
 	// A cell is one channel's neighbourhood: a forgery on another
 	// channel neither corrupts nor defers the target's traffic.
 	if rx.spec.Channel == in.channel {
 		nw.cell(destOwner).add(destOwner, tx)
 	}
-	nw.frames[tx.kind]++
 	nw.stats.Injected++
-	nw.sched.post(tx.end, action{op: opIntruderTxEnd, out: out, tx: tx})
+	nw.sched.post(tx.end, action{op: opIntruderTxEnd, arg: uint64(tx.id)})
 	return nil
 }
 
@@ -123,8 +113,9 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 // transmission and outgoing records go back to the network's free
 // lists, each exactly once: the attacker waits for no acknowledgement,
 // so the frame's transaction ends here.
-func (nw *Network) intruderTxEnd(out *outgoing, tx *transmission) {
-	onChannel := nw.nodes[tx.to].spec.Channel == tx.channel
+func (nw *Network) intruderTxEnd(tx *transmission) {
+	out, to := tx.out, tx.out.to
+	onChannel := nw.nodes[to].spec.Channel == tx.channel
 	if onChannel {
 		nw.cell(tx.destOwner).remove(tx)
 	}
@@ -133,9 +124,9 @@ func (nw *Network) intruderTxEnd(out *outgoing, tx *transmission) {
 	}
 	nw.publishCapture(tx)
 	// A target tuned elsewhere hears nothing of the forgery.
-	if !tx.collided && onChannel && nw.receive(tx.to, tx, nw.sched.Now()) {
+	if !tx.collided && onChannel && nw.receive(to, tx, nw.sched.Now()) {
 		nw.stats.InjectedDelivered++
-		nw.handleFrame(nw.nodes[tx.to], tx)
+		nw.handleFrame(nw.nodes[to], tx)
 	}
 	nw.freeTransmission(tx)
 	nw.freeOutgoing(out)

@@ -211,3 +211,46 @@ func TestIntruderDoesNotPerturbCleanRun(t *testing.T) {
 		t.Errorf("idle intruder perturbed the run: %s vs %s", a, b)
 	}
 }
+
+// TestIntruderBuildsStreamOnFirstUse: an attack that never draws from
+// the intruder's stream, like each of the campaign's plans, never
+// builds it, and the stream the first Rand call builds is the one
+// nodeRand gives the intruder's index.
+func TestIntruderBuildsStreamOnFirstUse(t *testing.T) {
+	const seed = 9
+	nw, err := New(Star(4), Config{Seed: seed, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr, err := nw.NewIntruder(zigbee.DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := forgedWarmup
+	for _, input := range forgedSeeds() {
+		for _, fg := range decodeForgeries(input) {
+			at += fg.delay
+			nw.Scheduler().At(at, func() {
+				if err := intr.Transmit(fg.target%4, fg.frame, fg.ack); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	nw.Run(at + forgedSettle)
+	if s := nw.Stats(); s.InjectedDelivered == 0 {
+		t.Fatalf("no forgery delivered (%d injected)", s.Injected)
+	}
+	if intr.rng != nil {
+		t.Fatal("an attack that never called Rand built the intruder's stream")
+	}
+	got, want := intr.Rand(), nodeRand(seed, IntruderSrc)
+	for i := 0; i < 100; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d = %d, nodeRand gives %d", i, g, w)
+		}
+	}
+	if intr.Rand() != got {
+		t.Fatal("a second Rand call built another stream")
+	}
+}

@@ -44,7 +44,7 @@ func (nw *Network) beaconLoop(n *node) {
 		out.frame.SetBeacon(n.seq, n.pan, n.short)
 		nw.enqueueTx(n, out)
 	}
-	nw.after(nw.cfg.BeaconInterval, action{op: opBeacon, node: n})
+	nw.after(nw.cfg.BeaconInterval, opBeacon, n, 0)
 }
 
 // dataLoop emits one sensor reading towards the node's parent and
@@ -57,7 +57,7 @@ func (nw *Network) dataLoop(n *node) {
 		out.frame.SetDataFrame(n.seq, n.pan, n.parentShort, n.short, AppendReading(out.frame.Payload, n.reading, 0), true)
 		nw.enqueueTx(n, out)
 	}
-	nw.after(nw.cfg.DataInterval, action{op: opData, node: n})
+	nw.after(nw.cfg.DataInterval, opData, n, 0)
 }
 
 // AppendReading appends a mesh sensor reading's payload to dst: a tag
@@ -84,7 +84,7 @@ func (nw *Network) startScan(n *node) {
 	out := nw.newOutgoing(kindBeaconRequest, targetParent, 0, false)
 	out.frame.SetBeaconRequest(n.seq)
 	nw.enqueueTx(n, out)
-	nw.after(scanDuration, action{op: opScanEnd, node: n, gen: n.joinGen})
+	nw.after(scanDuration, opScanEnd, n, n.joinGen)
 }
 
 // scanEnd closes the scan window: pick a parent from the collected
@@ -136,7 +136,7 @@ func (nw *Network) rescan(n *node) {
 	if n.scanRetries < 16 {
 		n.scanRetries++
 	}
-	nw.after(backoff+nw.jitter(n, scanRetryBase), action{op: opScan, node: n})
+	nw.after(backoff+nw.jitter(n, scanRetryBase), opScan, n, 0)
 }
 
 // completeJoin finalises an association on the joiner's side and
@@ -160,10 +160,10 @@ func (nw *Network) completeJoin(n *node, assigned uint16) {
 	if t := nw.tel; t != nil && t.hJoin != nil {
 		t.hJoin.Observe(obs.DurationSeconds(now))
 	}
-	nw.after(nw.jitter(n, nw.cfg.DataInterval), action{op: opData, node: n})
+	nw.after(nw.jitter(n, nw.cfg.DataInterval), opData, n, 0)
 	if n.spec.Role == RoleRouter {
 		n.permitJoin = true
-		nw.after(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
+		nw.after(nw.jitter(n, nw.cfg.BeaconInterval), opBeacon, n, 0)
 	}
 }
 
@@ -220,7 +220,7 @@ func (nw *Network) processQueue(n *node) {
 func (nw *Network) csmaBackoff(n *node, out *outgoing) {
 	slots := n.rng.Intn(1 << out.be)
 	n.tally.backoffs++
-	nw.after(time.Duration(slots)*ieee802154.UnitBackoffPeriod, action{op: opCCA, node: n, out: out})
+	nw.after(time.Duration(slots)*ieee802154.UnitBackoffPeriod, opCCA, n, uint64(out.id))
 }
 
 // cca performs the clear-channel assessment: busy carriers re-enter the
@@ -264,30 +264,14 @@ func (nw *Network) cca(n *node, out *outgoing) {
 	if t := nw.tel; t != nil {
 		t.radioTransition(n.id, now, RadioTurnaround)
 	}
-	nw.after(ieee802154.TurnaroundTime, action{op: opTxStart, node: n, out: out})
+	nw.after(ieee802154.TurnaroundTime, opTxStart, n, uint64(out.id))
 }
 
 // txStart puts the frame on the air. acks bypass CSMA entirely
 // (immediate=true): the standard transmits them a turnaround after the
 // frame they acknowledge.
 func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
-	nw.frameSeq++
-	now := nw.sched.Now()
-	tx := nw.newTransmission()
-	*tx = transmission{
-		src:       n.id,
-		channel:   n.spec.Channel,
-		kind:      out.kind,
-		frame:     &out.frame,
-		psdu:      out.psdu,
-		mode:      out.mode,
-		to:        out.to,
-		seq:       nw.frameSeq,
-		start:     now,
-		end:       now + ieee802154.FrameDuration(len(out.psdu)),
-		needAck:   out.needAck,
-		destOwner: nw.destCellOwner(n, out),
-	}
+	tx := nw.startTransmission(n.id, n.spec.Channel, out, nw.destCellOwner(n, out))
 	for _, owner := range nw.cellOwners(n) {
 		if owner >= 0 {
 			nw.cell(owner).add(owner, tx)
@@ -296,16 +280,15 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 	if tx.end > n.radioBusyUntil {
 		n.radioBusyUntil = tx.end
 	}
-	nw.frames[tx.kind]++
 	if t := nw.tel; t != nil {
-		t.radioTransition(n.id, now, RadioTX)
+		t.radioTransition(n.id, tx.start, RadioTX)
 		n.tally.tx++
 	}
-	end := action{op: opTxEnd, node: n, out: out, tx: tx}
+	op := opTxEnd
 	if immediate {
-		end.op = opAckEnd
+		op = opAckEnd
 	}
-	nw.sched.post(tx.end, end)
+	nw.sched.post(tx.end, action{op: op, node: int32(n.id), arg: uint64(tx.id)})
 }
 
 // txEnd takes the frame off the air, reports it to the channel's taps
@@ -313,7 +296,8 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 // recycled once nothing refers to it any more, and the outgoing record
 // once its transaction ends: at once for acks and unacknowledged
 // frames, in handleAck or onAckTimeout for the rest.
-func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate bool) {
+func (nw *Network) txEnd(n *node, tx *transmission, immediate bool) {
+	out := tx.out
 	offAir := true
 	for _, cell := range nw.cellsOf(n) {
 		if cell != nil && !cell.remove(tx) {
@@ -324,7 +308,7 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 	if t := nw.tel; t != nil {
 		t.radioTransition(n.id, now, RadioIdle)
 		if t.trace != nil {
-			t.trace.frameSlice(tx.src, tx.kind.String(), tx.start, tx.end-tx.start, tx.seq, len(tx.psdu))
+			t.trace.frameSlice(tx.src, out.kind.String(), tx.start, tx.end-tx.start, tx.seq, len(out.psdu))
 		}
 	}
 	if tx.collided {
@@ -348,7 +332,6 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 		}
 	}
 
-	needAck := tx.needAck
 	if offAir {
 		// A sender re-parented mid-frame leaves the record behind in
 		// its old cell; only a record no cell holds is reused.
@@ -359,9 +342,9 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 		nw.freeOutgoing(out)
 		return
 	}
-	if needAck {
+	if out.needAck {
 		n.awaiting = out
-		nw.after(ieee802154.AckWaitDuration+ieee802154.FrameDuration(5), action{op: opAckTimeout, node: n, gen: n.ackGen})
+		nw.after(ieee802154.AckWaitDuration+ieee802154.FrameDuration(5), opAckTimeout, n, n.ackGen)
 		return
 	}
 	nw.freeOutgoing(out)
@@ -378,13 +361,13 @@ func (nw *Network) txEnd(n *node, out *outgoing, tx *transmission, immediate boo
 // resolves recipients, so a caller may deliver while ranging over it.
 func (nw *Network) recipients(tx *transmission) []int {
 	rcpt := nw.rcpt[:0]
-	switch tx.mode {
+	switch tx.out.mode {
 	case targetNode:
 		// Addressed outside the topology — an acknowledgement or
 		// response to an intruder — spends airtime and energy, but no
 		// node receives it.
-		if tx.to >= 0 && tx.to < len(nw.nodes) {
-			rcpt = append(rcpt, tx.to)
+		if to := tx.out.to; to >= 0 && to < len(nw.nodes) {
+			rcpt = append(rcpt, to)
 		}
 	case targetParent:
 		if parent := nw.nodes[tx.src].spec.Parent; parent >= 0 {
@@ -428,7 +411,7 @@ func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
 	}
 	f := channelMHz(tx.channel)
 	outcome, err := nw.ch.Deliver(radio.FrameSpec{
-		PSDULen:   len(tx.psdu),
+		PSDULen:   len(tx.out.psdu),
 		TxFreqMHz: f,
 		RxFreqMHz: f,
 		Link:      radio.Link{SNRdB: nw.cfg.SNRdB},
@@ -462,7 +445,7 @@ func (nw *Network) receive(rxID int, tx *transmission, now time.Duration) bool {
 
 // handleFrame dispatches one delivered frame on the receiving node.
 func (nw *Network) handleFrame(r *node, tx *transmission) {
-	switch tx.kind {
+	switch tx.out.kind {
 	case kindAck:
 		nw.handleAck(r, tx)
 	case kindBeacon:
@@ -486,11 +469,11 @@ func (nw *Network) handleFrame(r *node, tx *transmission) {
 // committed from this instant — marking it busy through the ack's end
 // keeps the node's own CSMA path from passing CCA into its ack.
 func (nw *Network) sendAck(r *node, tx *transmission) {
-	if !tx.needAck {
+	if !tx.out.needAck {
 		return
 	}
 	ack := nw.newOutgoing(kindAck, targetNode, tx.src, false)
-	ack.frame.SetAck(tx.frame.Seq)
+	ack.frame.SetAck(tx.out.frame.Seq)
 	if err := ack.encode(); err != nil {
 		nw.freeOutgoing(ack)
 		return
@@ -502,13 +485,13 @@ func (nw *Network) sendAck(r *node, tx *transmission) {
 	if t := nw.tel; t != nil {
 		t.radioTransition(r.id, nw.sched.Now(), RadioTurnaround)
 	}
-	nw.after(ieee802154.TurnaroundTime, action{op: opAckStart, node: r, out: ack})
+	nw.after(ieee802154.TurnaroundTime, opAckStart, r, uint64(ack.id))
 }
 
 // handleAck completes the sender's pending acknowledged transmission.
 func (nw *Network) handleAck(r *node, tx *transmission) {
 	out := r.awaiting
-	if out == nil || out.frame.Seq != tx.frame.Seq {
+	if out == nil || out.frame.Seq != tx.out.frame.Seq {
 		return
 	}
 	r.awaiting = nil
@@ -545,7 +528,7 @@ func (nw *Network) onAckTimeout(n *node, gen uint64) {
 // txAcked runs the post-acknowledgement hooks of a transmission.
 func (nw *Network) txAcked(n *node, out *outgoing) {
 	if out.kind == kindAssocRequest && n.state == stateWaitAssoc {
-		nw.after(assocRespWait, action{op: opAssocWait, node: n, gen: n.joinGen})
+		nw.after(assocRespWait, opAssocWait, n, n.joinGen)
 	}
 }
 
@@ -658,7 +641,7 @@ func (nw *Network) handleAssocRequest(r *node, tx *transmission) {
 	r.seq++
 	out := nw.newOutgoing(kindAssocResponse, targetNode, joiner, true)
 	out.frame.SetAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
-	nw.after(assocRespDelay, action{op: opAssocResp, node: r, out: out})
+	nw.after(assocRespDelay, opAssocResp, r, uint64(out.id))
 }
 
 // handleAssocResponse completes the join on the device side. A forged
@@ -668,7 +651,7 @@ func (nw *Network) handleAssocResponse(r *node, tx *transmission) {
 	if r.state == stateJoined || tx.src < 0 {
 		return
 	}
-	assigned, status, err := ieee802154.ParseAssociationResponse(tx.frame.Payload)
+	assigned, status, err := ieee802154.ParseAssociationResponse(tx.out.frame.Payload)
 	if err != nil || status != ieee802154.AssocStatusSuccess {
 		return
 	}
@@ -681,7 +664,7 @@ func (nw *Network) handleAssocResponse(r *node, tx *transmission) {
 // handleData accepts a sensor reading: coordinators record it, routers
 // forward it towards their own parent with the hop count incremented.
 func (nw *Network) handleData(r *node, tx *transmission) {
-	payload := tx.frame.Payload
+	payload := tx.out.frame.Payload
 	if ch, frameID, ok := remoteChannelChange(payload); ok {
 		nw.applyChannelChange(r, frameID, ch)
 		return

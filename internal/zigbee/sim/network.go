@@ -26,8 +26,10 @@ const (
 // through CSMA-CA, the air and the acknowledgement wait. Records are
 // recycled: newOutgoing hands one out for every frame the MAC builds,
 // and freeOutgoing takes it back exactly once, when the transaction
-// ends. A record keeps its payload and PSDU storage across uses.
+// ends. A record keeps its id, its payload and its PSDU storage across
+// uses; a scheduled action names the record by id (Network.outs).
 type outgoing struct {
+	id      uint32 // index in Network.outs
 	kind    frameKind
 	frame   ieee802154.MACFrame // frame.Payload lives in the record's payload storage
 	psdu    []byte              // the encoded frame, in the record's PSDU storage
@@ -226,9 +228,15 @@ type Network struct {
 	coordsOn map[int][]int
 	airs     []air // collision domain by owning node index
 
-	rcpt    []int           // recipients scratch buffer
-	txFree  []*transmission // recycled transmission records
-	outFree []*outgoing     // recycled outgoing records
+	rcpt []int // recipients scratch buffer
+
+	// outs and txs hold every outgoing and transmission record by id,
+	// which is how a scheduled action names one; outFree and txFree
+	// list the ids of the records free for reuse.
+	outs    []*outgoing
+	txs     []*transmission
+	outFree []uint32
+	txFree  []uint32
 
 	frameSeq  uint64
 	allocNext map[int]uint16 // per-root short-address allocator
@@ -427,10 +435,10 @@ func (nw *Network) build() {
 			n.permitJoin = true
 			n.tally.joinedAt = 0 // coordinators come up joined
 			nw.allocNext[n.id] = 1
-			nw.sched.post(nw.jitter(n, nw.cfg.BeaconInterval), action{op: opBeacon, node: n})
+			nw.after(nw.jitter(n, nw.cfg.BeaconInterval), opBeacon, n, 0)
 			continue
 		}
-		nw.sched.post(nw.jitter(n, joinSpread), action{op: opScan, node: n})
+		nw.after(nw.jitter(n, joinSpread), opScan, n, 0)
 	}
 }
 
@@ -446,7 +454,7 @@ func (nw *Network) jitter(n *node, d time.Duration) time.Duration {
 type actionOp uint8
 
 const (
-	opFunc          actionOp = iota // an At/After callback: fn()
+	opFunc          actionOp = iota // an At/After callback: Scheduler.fns[arg]()
 	opBeacon                        // beaconLoop(node)
 	opData                          // dataLoop(node)
 	opScan                          // startScan(node)
@@ -454,110 +462,133 @@ const (
 	opCCA                           // cca(node, out)
 	opTxStart                       // txStart(node, out, false)
 	opAckStart                      // txStart(node, out, true)
-	opTxEnd                         // txEnd(node, out, tx, false)
-	opAckEnd                        // txEnd(node, out, tx, true)
+	opTxEnd                         // txEnd(node, tx, false)
+	opAckEnd                        // txEnd(node, tx, true)
 	opAckTimeout                    // onAckTimeout(node, gen)
 	opAssocWait                     // assocWaitEnd(node, gen)
 	opAssocResp                     // enqueueTx(node, out)
-	opIntruderTxEnd                 // intruderTxEnd(out, tx)
+	opIntruderTxEnd                 // intruderTxEnd(tx)
 )
 
-// action is one scheduled event. The network posts typed actions for
-// its own MAC steps, so the event loop builds no closure per event; At
-// and After wrap an outside caller's callback as an opFunc action. The
-// scheduler hands actions to dispatch by value.
+// action is one scheduled event, 16 bytes with no pointer in them: the
+// step, the index of the node it runs on and one argument, which is the
+// joinGen or ackGen at posting time, an outgoing or transmission record
+// id, or for opFunc the Scheduler.fns slot of an At or After callback.
+// The network posts typed actions for its own MAC steps, so the event
+// loop builds no closure per event, and a queue entry carries its
+// action by value.
 type action struct {
 	op   actionOp
-	node *node
-	out  *outgoing
-	tx   *transmission
-	gen  uint64 // joinGen or ackGen at posting time
-	fn   func()
+	node int32
+	arg  uint64
 }
 
 // dispatch runs one typed action: the single switch behind every event
 // the network schedules for itself.
 func (nw *Network) dispatch(a action) {
+	if a.op == opIntruderTxEnd {
+		nw.intruderTxEnd(nw.txs[a.arg])
+		return
+	}
+	n := nw.nodes[a.node]
 	switch a.op {
 	case opBeacon:
-		nw.beaconLoop(a.node)
+		nw.beaconLoop(n)
 	case opData:
-		nw.dataLoop(a.node)
+		nw.dataLoop(n)
 	case opScan:
-		nw.startScan(a.node)
+		nw.startScan(n)
 	case opScanEnd:
-		nw.scanEnd(a.node, a.gen)
+		nw.scanEnd(n, a.arg)
 	case opCCA:
-		nw.cca(a.node, a.out)
+		nw.cca(n, nw.outs[a.arg])
 	case opTxStart:
-		nw.txStart(a.node, a.out, false)
+		nw.txStart(n, nw.outs[a.arg], false)
 	case opAckStart:
-		nw.txStart(a.node, a.out, true)
+		nw.txStart(n, nw.outs[a.arg], true)
 	case opTxEnd:
-		nw.txEnd(a.node, a.out, a.tx, false)
+		nw.txEnd(n, nw.txs[a.arg], false)
 	case opAckEnd:
-		nw.txEnd(a.node, a.out, a.tx, true)
+		nw.txEnd(n, nw.txs[a.arg], true)
 	case opAckTimeout:
-		nw.onAckTimeout(a.node, a.gen)
+		nw.onAckTimeout(n, a.arg)
 	case opAssocWait:
-		nw.assocWaitEnd(a.node, a.gen)
+		nw.assocWaitEnd(n, a.arg)
 	case opAssocResp:
-		nw.enqueueTx(a.node, a.out)
-	case opIntruderTxEnd:
-		nw.intruderTxEnd(a.out, a.tx)
+		nw.enqueueTx(n, nw.outs[a.arg])
 	default:
 		panic(fmt.Sprintf("sim: unknown action op %d", a.op))
 	}
 }
 
-// after posts a typed action d from now.
-func (nw *Network) after(d time.Duration, a action) {
-	nw.sched.post(nw.sched.now+d, a)
+// after posts op on node n d from now, with arg a generation or record
+// id.
+func (nw *Network) after(d time.Duration, op actionOp, n *node, arg uint64) {
+	nw.sched.post(nw.sched.now+d, action{op: op, node: int32(n.id), arg: arg})
 }
 
-// newTransmission returns a transmission record, reusing one txEnd
-// released when there is one.
-func (nw *Network) newTransmission() *transmission {
+// startTransmission puts out on the air from src on channel, now: it
+// takes a transmission record, reusing one a transmit end released when
+// there is one, and assigns its fields one by one, the outgoing record
+// they point to included. The caller registers it with the cells it
+// occupies and schedules its end.
+func (nw *Network) startTransmission(src, channel int, out *outgoing, destOwner int) *transmission {
+	var tx *transmission
 	if n := len(nw.txFree); n > 0 {
-		tx := nw.txFree[n-1]
+		tx = nw.txs[nw.txFree[n-1]]
 		nw.txFree = nw.txFree[:n-1]
-		return tx
+	} else {
+		tx = &transmission{id: uint32(len(nw.txs))}
+		nw.txs = append(nw.txs, tx)
 	}
-	return new(transmission)
+	now := nw.sched.Now()
+	nw.frameSeq++
+	tx.src = src
+	tx.channel = channel
+	tx.out = out
+	tx.seq = nw.frameSeq
+	tx.start = now
+	tx.end = now + ieee802154.FrameDuration(len(out.psdu))
+	tx.collided = false
+	tx.destOwner = destOwner
+	nw.frames[out.kind]++
+	return tx
 }
 
 // freeTransmission releases a record nothing refers to any more.
 func (nw *Network) freeTransmission(tx *transmission) {
-	*tx = transmission{}
-	nw.txFree = append(nw.txFree, tx)
+	tx.out = nil
+	nw.txFree = append(nw.txFree, tx.id)
 }
 
-// newOutgoing returns a blank outgoing record for a frame the caller
-// builds into its frame field (with a MACFrame Set method, whose payload
-// lands in the record's storage), reusing a released record when there
-// is one.
+// newOutgoing returns an outgoing record for a frame the caller builds
+// into its frame field, reusing a released record when there is one.
+// The record's payload and PSDU come back empty, in the record's own
+// storage, and the frame's header is left for the caller to overwrite:
+// with a MACFrame Set method, whose payload lands in that storage, or a
+// copy.
 func (nw *Network) newOutgoing(kind frameKind, mode targetMode, to int, needAck bool) *outgoing {
 	var out *outgoing
 	if n := len(nw.outFree); n > 0 {
-		out = nw.outFree[n-1]
+		out = nw.outs[nw.outFree[n-1]]
 		nw.outFree = nw.outFree[:n-1]
 	} else {
-		out = new(outgoing)
+		out = &outgoing{id: uint32(len(nw.outs))}
+		nw.outs = append(nw.outs, out)
 	}
-	*out = outgoing{
-		kind:    kind,
-		frame:   ieee802154.MACFrame{Payload: out.frame.Payload[:0]},
-		psdu:    out.psdu[:0],
-		mode:    mode,
-		to:      to,
-		needAck: needAck,
-	}
+	out.kind = kind
+	out.frame.Payload = out.frame.Payload[:0]
+	out.psdu = out.psdu[:0]
+	out.mode = mode
+	out.to = to
+	out.needAck = needAck
+	out.retries, out.be, out.ncb = 0, 0, 0
 	return out
 }
 
 // freeOutgoing releases a record whose transaction has ended.
 func (nw *Network) freeOutgoing(out *outgoing) {
-	nw.outFree = append(nw.outFree, out)
+	nw.outFree = append(nw.outFree, out.id)
 }
 
 // encode writes the record's frame into its PSDU storage.

@@ -7,7 +7,10 @@
 // (the symbol or frame fidelity tier). A 2-second sensor cadence costs
 // nanoseconds of wall time per period instead of 2 seconds, so
 // thousand-node meshes simulate minutes of traffic per wall-clock
-// second.
+// second. A typed action is a pointer-free value that names its node
+// and MAC record by index and rides in its queue entry, so the event
+// loop's queues cost the garbage collector nothing, not even a write
+// barrier while it marks.
 //
 // Determinism is the load-bearing property: every random draw flows from
 // splitmix64-derived per-node streams (the Monte-Carlo runner's seed
@@ -57,16 +60,17 @@ const nearHorizon = 100 * time.Millisecond
 // §12).
 const nearCap = 64
 
-// entry is one queue slot: the ordering key plus the slab index of the
-// action to run. seq is the insertion sequence number: events at the
-// same virtual instant execute in scheduling order, which makes the pop
-// order total and the simulation deterministic regardless of queue
-// internals. The entry holds no pointer, so moving it involves no
-// write barriers and the queues are invisible to the garbage collector.
+// entry is one queue slot: the ordering key plus the action to run,
+// carried in the entry itself. seq is the insertion sequence number:
+// events at the same virtual instant execute in scheduling order, which
+// makes the pop order total and the simulation deterministic regardless
+// of queue internals. Neither the entry nor its action holds a pointer,
+// so moving one is a plain 32-byte copy with no write barrier, and the
+// queues are invisible to the garbage collector.
 type entry struct {
-	at   time.Duration
-	seq  uint64
-	slot uint32
+	at  time.Duration
+	seq uint64
+	a   action
 }
 
 // before is the queue ordering: earlier time first, earlier insertion
@@ -83,18 +87,19 @@ func (e entry) before(o entry) bool {
 // executed. The queue has two levels with one total order: up to
 // nearCap events due within nearHorizon of their posting sit in a
 // short slice sorted latest first, every other event in a hand-rolled
-// binary min-heap, and Step runs the earlier of the two heads. An entry stays in the queue
-// it was posted to. The actions the entries point at live in a slab
-// whose slots are reused through a free list, so a steady-state event
-// loop allocates nothing to schedule. It is not safe for concurrent
-// use: the simulation is single-threaded by design, and its driver
-// publishes the scheduler's marks (heapGauges) at the points where
-// other goroutines may read them.
+// binary min-heap, and Step runs the earlier of the two heads. An
+// entry stays in the queue it was posted to. Each entry carries its
+// action by value; an At or After callback waits in a side table of
+// closures whose slots are reused through a free list, so a
+// steady-state event loop allocates nothing to schedule. It is not
+// safe for concurrent use: the simulation is single-threaded by
+// design, and the code running it publishes the scheduler's marks
+// (heapGauges) at the points where other goroutines may read them.
 type Scheduler struct {
-	near []entry  // sorted by (at, seq), earliest last
-	far  []entry  // binary min-heap
-	slab []action // pending actions, indexed by entry.slot
-	free []uint32 // slab slots not holding a pending action
+	near   []entry  // sorted by (at, seq), earliest last
+	far    []entry  // binary min-heap
+	fns    []func() // pending At/After callbacks, indexed by an opFunc action's arg
+	fnFree []uint32 // fns slots holding no callback
 
 	// dispatch runs the typed actions a Network posts; At and After
 	// callbacks need none.
@@ -150,7 +155,16 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	s.post(t, action{op: opFunc, fn: fn})
+	var slot uint32
+	if n := len(s.fnFree); n > 0 {
+		slot = s.fnFree[n-1]
+		s.fnFree = s.fnFree[:n-1]
+		s.fns[slot] = fn
+	} else {
+		slot = uint32(len(s.fns))
+		s.fns = append(s.fns, fn)
+	}
+	s.post(t, action{op: opFunc, arg: uint64(slot)})
 }
 
 // After schedules fn d from now; negative d is clamped to now.
@@ -165,17 +179,8 @@ func (s *Scheduler) post(t time.Duration, a action) {
 	if t < s.now {
 		t = s.now
 	}
-	var slot uint32
-	if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.slab[slot] = a
-	} else {
-		slot = uint32(len(s.slab))
-		s.slab = append(s.slab, a)
-	}
 	s.seq++
-	e := entry{at: t, seq: s.seq, slot: slot}
+	e := entry{at: t, seq: s.seq, a: a}
 	if t-s.now < nearHorizon && len(s.near) < nearCap {
 		// Move e from the end towards the front past every entry due
 		// before it, which keeps those nearer the end that Step takes
@@ -234,16 +239,17 @@ func (s *Scheduler) run(e entry, near bool) {
 	} else {
 		s.pop()
 	}
-	a := s.slab[e.slot]
-	s.slab[e.slot] = action{} // release the node, transmission or closure
-	s.free = append(s.free, e.slot)
 	s.now = e.at
 	s.executed++
-	if a.op == opFunc {
-		a.fn()
-	} else {
-		s.dispatch(a)
+	if e.a.op != opFunc {
+		s.dispatch(e.a)
+		return
 	}
+	slot := uint32(e.a.arg)
+	fn := s.fns[slot]
+	s.fns[slot] = nil // release the closure
+	s.fnFree = append(s.fnFree, slot)
+	fn()
 }
 
 // RunUntil executes every event due at or before t, then advances the
@@ -270,13 +276,13 @@ func (s *Scheduler) RunUntil(t time.Duration) uint64 {
 }
 
 // Drain discards all pending events (shutdown path), releasing every
-// reference their actions held.
+// callback they held.
 func (s *Scheduler) Drain() {
 	s.near = s.near[:0]
 	s.far = s.far[:0]
-	clear(s.slab)
-	s.slab = s.slab[:0]
-	s.free = s.free[:0]
+	clear(s.fns)
+	s.fns = s.fns[:0]
+	s.fnFree = s.fnFree[:0]
 }
 
 // up restores the far heap's order from index i towards the root,

@@ -44,11 +44,14 @@ func (r *refScheduler) next() int {
 }
 
 // schedHarness drives a Scheduler and a refScheduler with the same
-// calls. Every event is a callback whose children (the events it posts
-// when it runs) are a pure function of the harness seed and the event's
-// id, and ids are handed out in posting order, so the reference can run
-// the same events without sharing the Scheduler's callbacks: as long as
-// both execute the same order, they post the same children.
+// calls. Every event's children (the events it posts when it runs) are
+// a pure function of the harness seed and the event's id, and ids are
+// handed out in posting order, so the reference can run the same events
+// without sharing the Scheduler's: as long as both execute the same
+// order, they post the same children. The Scheduler gets each event in
+// one of the two entry kinds, chosen by its id: an At or After callback,
+// which waits in the closure table, or a typed action posted through
+// post and run by the harness's dispatch.
 type schedHarness struct {
 	t    *testing.T
 	seed uint64
@@ -58,6 +61,19 @@ type schedHarness struct {
 	ran, refRan       []int // executed ids, in order
 	posted, refPosted int   // ids handed out
 	checked           int   // prefix of ran already compared
+}
+
+// newSchedHarness returns a harness over a fresh Scheduler whose
+// dispatch runs the harness's typed actions.
+func newSchedHarness(t *testing.T, seed uint64) *schedHarness {
+	h := &schedHarness{t: t, seed: seed, s: NewScheduler()}
+	h.s.dispatch = func(a action) {
+		if a.op != opData || a.node != -int32(a.arg) {
+			t.Fatalf("dispatched %+v, which the harness never posted", a)
+		}
+		h.run(int(a.arg))
+	}
+	return h
 }
 
 // harnessMaxEvents bounds how many events the callbacks may post, so
@@ -108,35 +124,38 @@ func (h *schedHarness) children(id int) []time.Duration {
 	return out
 }
 
-// fire is the callback of event id: it records the id and posts its
-// children, through At for even ids and After for odd ones.
-func (h *schedHarness) fire(id int) func() {
-	return func() {
-		h.ran = append(h.ran, id)
-		for _, d := range h.children(id) {
-			if h.posted >= harnessMaxEvents {
-				return
-			}
-			child := h.posted
-			h.posted++
-			if id%2 == 0 {
-				h.s.At(h.s.Now()+d, h.fire(child))
-			} else {
-				h.s.After(d, h.fire(child))
-			}
+// schedule posts event id at t on the Scheduler: through At, After or
+// post, by id modulo 3.
+func (h *schedHarness) schedule(t time.Duration, id int) {
+	switch id % 3 {
+	case 0:
+		h.s.At(t, func() { h.run(id) })
+	case 1:
+		h.s.After(t-h.s.Now(), func() { h.run(id) })
+	default:
+		h.s.post(t, action{op: opData, node: -int32(id), arg: uint64(id)})
+	}
+}
+
+// run executes event id on the Scheduler: it records the id and posts
+// the event's children.
+func (h *schedHarness) run(id int) {
+	h.ran = append(h.ran, id)
+	for _, d := range h.children(id) {
+		if h.posted >= harnessMaxEvents {
+			return
 		}
+		child := h.posted
+		h.posted++
+		h.schedule(h.s.Now()+d, child)
 	}
 }
 
 // postBoth posts a fresh event d from now on both schedulers.
-func (h *schedHarness) postBoth(d time.Duration, useAt bool) {
+func (h *schedHarness) postBoth(d time.Duration) {
 	id := h.posted
 	h.posted++
-	if useAt {
-		h.s.At(h.s.Now()+d, h.fire(id))
-	} else {
-		h.s.After(d, h.fire(id))
-	}
+	h.schedule(h.s.Now()+d, id)
 	h.refPosted++
 	h.ref.post(h.ref.now+d, id)
 }
@@ -213,6 +232,9 @@ func (h *schedHarness) check(call string) {
 	if h.s.MaxDepth() != h.ref.maxDepth {
 		h.t.Fatalf("after %s: MaxDepth() = %d, reference %d", call, h.s.MaxDepth(), h.ref.maxDepth)
 	}
+	if _, err := checkClosureTable(h.s); err != nil {
+		h.t.Fatalf("after %s: %v", call, err)
+	}
 }
 
 // runSchedulerScript drives a fresh Scheduler and the reference with
@@ -221,14 +243,14 @@ func (h *schedHarness) check(call string) {
 // call is checked against the reference, and a final RunUntil far
 // ahead executes whatever is left.
 func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
-	h := &schedHarness{t: t, seed: seed, s: NewScheduler()}
+	h := newSchedHarness(t, seed)
 	x := seed
 	for _, op := range ops {
 		x = randsrc.SplitMix64(x ^ uint64(op))
 		switch op % 8 {
 		case 0, 1, 2:
 			if h.posted < harnessMaxEvents {
-				h.postBoth(harnessDelay(x), op&8 != 0)
+				h.postBoth(harnessDelay(x))
 			}
 			h.check("post")
 		case 3, 4:
@@ -270,10 +292,12 @@ func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
 
 // TestSchedulerMatchesReference checks the Scheduler's whole contract
 // against refScheduler: the execution order is the order of (clamped
-// time, posting order) over every post, including posts made by
-// running events and posts at now, across any interleaving of Step,
-// RunUntil and Drain; Now, Len, NextAt, Executed and MaxDepth match the
-// reference after every call.
+// time, posting order) over every post, callbacks and typed actions
+// mixed, including posts made by running events and posts at now,
+// across any interleaving of Step, RunUntil and Drain; Now, Len,
+// NextAt, Executed and MaxDepth match the reference after every call,
+// and the closure table accounts for every pending callback as its
+// slots are reused.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -300,9 +324,9 @@ func FuzzSchedulerOrder(f *testing.F) {
 // the near horizon: the near queue fills, the rest go to the far heap,
 // and the order, Len, NextAt and the marks still match the reference.
 func TestSchedulerNearQueueOverflow(t *testing.T) {
-	h := &schedHarness{t: t, seed: 3, s: NewScheduler()}
+	h := newSchedHarness(t, 3)
 	for i := 0; i < 2*nearCap; i++ {
-		h.postBoth(time.Duration(i*7919%1000)*99*time.Microsecond, i%2 == 0)
+		h.postBoth(time.Duration(i*7919%1000) * 99 * time.Microsecond)
 	}
 	h.check("post")
 	if len(h.s.near) != nearCap || len(h.s.far) != nearCap {

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wazabee/internal/obs"
 )
@@ -185,7 +188,7 @@ func TestSchedulerTypedAndCallbackOrder(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			s.At(at, func() { run(id) })
 		} else {
-			s.post(at, action{op: opData, gen: uint64(id)})
+			s.post(at, action{op: opData, arg: uint64(id)})
 		}
 	}
 	run = func(id int) {
@@ -197,7 +200,7 @@ func TestSchedulerTypedAndCallbackOrder(t *testing.T) {
 			schedule(s.Now() + time.Duration(rng.Intn(4)-1)*time.Millisecond)
 		}
 	}
-	s.dispatch = func(a action) { run(int(a.gen)) }
+	s.dispatch = func(a action) { run(int(a.arg)) }
 	for i := 0; i < 500; i++ {
 		schedule(time.Duration(rng.Intn(50)) * time.Millisecond)
 	}
@@ -215,52 +218,98 @@ func TestSchedulerTypedAndCallbackOrder(t *testing.T) {
 	}
 }
 
-// released reports that a slab slot holds the zero action: no node,
-// outgoing frame, transmission or closure.
-func released(a action) bool {
-	return a.op == 0 && a.node == nil && a.out == nil && a.tx == nil && a.gen == 0 && a.fn == nil
+// TestQueueEntryHoldsNoPointers keeps the queue out of the garbage
+// collector's sight: an entry and the action it carries hold no
+// pointer, slice, map, func, interface, string or channel, so moving
+// entries through the queues needs no write barrier.
+func TestQueueEntryHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Func, reflect.Interface, reflect.String, reflect.Chan:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[entry](), reflect.TypeFor[action]()} {
+		walk(typ.Name(), typ)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Errorf("an entry takes %d bytes, want 32", got)
+	}
 }
 
-// TestSchedulerReleasesActions checks that the slab never keeps a node,
-// transmission or closure alive past its event: mid-run, every free slot
-// is zero; after Drain, the whole slab is.
+// checkClosureTable checks the closure table against the queues: each
+// pending callback holds a slot of its own, every other slot is free
+// and nil, and a slot is never both. It returns how many callbacks are
+// pending.
+func checkClosureTable(s *Scheduler) (int, error) {
+	seen := make([]bool, len(s.fns))
+	pending := 0
+	for _, e := range slices.Concat(s.near, s.far) {
+		if e.a.op != opFunc {
+			continue
+		}
+		if seen[e.a.arg] || s.fns[e.a.arg] == nil {
+			return 0, fmt.Errorf("pending callback slot %d is shared or empty", e.a.arg)
+		}
+		seen[e.a.arg] = true
+		pending++
+	}
+	for _, slot := range s.fnFree {
+		if seen[slot] || s.fns[slot] != nil {
+			return 0, fmt.Errorf("free slot %d is pending, listed twice or holds a callback", slot)
+		}
+		seen[slot] = true
+	}
+	if pending+len(s.fnFree) != len(s.fns) {
+		return 0, fmt.Errorf("%d pending callbacks + %d free slots, the table holds %d", pending, len(s.fnFree), len(s.fns))
+	}
+	return pending, nil
+}
+
+// TestSchedulerReleasesActions checks that the closure table never
+// keeps a callback alive past its event: mid-run, every pending
+// callback's slot holds it and every free slot is nil, the two making
+// up the whole table; after Drain, the table is empty and cleared.
 func TestSchedulerReleasesActions(t *testing.T) {
 	nw, err := New(Star(6), Config{Seed: 4, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := nw.Scheduler()
-	s.After(3*time.Second, func() {})
+	// Callbacks due before and after the mid-run stop, one of which
+	// posts another from inside its event into a slot just freed.
+	for i := 1; i <= 8; i++ {
+		s.At(time.Duration(i)*400*time.Millisecond, func() {})
+	}
+	s.At(time.Second, func() { s.After(2*time.Second, func() {}) })
 	nw.Run(2500 * time.Millisecond)
 	if s.Len() == 0 {
 		t.Fatal("no pending events mid-run")
 	}
-	pending := map[uint32]bool{}
-	for _, e := range slices.Concat(s.near, s.far) {
-		pending[e.slot] = true
-		if released(s.slab[e.slot]) {
-			t.Errorf("pending slot %d holds no action", e.slot)
-		}
+	pending, err := checkClosureTable(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, slot := range s.free {
-		if pending[slot] {
-			t.Errorf("slot %d is both pending and free", slot)
-		}
-		if !released(s.slab[slot]) {
-			t.Errorf("free slot %d still holds %+v", slot, s.slab[slot])
-		}
-	}
-	if len(pending)+len(s.free) != len(s.slab) {
-		t.Errorf("%d pending + %d free slots, slab holds %d", len(pending), len(s.free), len(s.slab))
+	if pending != 3 || len(s.fnFree) == 0 {
+		t.Errorf("%d pending callbacks and %d free slots mid-run, want 3 and some", pending, len(s.fnFree))
 	}
 
 	s.Drain()
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after Drain", s.Len())
+	if s.Len() != 0 || len(s.fns) != 0 || len(s.fnFree) != 0 {
+		t.Fatalf("after Drain: Len %d, %d closure slots, %d free", s.Len(), len(s.fns), len(s.fnFree))
 	}
-	for i, a := range s.slab[:cap(s.slab)] {
-		if !released(a) {
-			t.Fatalf("slab slot %d holds %+v after Drain", i, a)
+	for i, fn := range s.fns[:cap(s.fns)] {
+		if fn != nil {
+			t.Fatalf("closure slot %d holds a callback after Drain", i)
 		}
 	}
 }
