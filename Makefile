@@ -98,9 +98,10 @@ racerunner:
 
 # The discrete-event simulator's concurrency surface under the race
 # detector: the DebugHandler snapshot and the registry polled from one
-# goroutine while another advances the event loop in batches.
+# goroutine while another advances the event loop in batches, and the
+# live network's stop, blocked-send and Shutdown interleavings.
 racesim:
-	$(GO) test -race -run 'TestSimConcurrentSnapshots' -count 4 ./internal/zigbee/sim
+	$(GO) test -race -run 'TestSimConcurrentSnapshots|TestLiveNetwork|TestStartLive' -count 4 ./internal/zigbee/sim
 
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume

@@ -218,9 +218,9 @@ func TestRunWritesEventLines(t *testing.T) {
 
 // TestDaemonDebugEndpoints boots the daemon with the metrics server on an
 // ephemeral port and checks the link-quality and flight-recorder
-// endpoints serve the pipeline's diagnostics while it runs, that the
-// live scheduler is visible only as its heap gauges on /metrics, and
-// that neither /debug/sim nor /logz is served.
+// endpoints serve the pipeline's diagnostics while it runs, that
+// /metrics counts the published periods and holds no series of the live
+// network, and that neither /debug/sim nor /logz is served.
 func TestDaemonDebugEndpoints(t *testing.T) {
 	cfg := config{
 		seed:        7,
@@ -295,8 +295,18 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 		t.Error("/debug/link reports zero frames after a record was published")
 	}
 
-	if !strings.Contains(string(get("/metrics")), `wazabee_sim_heap_executed{driver="live"}`) {
-		t.Error("/metrics lacks the live driver's heap gauges")
+	// The daemon sets the periods gauge after publishing each record and
+	// before publishing the next, so it exists once a second record has
+	// arrived. The live network publishes no series of its own.
+	if _, err := capture.ReadRecord(conn); err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(get("/metrics"))
+	if !strings.Contains(metrics, "wazabee_capture_daemon_periods") {
+		t.Error("/metrics lacks wazabee_capture_daemon_periods")
+	}
+	if strings.Contains(metrics, `driver="live"`) {
+		t.Error(`/metrics holds a driver="live" series`)
 	}
 	for _, path := range []string{"/debug/sim", "/logz"} {
 		resp, err := http.Get("http://" + d.metricsAddr() + path)

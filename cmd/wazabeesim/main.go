@@ -112,10 +112,9 @@ func buildTopology(cfg config) (sim.Topology, error) {
 
 // heapReport is the scheduler's high-water marks in the run report.
 type heapReport struct {
-	MaxDepth int           `json:"max_depth"`
-	Pending  int           `json:"pending"`
-	Executed uint64        `json:"executed"`
-	MaxLag   time.Duration `json:"max_lag_ns"`
+	MaxDepth int    `json:"max_depth"`
+	Pending  int    `json:"pending"`
+	Executed uint64 `json:"executed"`
 }
 
 // summary is the machine-readable run report.
@@ -132,7 +131,6 @@ type summary struct {
 	Stats        sim.Stats     `json:"stats"`
 	Digest       string        `json:"digest,omitempty"`
 	DigestFrames uint64        `json:"digest_frames,omitempty"`
-	MaxEventLag  time.Duration `json:"max_event_lag_ns"`
 	Heap         heapReport    `json:"heap"`
 
 	// Energy totals, present when the observatory is enabled.
@@ -312,12 +310,10 @@ func run(args []string, out, errOut io.Writer) error {
 		WallTime:     wall,
 		Speedup:      stats.VirtualTime.Seconds() / wall.Seconds(),
 		Stats:        stats,
-		MaxEventLag:  sched.MaxLag(),
 		Heap: heapReport{
 			MaxDepth: sched.MaxDepth(),
 			Pending:  sched.Len(),
 			Executed: sched.Executed(),
-			MaxLag:   sched.MaxLag(),
 		},
 	}
 	if rec != nil {
@@ -348,7 +344,7 @@ func run(args []string, out, errOut io.Writer) error {
 		stats.Collisions, stats.Backoffs, stats.CCAFailures, stats.Retries, stats.AckFailures, stats.Erasures, stats.DeafMisses)
 	fmt.Fprintf(out, "readings %d  forwarded %d  joins %d  pan-conflicts %d\n",
 		stats.Readings, stats.Forwarded, stats.Joins, stats.PANConflicts)
-	fmt.Fprintf(out, "events %d  heap-depth max %d  heap-lag max %v\n", stats.Events, stats.HeapDepth, sum.MaxEventLag)
+	fmt.Fprintf(out, "events %d  heap-depth max %d\n", stats.Events, stats.HeapDepth)
 	if snap != nil && (cfg.energy || cfg.nodeReport > 0) {
 		fmt.Fprintf(out, "energy %.1f µJ total over %d nodes (%s profile): tx %.3fs rx %.3fs cca %.3fs turnaround %.3fs idle %.3fs\n",
 			snap.EnergyMicrojoules, len(snap.Nodes), snap.Chip,

@@ -208,7 +208,7 @@ func (p *PHY) DemodulateFrame(sig dsp.IQ, pattern bitstream.Bits, maxErrors int)
 	// false-lock on payload coincidences at a wrongly timed phase, and
 	// soft scores alone drift at wrong phases — the combination keeps
 	// only the phase with a fully open eye.
-	corr := stream.Correlate(stream.Shared(), sig, pattern, maxErrors, sps)
+	corr := stream.Correlate(sig, pattern, maxErrors, sps)
 	defer corr.Close()
 	best, ok := corr.Best()
 	if !ok {

@@ -40,7 +40,6 @@ type Correlator struct {
 	packed     bool
 	word, mask uint64
 
-	pool   *BufferPool
 	incs   []float64
 	phases []phaseState
 }
@@ -57,10 +56,10 @@ type phaseState struct {
 
 // Correlate runs the synchronisation search over a whole capture: it
 // discriminates sig straight into the correlator's increment buffer and
-// scans every sampling phase. pool nil falls back to the shared pool.
+// scans every sampling phase. Its buffers come from the shared pool.
 // The caller reads Best and Sums, then calls Close.
-func Correlate(pool *BufferPool, sig dsp.IQ, pattern []byte, maxErrors, sps int) *Correlator {
-	c := newCorrelator(pool, pattern, maxErrors, sps, len(sig))
+func Correlate(sig dsp.IQ, pattern []byte, maxErrors, sps int) *Correlator {
+	c := newCorrelator(pattern, maxErrors, sps, len(sig))
 	c.incs = dsp.DiscriminateInto(c.incs, sig)
 	c.search()
 	return c
@@ -68,14 +67,12 @@ func Correlate(pool *BufferPool, sig dsp.IQ, pattern []byte, maxErrors, sps int)
 
 // newCorrelator sizes the pooled buffers for incs phase increments; a
 // candidate qualifies with at most maxErrors mismatches.
-func newCorrelator(pool *BufferPool, pattern []byte, maxErrors, sps, incs int) *Correlator {
-	pool = Or(pool)
+func newCorrelator(pattern []byte, maxErrors, sps, incs int) *Correlator {
 	c := &Correlator{
 		pattern: pattern,
 		sps:     sps,
 		packed:  len(pattern) > 0 && len(pattern) <= 64,
-		pool:    pool,
-		incs:    pool.F64(incs),
+		incs:    sharedPool.F64(incs),
 		phases:  make([]phaseState, sps),
 	}
 	if c.packed {
@@ -90,22 +87,22 @@ func newCorrelator(pool *BufferPool, pattern []byte, maxErrors, sps, incs int) *
 	symbols := incs/max(sps, 1) + 1
 	for p := range c.phases {
 		c.phases[p] = phaseState{
-			sums:     pool.F64(symbols),
-			bits:     pool.Bits(symbols),
+			sums:     sharedPool.F64(symbols),
+			bits:     sharedPool.Bits(symbols),
 			bestErrs: maxErrors + 1,
 		}
 	}
 	return c
 }
 
-// Close returns the correlator's buffers to the pool. The correlator
-// must not be used afterwards.
+// Close returns the correlator's buffers to the shared pool. The
+// correlator must not be used afterwards.
 func (c *Correlator) Close() {
-	c.pool.PutF64(c.incs)
+	sharedPool.PutF64(c.incs)
 	c.incs = nil
 	for p := range c.phases {
-		c.pool.PutF64(c.phases[p].sums)
-		c.pool.PutBits(c.phases[p].bits)
+		sharedPool.PutF64(c.phases[p].sums)
+		sharedPool.PutBits(c.phases[p].bits)
 		c.phases[p].sums, c.phases[p].bits = nil, nil
 	}
 }

@@ -40,17 +40,9 @@ type BufferPool struct {
 // sharedPool is the process-wide default pool.
 var sharedPool BufferPool
 
-// Shared returns the process-wide default BufferPool, used by every
-// pipeline component whose Pool field is nil.
+// Shared returns the process-wide BufferPool that the correlator and
+// every receiver draw their scratch slabs from.
 func Shared() *BufferPool { return &sharedPool }
-
-// Or returns p, or the shared pool when p is nil.
-func Or(p *BufferPool) *BufferPool {
-	if p == nil {
-		return &sharedPool
-	}
-	return p
-}
 
 // IQ returns a zero-length IQ slab with capacity at least capHint.
 func (p *BufferPool) IQ(capHint int) dsp.IQ {

@@ -204,7 +204,7 @@ func (p *PHY) DemodulateStats(sig dsp.IQ) (*Demodulated, *link.Stats, error) {
 	// fully open eye wins (see ble.PHY.DemodulateFrame for the failure
 	// modes either criterion alone has).
 	pool := stream.Shared()
-	corr := stream.Correlate(pool, sig, pattern, p.MaxSyncErrors, sps)
+	corr := stream.Correlate(sig, pattern, p.MaxSyncErrors, sps)
 	defer corr.Close()
 	best, ok := corr.Best()
 	if !ok {

@@ -8,7 +8,7 @@
 // The registry encodes to both the Prometheus text exposition format
 // (for scraping or the -metrics-addr flag of the commands) and a JSON
 // snapshot (for programmatic inspection, expvar-style). The tracer
-// renders a flame-ordered text tree or JSON.
+// renders a flame-ordered text tree.
 //
 // Everything is safe for concurrent use; counters and gauges are
 // lock-free, histograms take a short per-histogram lock. All of it is

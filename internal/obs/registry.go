@@ -176,15 +176,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labelPairs ...strin
 	return s.hist
 }
 
-// Reset removes every series (help strings survive). Tests and
-// benchmark loops use it to start from a clean slate.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.series = make(map[string]*series)
-	r.order = nil
-	r.mu.Unlock()
-}
-
 // Merge folds other's series into r: counters add, gauges take other's
 // value, histograms add bucket-wise (bucket layouts must match; a
 // mismatched layout is reported as an error and that series skipped).

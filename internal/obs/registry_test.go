@@ -191,18 +191,6 @@ func TestKindCollisionPanics(t *testing.T) {
 	reg.Gauge("x_total")
 }
 
-func TestReset(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a_total").Inc()
-	reg.Reset()
-	if got := reg.Counter("a_total").Value(); got != 0 {
-		t.Errorf("counter after reset = %d, want 0", got)
-	}
-	if len(reg.Snapshot()) != 1 {
-		t.Errorf("snapshot after reset has %d series, want the 1 just recreated", len(reg.Snapshot()))
-	}
-}
-
 func TestStageHelper(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTrace("frame")

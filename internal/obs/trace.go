@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -28,7 +27,6 @@ type Span struct {
 
 	trace *Trace
 	start time.Time
-	done  bool
 }
 
 // SetAttr annotates the span. Values go through fmt for convenience;
@@ -61,21 +59,13 @@ func (s *Span) End() time.Duration {
 		}
 	}
 	if idx < 0 {
-		// Already ended (or the trace was reset underneath us).
-		if !s.done {
-			s.done = true
-			s.DurNs = now.Sub(s.start).Nanoseconds()
-		}
+		// Already ended, by its own End or an ancestor's.
 		return time.Duration(s.DurNs)
 	}
 	// Pop the stack down to (and including) s, closing any dangling
 	// children along the way (in practice: an early return on error).
-	for i := len(t.stack) - 1; i >= idx; i-- {
-		sp := t.stack[i]
-		if !sp.done {
-			sp.done = true
-			sp.DurNs = now.Sub(sp.start).Nanoseconds()
-		}
+	for _, sp := range t.stack[idx:] {
+		sp.DurNs = now.Sub(sp.start).Nanoseconds()
 	}
 	t.stack = t.stack[:idx]
 	return time.Duration(s.DurNs)
@@ -128,15 +118,6 @@ func (t *Trace) Start(name string) *Span {
 	return s
 }
 
-// Reset drops every recorded span and restarts the clock, keeping the
-// trace attached to whatever pipeline holds it.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.roots, t.stack = nil, nil
-	t.epoch = time.Now()
-	t.mu.Unlock()
-}
-
 // Roots returns the completed span forest (shared structures; treat as
 // read-only).
 func (t *Trace) Roots() []*Span {
@@ -176,14 +157,4 @@ func writeSpan(b *strings.Builder, s *Span, depth int) {
 	for _, c := range s.Children {
 		writeSpan(b, c, depth+1)
 	}
-}
-
-// JSON renders the span forest as indented JSON.
-func (t *Trace) JSON() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return json.MarshalIndent(struct {
-		Name  string  `json:"name"`
-		Spans []*Span `json:"spans"`
-	}{t.name, t.roots}, "", "  ")
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -54,21 +53,6 @@ func TestTraceNesting(t *testing.T) {
 	if !(indent("frame") < indent("receive") && indent("receive") < indent("despread")) {
 		t.Errorf("tree indentation does not reflect nesting:\n%s", tree)
 	}
-
-	b, err := tr.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Name  string  `json:"name"`
-		Spans []*Span `json:"spans"`
-	}
-	if err := json.Unmarshal(b, &parsed); err != nil {
-		t.Fatalf("trace JSON: %v", err)
-	}
-	if parsed.Name != "roundtrip" || len(parsed.Spans) != 1 {
-		t.Errorf("JSON = name %q, %d spans", parsed.Name, len(parsed.Spans))
-	}
 }
 
 // TestTraceEarlyReturn ends a parent while children are still open — the
@@ -87,19 +71,6 @@ func TestTraceEarlyReturn(t *testing.T) {
 	next.End()
 	if len(tr.Roots()) != 2 {
 		t.Errorf("roots = %d, want 2", len(tr.Roots()))
-	}
-}
-
-func TestTraceReset(t *testing.T) {
-	tr := NewTrace("x")
-	tr.Start("a").End()
-	tr.Reset()
-	if len(tr.Roots()) != 0 {
-		t.Error("roots survive Reset")
-	}
-	tr.Start("b").End()
-	if got := len(tr.Roots()); got != 1 {
-		t.Errorf("roots after reuse = %d, want 1", got)
 	}
 }
 

@@ -31,12 +31,25 @@ type LiveCapture struct {
 	LinkSNRdB float64
 }
 
-// LiveNetwork runs the victim network in real time. It is a thin
-// real-time pacer over the discrete-event core: the reporting loop is a
-// recurring scheduler event (tick → emit → reschedule) and a pacer
-// sleeps until each event's wall deadline — real-time operation is a
-// pacing policy over the same event queue the virtual-time simulator
-// drives, not a separate code path.
+// wallClock abstracts wall time for the reporting loop, so tests can
+// drive it deterministically with a manual clock.
+type wallClock interface {
+	// Now returns the current wall time.
+	Now() time.Time
+	// After returns a channel that delivers the time once d has elapsed.
+	After(d time.Duration) <-chan time.Time
+}
+
+// systemClock is the real wall clock.
+type systemClock struct{}
+
+func (systemClock) Now() time.Time                         { return time.Now() }
+func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// LiveNetwork runs the victim network in real time: a wall-clock ticker
+// steps the simulation once per reporting interval and streams the
+// period's capture. It publishes no metrics of its own; a consumer
+// counts the captures it receives.
 //
 // While a LiveNetwork is running it owns its Simulation; interact with
 // the simulation again only after Shutdown returns.
@@ -44,13 +57,7 @@ type LiveNetwork struct {
 	network        *zigbee.Simulation
 	interval       time.Duration
 	captureChannel int
-
-	sched *Scheduler
-	seq   uint64
-
-	// Pacer-path observability: the same wazabee_sim_heap_* gauges the
-	// virtual-time driver publishes, labelled driver="live".
-	heapGauges *heapGauges
+	seq            uint64
 
 	captures chan LiveCapture
 	stop     chan struct{}
@@ -68,8 +75,8 @@ func StartLive(network *zigbee.Simulation, interval time.Duration, captureChanne
 	return startLive(network, interval, captureChannel, nil)
 }
 
-// startLive validates and launches the paced event loop. clock nil uses
-// the system wall clock; tests inject a manualClock to drive the pacing
+// startLive validates and launches the reporting loop. clock nil uses
+// the system wall clock; tests inject a manualClock to drive the ticks
 // deterministically.
 func startLive(network *zigbee.Simulation, interval time.Duration, captureChannel int, clock wallClock) (*LiveNetwork, error) {
 	if network == nil {
@@ -81,17 +88,17 @@ func startLive(network *zigbee.Simulation, interval time.Duration, captureChanne
 	if _, err := ieee802154.ChannelFrequencyMHz(captureChannel); err != nil {
 		return nil, err
 	}
+	if clock == nil {
+		clock = systemClock{}
+	}
 	l := &LiveNetwork{
 		network:        network,
 		interval:       interval,
 		captureChannel: captureChannel,
-		sched:          NewScheduler(),
 		captures:       make(chan LiveCapture, 1),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
-		heapGauges:     newHeapGauges(nil, "live"),
 	}
-	l.sched.After(interval, l.tick)
 	go l.run(clock)
 	return l, nil
 }
@@ -117,23 +124,35 @@ func (l *LiveNetwork) Shutdown() {
 	<-l.done
 }
 
-// run paces the event queue against the wall clock. The loop ends when
-// the queue drains — which happens exactly when a tick declines to
-// reschedule itself (error or stop) — or when stop interrupts a sleep.
+// run ticks at start + k·interval for k = 1, 2, …, sleeping only while
+// the next deadline is still ahead: a late tick runs at once, so a
+// backlog catches up. The loop ends when a tick reports false or stop
+// interrupts a sleep.
 func (l *LiveNetwork) run(clock wallClock) {
 	defer close(l.done)
 	defer close(l.captures)
-	p := &pacer{sched: l.sched, clock: clock}
-	p.run(l.stop)
+	deadline := clock.Now()
+	for {
+		deadline = deadline.Add(l.interval)
+		if wait := deadline.Sub(clock.Now()); wait > 0 {
+			select {
+			case <-l.stop:
+				return
+			case <-clock.After(wait):
+			}
+		}
+		if !l.tick() {
+			return
+		}
+	}
 }
 
-// tick is the recurring reporting event: step the simulation, emit the
-// capture, schedule the next period. Returning without rescheduling
-// drains the queue and ends the run.
-func (l *LiveNetwork) tick() {
+// tick steps the simulation and emits the period's capture. It reports
+// false when the loop must end: Step failed (see Err) or stop closed.
+func (l *LiveNetwork) tick() bool {
 	select {
 	case <-l.stop:
-		return
+		return false
 	default:
 	}
 	sig, err := l.network.Step(l.captureChannel)
@@ -141,7 +160,7 @@ func (l *LiveNetwork) tick() {
 		l.mu.Lock()
 		l.err = err
 		l.mu.Unlock()
-		return
+		return false
 	}
 	capture := LiveCapture{
 		IQ:        sig,
@@ -151,11 +170,10 @@ func (l *LiveNetwork) tick() {
 		LinkSNRdB: l.network.AttackerLink.SNRdB,
 	}
 	l.seq++
-	l.heapGauges.publish(l.sched)
 	select {
 	case l.captures <- capture:
+		return true
 	case <-l.stop:
-		return
+		return false
 	}
-	l.sched.After(l.interval, l.tick)
 }

@@ -262,13 +262,14 @@ type Network struct {
 	gHeapDepth *obs.Gauge
 	gJoined    *obs.Gauge
 
+	gHeapMax, gHeapPending, gHeapExecuted *obs.Gauge
+
 	depthThreshold int
 
 	// tel is the simulation observatory (nil when Config.Telemetry is
 	// off — every hook in the MAC path nil-checks it, keeping the
 	// uninstrumented loop free of observatory work).
-	tel        *telemetry
-	heapGauges *heapGauges
+	tel *telemetry
 
 	// snapshot published for the /debug/sim handler; refreshed at batch
 	// boundaries once a handler exists.
@@ -376,7 +377,11 @@ func (nw *Network) registerMetrics() {
 	nw.gVirtual = nw.reg.Gauge("wazabee_sim_virtual_seconds")
 	nw.gHeapDepth = nw.reg.Gauge("wazabee_sim_heap_depth")
 	nw.gJoined = nw.reg.Gauge("wazabee_sim_nodes", "state", "joined")
-	nw.heapGauges = newHeapGauges(nw.reg, "virtual")
+	nw.gHeapMax = nw.reg.Gauge("wazabee_sim_heap_max_depth", "driver", "virtual")
+	nw.gHeapPending = nw.reg.Gauge("wazabee_sim_heap_pending", "driver", "virtual")
+	nw.gHeapExecuted = nw.reg.Gauge("wazabee_sim_heap_executed", "driver", "virtual")
+	// Always 0 (a virtual clock never runs late); TestSimGoldenTelemetry pins it.
+	nw.reg.Gauge("wazabee_sim_heap_max_lag_seconds", "driver", "virtual")
 	roleCount := map[Role]int{}
 	for _, spec := range nw.topo.Nodes {
 		roleCount[spec.Role]++
@@ -668,8 +673,8 @@ func (nw *Network) destCellOwner(n *node, out *outgoing) int {
 // Now returns the virtual clock.
 func (nw *Network) Now() time.Duration { return nw.sched.Now() }
 
-// Scheduler exposes the underlying event queue (benchmarks and the
-// pacer-driven integrations need it).
+// Scheduler exposes the underlying event queue: campaign attack plans
+// post on it, and benchmarks and wazabeesim read its marks.
 func (nw *Network) Scheduler() *Scheduler { return nw.sched }
 
 // Run executes every event due at or before the virtual instant t. It
@@ -693,7 +698,9 @@ func (nw *Network) afterBatch() {
 		nw.publishCounters()
 		nw.gVirtual.Set(nw.sched.Now().Seconds())
 		nw.gHeapDepth.Set(float64(nw.sched.MaxDepth()))
-		nw.heapGauges.publish(nw.sched)
+		nw.gHeapMax.Set(float64(nw.sched.MaxDepth()))
+		nw.gHeapPending.Set(float64(nw.sched.Len()))
+		nw.gHeapExecuted.Set(float64(nw.sched.Executed()))
 		if nw.tel != nil {
 			nw.tel.publish(nw.nodes, nw.sched.Now())
 		}

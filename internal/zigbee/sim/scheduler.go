@@ -29,10 +29,9 @@
 // campaign trial) keeps its tally and telemetry ledger and reports to
 // nothing process-wide.
 //
-// LiveNetwork rides the same event core: its real-time reporting loop is
-// a Scheduler driven by a pacer that sleeps until each event's wall
-// deadline, making real-time operation a pacing policy rather than a
-// separate code path.
+// LiveNetwork, the package's real-time side, is a wall-clock ticker that
+// steps the paper's two-node victim network (zigbee.Simulation) once per
+// reporting period; it does not use the event queue.
 package sim
 
 import "time"
@@ -87,14 +86,14 @@ func (e entry) before(o entry) bool {
 // executed. The queue has two levels with one total order: up to
 // nearCap events due within nearHorizon of their posting sit in a
 // short slice sorted latest first, every other event in a hand-rolled
-// binary min-heap, and Step runs the earlier of the two heads. An
+// binary min-heap, and RunUntil runs the earlier of the two heads. An
 // entry stays in the queue it was posted to. Each entry carries its
 // action by value; an At or After callback waits in a side table of
 // closures whose slots are reused through a free list, so a
 // steady-state event loop allocates nothing to schedule. It is not
 // safe for concurrent use: the simulation is single-threaded by
-// design, and the code running it publishes the scheduler's marks
-// (heapGauges) at the points where other goroutines may read them.
+// design, and Network.Run publishes the scheduler's marks at batch
+// boundaries, where other goroutines may read them.
 type Scheduler struct {
 	near   []entry  // sorted by (at, seq), earliest last
 	far    []entry  // binary min-heap
@@ -110,11 +109,6 @@ type Scheduler struct {
 
 	executed uint64
 	maxDepth int
-
-	// maxLag is the high-water mark of how far behind its deadline an
-	// event executed, in wall time. The virtual driver never lags (the
-	// clock jumps to each event); the pacer records real lateness here.
-	maxLag time.Duration
 }
 
 // NewScheduler returns an empty scheduler at virtual time zero. The
@@ -136,17 +130,6 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // MaxDepth returns the high-water mark of pending events, both queues
 // together.
 func (s *Scheduler) MaxDepth() int { return s.maxDepth }
-
-// MaxLag returns the worst observed wall-time lateness of an event
-// (always zero under the virtual driver).
-func (s *Scheduler) MaxLag() time.Duration { return s.maxLag }
-
-// noteLag records a wall-time execution lateness (called by the pacer).
-func (s *Scheduler) noteLag(lag time.Duration) {
-	if lag > s.maxLag {
-		s.maxLag = lag
-	}
-}
 
 // At schedules fn at virtual time t. Scheduling in the past is clamped
 // to now: the event runs next, after already-pending events at the same
@@ -183,7 +166,7 @@ func (s *Scheduler) post(t time.Duration, a action) {
 	e := entry{at: t, seq: s.seq, a: a}
 	if t-s.now < nearHorizon && len(s.near) < nearCap {
 		// Move e from the end towards the front past every entry due
-		// before it, which keeps those nearer the end that Step takes
+		// before it, which keeps those nearer the end that RunUntil takes
 		// from. e has the highest seq, so an entry is due before it
 		// exactly when it is due at or before e's instant.
 		s.near = append(s.near, e)
@@ -212,23 +195,6 @@ func (s *Scheduler) head() (e entry, near, ok bool) {
 		return s.far[0], false, true
 	}
 	return entry{}, false, false
-}
-
-// NextAt returns the virtual deadline of the next pending event; ok is
-// false when the queue is empty.
-func (s *Scheduler) NextAt() (time.Duration, bool) {
-	e, _, ok := s.head()
-	return e.at, ok
-}
-
-// Step pops and executes the next event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
-func (s *Scheduler) Step() bool {
-	e, near, ok := s.head()
-	if ok {
-		s.run(e, near)
-	}
-	return ok
 }
 
 // run removes e, the head of the near queue or the far heap, and
@@ -273,16 +239,6 @@ func (s *Scheduler) RunUntil(t time.Duration) uint64 {
 	}
 	s.now = t
 	return n
-}
-
-// Drain discards all pending events (shutdown path), releasing every
-// callback they held.
-func (s *Scheduler) Drain() {
-	s.near = s.near[:0]
-	s.far = s.far[:0]
-	clear(s.fns)
-	s.fns = s.fns[:0]
-	s.fnFree = s.fnFree[:0]
 }
 
 // up restores the far heap's order from index i towards the root,

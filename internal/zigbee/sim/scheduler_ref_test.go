@@ -217,14 +217,14 @@ func (h *schedHarness) check(call string) {
 	if h.s.Len() != len(h.ref.pending) {
 		h.t.Fatalf("after %s: Len() = %d, reference %d", call, h.s.Len(), len(h.ref.pending))
 	}
-	at, ok := h.s.NextAt()
+	e, _, ok := h.s.head()
 	var refAt time.Duration
 	i := h.ref.next()
 	if i >= 0 {
 		refAt = h.ref.pending[i].at
 	}
-	if ok != (i >= 0) || at != refAt {
-		h.t.Fatalf("after %s: NextAt() = %v, %v, reference %v, %v", call, at, ok, refAt, i >= 0)
+	if ok != (i >= 0) || e.at != refAt {
+		h.t.Fatalf("after %s: head at %v, %v, reference %v, %v", call, e.at, ok, refAt, i >= 0)
 	}
 	if h.s.Executed() != h.ref.executed {
 		h.t.Fatalf("after %s: Executed() = %d, reference %d", call, h.s.Executed(), h.ref.executed)
@@ -237,9 +237,19 @@ func (h *schedHarness) check(call string) {
 	}
 }
 
+// step runs the Scheduler's next event through head and run, one turn
+// of RunUntil's loop; it reports false when the queue is empty.
+func (h *schedHarness) step() bool {
+	e, near, ok := h.s.head()
+	if ok {
+		h.s.run(e, near)
+	}
+	return ok
+}
+
 // runSchedulerScript drives a fresh Scheduler and the reference with
-// the calls ops encodes, one byte each: posts from outside, Step,
-// RunUntil at a boundary behind, at or ahead of now, and Drain. Every
+// the calls ops encodes, one byte each: posts from outside, single
+// steps, and RunUntil at a boundary behind, at or ahead of now. Every
 // call is checked against the reference, and a final RunUntil far
 // ahead executes whatever is left.
 func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
@@ -253,12 +263,6 @@ func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
 				h.postBoth(harnessDelay(x))
 			}
 			h.check("post")
-		case 3, 4:
-			got, want := h.s.Step(), h.refStep()
-			if got != want {
-				t.Fatalf("Step() = %v, reference %v", got, want)
-			}
-			h.check("Step")
 		case 5, 6:
 			until := h.s.Now() + harnessDelay(x)
 			got, want := h.s.RunUntil(until), h.refRunUntil(until)
@@ -266,18 +270,12 @@ func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
 				t.Fatalf("RunUntil(%v) executed %d events, reference %d", until, got, want)
 			}
 			h.check("RunUntil")
-		default:
-			if op>>3%4 == 0 {
-				h.s.Drain()
-				h.ref.pending = h.ref.pending[:0]
-				h.check("Drain")
-			} else {
-				got, want := h.s.Step(), h.refStep()
-				if got != want {
-					t.Fatalf("Step() = %v, reference %v", got, want)
-				}
-				h.check("Step")
+		default: // 3, 4 and 7
+			got, want := h.step(), h.refStep()
+			if got != want {
+				t.Fatalf("step = %v, reference %v", got, want)
 			}
+			h.check("step")
 		}
 	}
 	until := h.s.Now() + time.Hour
@@ -294,8 +292,8 @@ func runSchedulerScript(t *testing.T, seed uint64, ops []byte) {
 // against refScheduler: the execution order is the order of (clamped
 // time, posting order) over every post, callbacks and typed actions
 // mixed, including posts made by running events and posts at now,
-// across any interleaving of Step, RunUntil and Drain; Now, Len,
-// NextAt, Executed and MaxDepth match the reference after every call,
+// across any interleaving of single steps and RunUntil; Now, Len, the
+// head, Executed and MaxDepth match the reference after every call,
 // and the closure table accounts for every pending callback as its
 // slots are reused.
 func TestSchedulerMatchesReference(t *testing.T) {
@@ -311,7 +309,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 // call scripts.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13})
-	f.Add(uint64(7), []byte("post step run drain post post post step step run"))
+	f.Add(uint64(7), []byte("post step run post post post step step run"))
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -322,7 +320,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 
 // TestSchedulerNearQueueOverflow posts twice nearCap events due within
 // the near horizon: the near queue fills, the rest go to the far heap,
-// and the order, Len, NextAt and the marks still match the reference.
+// and the order, Len, the head and the marks still match the reference.
 func TestSchedulerNearQueueOverflow(t *testing.T) {
 	h := newSchedHarness(t, 3)
 	for i := 0; i < 2*nearCap; i++ {

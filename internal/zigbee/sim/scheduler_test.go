@@ -112,30 +112,6 @@ func TestSchedulerBatchSplitInvariance(t *testing.T) {
 	}
 }
 
-func TestSchedulerStepAndDrain(t *testing.T) {
-	s := NewScheduler()
-	ran := 0
-	for i := 0; i < 4; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() { ran++ })
-	}
-	if !s.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d after one Step", ran)
-	}
-	s.Drain() // discards, never executes
-	if ran != 1 {
-		t.Fatalf("ran = %d after Drain, want still 1", ran)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after Drain", s.Len())
-	}
-	if s.Step() {
-		t.Fatal("Step returned true on an empty queue")
-	}
-}
-
 func TestSchedulerHighWaterMarks(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 10; i++ {
@@ -150,11 +126,6 @@ func TestSchedulerHighWaterMarks(t *testing.T) {
 	}
 	if s.Executed() != 10 {
 		t.Fatalf("Executed = %d, want 10", s.Executed())
-	}
-	s.noteLag(5 * time.Millisecond)
-	s.noteLag(2 * time.Millisecond) // a smaller lag keeps the high-water mark
-	if s.MaxLag() != 5*time.Millisecond {
-		t.Fatalf("MaxLag = %v, want 5ms", s.MaxLag())
 	}
 }
 
@@ -278,7 +249,7 @@ func checkClosureTable(s *Scheduler) (int, error) {
 // TestSchedulerReleasesActions checks that the closure table never
 // keeps a callback alive past its event: mid-run, every pending
 // callback's slot holds it and every free slot is nil, the two making
-// up the whole table; after Drain, the table is empty and cleared.
+// up the whole table.
 func TestSchedulerReleasesActions(t *testing.T) {
 	nw, err := New(Star(6), Config{Seed: 4, Registry: obs.NewRegistry()})
 	if err != nil {
@@ -301,15 +272,5 @@ func TestSchedulerReleasesActions(t *testing.T) {
 	}
 	if pending != 3 || len(s.fnFree) == 0 {
 		t.Errorf("%d pending callbacks and %d free slots mid-run, want 3 and some", pending, len(s.fnFree))
-	}
-
-	s.Drain()
-	if s.Len() != 0 || len(s.fns) != 0 || len(s.fnFree) != 0 {
-		t.Fatalf("after Drain: Len %d, %d closure slots, %d free", s.Len(), len(s.fns), len(s.fnFree))
-	}
-	for i, fn := range s.fns[:cap(s.fns)] {
-		if fn != nil {
-			t.Fatalf("closure slot %d holds a callback after Drain", i)
-		}
 	}
 }

@@ -434,34 +434,3 @@ func WriteSnapshotText(w io.Writer, snap *Snapshot) {
 			n.Retries, n.Erasures, n.DeafMisses, join, n.EnergyMicrojoules)
 	}
 }
-
-// ---------------------------------------------------------------------
-// Scheduler heap gauges
-
-// heapGauges exports a Scheduler's high-water marks as
-// wazabee_sim_heap_* gauges. The driver label separates the virtual
-// batch driver from the wall-clock pacer when both run in one process.
-type heapGauges struct {
-	maxDepth, pending, executed, maxLag *obs.Gauge
-}
-
-// newHeapGauges pre-resolves the gauge series on reg (nil falls back to
-// the process default registry).
-func newHeapGauges(reg *obs.Registry, driver string) *heapGauges {
-	r := obs.Or(reg)
-	return &heapGauges{
-		maxDepth: r.Gauge("wazabee_sim_heap_max_depth", "driver", driver),
-		pending:  r.Gauge("wazabee_sim_heap_pending", "driver", driver),
-		executed: r.Gauge("wazabee_sim_heap_executed", "driver", driver),
-		maxLag:   r.Gauge("wazabee_sim_heap_max_lag_seconds", "driver", driver),
-	}
-}
-
-// publish refreshes the gauges from the scheduler's current marks. Call
-// it from the goroutine driving the scheduler.
-func (g *heapGauges) publish(s *Scheduler) {
-	g.maxDepth.Set(float64(s.MaxDepth()))
-	g.pending.Set(float64(s.Len()))
-	g.executed.Set(float64(s.Executed()))
-	g.maxLag.Set(obs.DurationSeconds(s.MaxLag()))
-}
